@@ -28,14 +28,11 @@ from .estimate import (
     FitResult,
     KaplanMeier,
     Parametric,
-    iterative_marginal_fit,
     solve_score,
 )
 from .marginal import (
     StepSurvival,
-    fit_exponential,
-    fit_piecewise_exponential,
-    fit_weibull,
+    fit_family,
     kaplan_meier,
     load_external_curve,
     save_curve,
@@ -76,53 +73,19 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     return vals
 
 
-def _scheme_for_fit(spec: str, data):
-    """Scheme-spec string -> (solve callable kwargs, description).
+def _scheme(spec: str):
+    """Scheme-spec string ``pl | km | par:<family> | curve:FILE`` -> WeightScheme.
 
-    Parametric schemes are fit to the data (the plug-in estimator); the
-    ``curve:FILE`` scheme wraps an externally supplied survival curve.
+    ``par:<family>`` names a parametric family (exponential, weibull or
+    pwexp[:cut1,cut2,...]) that is fitted to the data the scheme is solved
+    on; ``curve:FILE`` supplies an external survival curve as given.
     """
-    if spec == "pl":
-        return lambda **kw: solve_score(data, Constant(), **kw)
-    if spec == "km":
-        return lambda **kw: solve_score(data, KaplanMeier(), **kw)
-    if spec == "par:exponential":
-        return lambda **kw: iterative_marginal_fit(data, "exponential", **kw)
-    if spec == "par:weibull":
-        return lambda **kw: iterative_marginal_fit(data, "weibull", **kw)
-    if spec.startswith("par:pwexp:"):
-        raw = spec[len("par:pwexp:") :]
-        try:
-            cuts = tuple(float(x) for x in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"bad piecewise cuts in scheme {spec!r}") from None
-        return lambda **kw: iterative_marginal_fit(data, "pwexp", cuts=cuts, **kw)
-    if spec.startswith("curve:"):
-        curve = load_external_curve(spec[len("curve:") :])
-        return lambda **kw: solve_score(data, Parametric(curve), **kw)
-    raise ConfigError(
-        f"unknown scheme {spec!r}; expected pl, km, par:exponential, "
-        "par:weibull, par:pwexp:cut1,cut2,..., or curve:FILE"
-    )
-
-
-def _scheme_object(spec: str, data):
-    """Scheme-spec string -> WeightScheme instance (for resampling)."""
     if spec == "pl":
         return Constant()
     if spec == "km":
         return KaplanMeier()
-    if spec == "par:exponential":
-        return Parametric(fit_exponential(data))
-    if spec == "par:weibull":
-        return Parametric(fit_weibull(data))
-    if spec.startswith("par:pwexp:"):
-        raw = spec[len("par:pwexp:") :]
-        try:
-            cuts = tuple(float(x) for x in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"bad piecewise cuts in scheme {spec!r}") from None
-        return Parametric(fit_piecewise_exponential(data, cuts))
+    if spec.startswith("par:"):
+        return Parametric(spec[len("par:") :])
     if spec.startswith("curve:"):
         return Parametric(load_external_curve(spec[len("curve:") :]))
     raise ConfigError(
@@ -147,8 +110,7 @@ def _print_fit(result: FitResult) -> None:
 
 def cmd_fit(args) -> int:
     data = load_csv(args.csv)
-    solver = _scheme_for_fit(args.scheme, data)
-    result = solver(ties=args.ties)
+    result = solve_score(data, _scheme(args.scheme), ties=args.ties)
     _print_fit(result)
     if args.out:
         doc = {"schema": 1, **result.to_dict()}
@@ -243,7 +205,7 @@ def cmd_are(args) -> int:
 
 def cmd_resample(args) -> int:
     data = load_csv(args.csv)
-    scheme = _scheme_object(args.scheme, data)
+    scheme = _scheme(args.scheme)
     seed = args.seed
     if seed is None:
         seed = secrets.randbits(32)
@@ -276,29 +238,13 @@ def cmd_resample(args) -> int:
 def cmd_km_export(args) -> int:
     data = load_csv(args.csv)
     prefix = args.out_prefix or str(Path(args.csv).with_suffix(""))
-    cuts: tuple[float, ...] = ()
-    if args.family:
-        # validate before writing anything so a bad request leaves no files
-        if args.family.startswith("pwexp:"):
-            try:
-                cuts = tuple(float(x) for x in args.family[len("pwexp:") :].split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"bad piecewise cuts in family {args.family!r}"
-                ) from None
-        elif args.family not in ("exponential", "weibull"):
-            raise ConfigError(f"unknown family {args.family!r}")
+    # fit before writing anything so a bad request leaves no files
+    model = fit_family(data, args.family) if args.family else None
     km = kaplan_meier(data)
     km_path = Path(f"{prefix}_km.csv")
     save_curve(km, km_path)
     print(f"wrote {km_path}")
-    if args.family:
-        if args.family == "exponential":
-            model = fit_exponential(data)
-        elif args.family == "weibull":
-            model = fit_weibull(data)
-        else:
-            model = fit_piecewise_exponential(data, cuts)
+    if model is not None:
         grid = np.linspace(0.0, float(data.time.max()), 200)
         surv = np.asarray(model.survival(grid), dtype=float)
         curve = StepSurvival(jump_times=grid[1:], values=surv[1:])

@@ -14,14 +14,12 @@ import csv
 import io
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError
 
 __all__ = [
-    "Subject",
     "SurvivalDataset",
     "RiskSetStats",
     "load_csv",
@@ -29,15 +27,6 @@ __all__ = [
     "freireich",
     "risk_set_stats",
 ]
-
-
-@dataclass(frozen=True)
-class Subject:
-    """One observation: follow-up time, event indicator and covariates."""
-
-    time: float
-    status: int
-    covariates: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -95,21 +84,9 @@ class SurvivalDataset:
     def n_events(self) -> int:
         return int(self.status.sum())
 
-    @property
-    def subjects(self) -> Iterator[Subject]:
-        """Iterate subjects in time order."""
-        for i in range(self.n):
-            yield Subject(
-                float(self.time[i]), int(self.status[i]), tuple(self.covariates[i])
-            )
-
     def require_events(self) -> None:
         if self.n_events == 0:
             raise DataError("dataset has no events; fitting requires at least one")
-
-    def at_risk_count(self, t: float) -> int:
-        """Number of subjects with X_i >= t."""
-        return self.n - int(np.searchsorted(self.time, t, side="left"))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ at t. Three weight choices give the three estimators:
 * ``KaplanMeier``   : W(t) = S_km(t) / (n S0(0, t)), the product-limit
   weighted estimator whose target is the failure-time-averaged coefficient,
   independent of censoring.
-* ``Parametric``    : W(t) = S_model(t) / (n S0(0, t)) for any fitted or
-  externally supplied marginal survival model.
+* ``Parametric``    : W(t) = S_model(t) / (n S0(0, t)) for a marginal
+  survival model that is either supplied or, given as a family name,
+  fitted to the data the score is solved on.
 
 Solving is Newton-Raphson with step halving; variances are Andersen-Gill
 (information inverse) for the constant weights and the robust sandwich
@@ -30,13 +31,11 @@ import numpy as np
 from .dataset import SurvivalDataset
 from .errors import ConfigError, ConvergenceError, DataError, FitError
 from .marginal import (
-    Exponential,
     MarginalModel,
-    fit_exponential,
-    fit_piecewise_exponential,
-    fit_weibull,
+    fit_family,
     kaplan_meier,
-    map_exponential,
+    model_params,
+    parse_family,
     survival_at,
 )
 
@@ -75,9 +74,18 @@ class KaplanMeier:
 
 @dataclass(frozen=True)
 class Parametric:
-    """Marginal-model weights S_model(t) / (n S0(0, t))."""
+    """Marginal-model weights S_model(t) / (n S0(0, t)).
 
-    model: MarginalModel
+    ``model`` is either a marginal model, supplied and used as given, or a
+    family name ``exponential | weibull | pwexp[:c1,c2,...]``, fitted to
+    whatever dataset the scheme is solved on (so refit per bootstrap draw).
+    """
+
+    model: MarginalModel | str
+
+    def __post_init__(self) -> None:
+        if isinstance(self.model, str):
+            parse_family(self.model)
 
     def describe(self) -> str:
         return f"parametric:{type(self.model).__name__.lower()}"
@@ -138,10 +146,18 @@ def event_weights(data: SurvivalDataset, scheme: WeightScheme) -> np.ndarray:
     if isinstance(scheme, KaplanMeier):
         surv = kaplan_meier(data)(data.time)
     elif isinstance(scheme, Parametric):
-        surv = np.asarray(survival_at(scheme.model, data.time), dtype=float)
+        model = _fit_marginal(data, scheme).model
+        surv = np.asarray(survival_at(model, data.time), dtype=float)
     else:
         raise ConfigError(f"unknown weight scheme {scheme!r}")
     return surv / at_risk
+
+
+def _fit_marginal(data: SurvivalDataset, scheme: WeightScheme) -> WeightScheme:
+    """The scheme with a family-named marginal fitted to ``data``; else as is."""
+    if isinstance(scheme, Parametric) and isinstance(scheme.model, str):
+        return Parametric(fit_family(data, scheme.model))
+    return scheme
 
 
 def _check_ties(scheme: WeightScheme, ties: str) -> None:
@@ -349,13 +365,20 @@ def solve_score(
         'auto' pairs constant weights with Andersen-Gill and weighted
         schemes with the sandwich.
 
+    A family-named parametric marginal is fitted to ``data`` once, before
+    the first Newton step, and its parameters are recorded in ``theta``.
+
     Raises
     ------
     FitError
-        Singular Jacobian (collinear or degenerate covariates).
+        Singular Jacobian (collinear or degenerate covariates), or a
+        marginal family that cannot be fitted.
     ConvergenceError
         No convergence within ``max_iter``.
     """
+    fitted = _fit_marginal(data, scheme)
+    theta = model_params(fitted.model) if fitted is not scheme else None
+    scheme = fitted
     data.require_events()
     _check_ties(scheme, ties)
     if variance not in ("auto", "andersen-gill", "sandwich", "none"):
@@ -418,13 +441,8 @@ def solve_score(
         ties=ties,
         n=data.n,
         n_events=data.n_events,
+        theta=theta,
     )
-
-
-_FAMILY_FITTERS = {
-    "exponential": fit_exponential,
-    "weibull": fit_weibull,
-}
 
 
 def iterative_marginal_fit(
@@ -432,61 +450,20 @@ def iterative_marginal_fit(
     family: str = "exponential",
     *,
     cuts: tuple[float, ...] = (),
-    prior: tuple[float, float] | None = None,
     **solver_kwargs,
 ) -> FitResult:
-    """Fit a parametric marginal, then solve the weighted score with it.
+    """Fit a parametric marginal once, then solve the weighted score with it.
 
-    The plug-in sequence: estimate theta for the chosen family (maximum
-    likelihood, or the conjugate posterior mean when ``prior`` is supplied
-    for the exponential family), build the parametric weight scheme, and
-    solve. The fitted marginal parameters are recorded in ``theta``.
+    The plug-in estimator ``solve_score(data, Parametric(name))``, with
+    ``name`` the family and its cuts: the maximum-likelihood fit, recorded
+    in ``theta``, fixes the weights for the whole solve.
 
     Parameters
     ----------
     family : {'exponential', 'weibull', 'pwexp'}
     cuts : tuple of float
         Interval cuts for the 'pwexp' family.
-    prior : (shape, rate), optional
-        Conjugate Gamma prior; exponential family only.
     """
-    if family == "exponential":
-        model = (
-            fit_exponential(data)
-            if prior is None
-            else map_exponential(data, *prior)
-        )
-        theta = {"family": "exponential", "rate": model.rate}
-    elif family == "weibull":
-        if prior is not None:
-            raise ConfigError("a conjugate prior is supported for 'exponential' only")
-        model = fit_weibull(data)
-        theta = {"family": "weibull", "shape": model.shape, "scale": model.scale}
-    elif family == "pwexp":
-        if prior is not None:
-            raise ConfigError("a conjugate prior is supported for 'exponential' only")
-        model = fit_piecewise_exponential(data, cuts)
-        if isinstance(model, Exponential):
-            theta = {"family": "exponential", "rate": model.rate}
-        else:
-            theta = {
-                "family": "pwexp",
-                "cuts": list(model.cuts),
-                "rates": list(model.rates),
-            }
-    else:
-        raise ConfigError(f"unknown parametric family {family!r}")
-    result = solve_score(data, Parametric(model), **solver_kwargs)
-    return FitResult(
-        beta=result.beta,
-        variance=result.variance,
-        std_errors=result.std_errors,
-        iterations=result.iterations,
-        converged=result.converged,
-        final_score_norm=result.final_score_norm,
-        scheme=result.scheme,
-        ties=result.ties,
-        n=result.n,
-        n_events=result.n_events,
-        theta=theta,
-    )
+    if cuts:
+        family = f"{family}:{','.join(repr(float(c)) for c in cuts)}"
+    return solve_score(data, Parametric(family), **solver_kwargs)

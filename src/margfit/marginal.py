@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import SurvivalDataset
-from .errors import ConvergenceError, DataError, FitError
+from .errors import ConfigError, ConvergenceError, DataError, FitError
 
 __all__ = [
     "StepSurvival",
@@ -23,7 +23,6 @@ __all__ = [
     "Weibull",
     "PiecewiseExponential",
     "Lognormal",
-    "Empirical",
     "ExternalCurve",
     "MarginalModel",
     "kaplan_meier",
@@ -31,6 +30,9 @@ __all__ = [
     "fit_weibull",
     "fit_piecewise_exponential",
     "map_exponential",
+    "parse_family",
+    "fit_family",
+    "model_params",
     "survival_at",
     "load_external_curve",
     "save_curve",
@@ -189,16 +191,6 @@ class Lognormal:
 
 
 @dataclass(frozen=True)
-class Empirical:
-    """A step survival function estimated from data (Kaplan-Meier)."""
-
-    step: StepSurvival
-
-    def survival(self, t):
-        return self.step(t)
-
-
-@dataclass(frozen=True)
 class ExternalCurve:
     """A step survival function supplied from outside (e.g. population tables)."""
 
@@ -209,7 +201,7 @@ class ExternalCurve:
 
 
 MarginalModel = Union[
-    Exponential, Weibull, PiecewiseExponential, Lognormal, Empirical, ExternalCurve
+    Exponential, Weibull, PiecewiseExponential, Lognormal, ExternalCurve
 ]
 
 
@@ -345,6 +337,47 @@ def fit_piecewise_exponential(
         k = int(np.argmax(exposure <= 0))
         raise FitError(f"interval {k} has zero exposure")
     return PiecewiseExponential(cuts=cuts, rates=tuple(deaths / exposure))
+
+
+def parse_family(name: str) -> tuple[str, tuple[float, ...]]:
+    """'exponential' | 'weibull' | 'pwexp[:c1,c2,...]' -> (family, cuts).
+
+    Bare 'pwexp' has no cuts, i.e. the exponential; the fit checks cut values.
+    """
+    if name in ("exponential", "weibull", "pwexp"):
+        return name, ()
+    if not name.startswith("pwexp:"):
+        raise ConfigError(
+            f"unknown parametric family {name!r}; expected exponential, "
+            "weibull, or pwexp[:cut1,cut2,...]"
+        )
+    try:
+        return "pwexp", tuple(float(x) for x in name[len("pwexp:") :].split(","))
+    except ValueError:
+        raise ConfigError(f"bad piecewise cuts in family {name!r}") from None
+
+
+def fit_family(
+    data: SurvivalDataset, name: str
+) -> Exponential | Weibull | PiecewiseExponential:
+    """Maximum-likelihood fit of the family named as in :func:`parse_family`."""
+    family, cuts = parse_family(name)
+    if family == "weibull":
+        return fit_weibull(data)
+    return fit_piecewise_exponential(data, cuts)  # no cuts: the exponential
+
+
+def model_params(model: Exponential | Weibull | PiecewiseExponential) -> dict:
+    """A parametric model's family name and parameters, as a plain dict."""
+    if isinstance(model, Exponential):
+        return {"family": "exponential", "rate": model.rate}
+    if isinstance(model, Weibull):
+        return {"family": "weibull", "shape": model.shape, "scale": model.scale}
+    return {
+        "family": "pwexp",
+        "cuts": list(model.cuts),
+        "rates": list(model.rates),
+    }
 
 
 def load_external_curve(path) -> ExternalCurve:

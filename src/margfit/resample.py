@@ -1,37 +1,28 @@
 """Resampling distributions for the estimators: random weights and bootstrap.
 
 The random-weight scheme perturbs the estimating equation itself: one unit
-exponential e_k per *distinct* failure time, normalized to e_k / sum e,
-multiplies the score terms of the events at that time while the marginal
-weights W stay fixed at their original-data values. The nonparametric
-bootstrap instead resamples subjects and refits everything, including the
-parametric marginal when the scheme carries one.
+exponential e_i per failure, normalized to e_i / sum e, multiplies that
+failure's score term while the marginal weights W stay fixed at their
+original-data values (tied failures draw independent weights). The
+nonparametric bootstrap instead resamples subjects and repeats the point
+estimate's own steps on each replicate: a parametric marginal given by
+family name is refit, a supplied marginal model is kept as given.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .dataset import SurvivalDataset
 from .errors import ConfigError, DataError, FitError
 from .estimate import (
-    Constant,
     FitResult,
-    KaplanMeier,
-    Parametric,
     WeightScheme,
+    _fit_marginal,
     solve_score,
-)
-from .marginal import (
-    Exponential,
-    PiecewiseExponential,
-    Weibull,
-    fit_exponential,
-    fit_piecewise_exponential,
-    fit_weibull,
 )
 
 __all__ = [
@@ -116,73 +107,38 @@ def random_weight_fit(
     return res.beta
 
 
-def _weight_draw(payload):
-    data, scheme, ties, seed, indices = payload
+def _bootstrap_fit(data, scheme, rng, *, ties):
+    """Solve ``scheme`` on one bootstrap replicate of ``data``."""
+    idx = rng.integers(0, data.n, size=data.n)
+    rep = SurvivalDataset(
+        time=data.time[idx],
+        status=data.status[idx],
+        covariates=data.covariates[idx],
+    )
+    return solve_score(rep, scheme, ties=ties, variance="none").beta
+
+
+def _draw_block(payload):
+    """Rows (b, beta or None, error or None) for draws b in ``indices``."""
+    draw, data, scheme, ties, seed, indices = payload
     out = []
     for b in indices:
         rng = np.random.default_rng([seed, b])
         try:
-            out.append((b, random_weight_fit(data, scheme, rng, ties=ties), None))
+            out.append((b, draw(data, scheme, rng, ties=ties), None))
         except (FitError, DataError) as exc:
             out.append((b, None, str(exc)))
     return out
 
 
-def _bootstrap_draw(payload):
-    data, scheme, ties, seed, indices = payload
-    out = []
-    for b in indices:
-        rng = np.random.default_rng([seed, b])
-        idx = rng.integers(0, data.n, size=data.n)
-        try:
-            rep = SurvivalDataset(
-                time=data.time[idx],
-                status=data.status[idx],
-                covariates=data.covariates[idx],
-            )
-            res = solve_score(
-                data=rep,
-                scheme=_replicate_scheme(scheme, rep),
-                ties=ties,
-                variance="none",
-            )
-            out.append((b, res.beta, None))
-        except (FitError, DataError) as exc:
-            out.append((b, None, str(exc)))
-    return out
-
-
-def _replicate_scheme(scheme: WeightScheme, data: SurvivalDataset) -> WeightScheme:
-    """Per-replicate scheme: refit fitted marginals, keep external ones."""
-    if not isinstance(scheme, Parametric):
-        return scheme
-    model = scheme.model
-    if isinstance(model, Exponential):
-        return Parametric(fit_exponential(data))
-    if isinstance(model, Weibull):
-        return Parametric(fit_weibull(data))
-    if isinstance(model, PiecewiseExponential):
-        return Parametric(fit_piecewise_exponential(data, model.cuts))
-    return scheme  # externally supplied curves are inputs, not estimates
-
-
-def _run_draws(worker, data, scheme, n_draws, seed, ties, jobs, method, abort_over):
+def _run_draws(
+    draw, data, scheme, draw_scheme, n_draws, seed, ties, jobs, method, abort_over
+):
     if n_draws < 2:
         raise ConfigError("need at least 2 draws")
     point = solve_score(data, scheme, ties=ties)
-    if jobs is None or jobs <= 1:
-        rows = worker((data, scheme, ties, seed, range(n_draws)))
-    else:
-        block = max(1, n_draws // (4 * jobs))
-        payloads = [
-            (data, scheme, ties, seed, range(s, min(s + block, n_draws)))
-            for s in range(0, n_draws, block)
-        ]
-        rows = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for out in pool.map(worker, payloads):
-                rows.extend(out)
-    rows.sort(key=lambda r: r[0])
+    payload = (draw, data, draw_scheme, ties, seed)
+    rows = parallel_map(_draw_block, payload, n_draws, jobs)
     draws = [beta for _, beta, err in rows if err is None]
     failures = tuple((b, err) for b, _, err in rows if err is not None)
     if abort_over is not None and len(failures) > abort_over * n_draws:
@@ -216,12 +172,15 @@ def resample_distribution(
     """Random-weight resampling distribution with per-draw substreams.
 
     Draw b uses ``default_rng([seed, b])``, so results are independent of
-    ``jobs`` and scheduling. More than 5% failed draws aborts.
+    ``jobs`` and scheduling. A family-named parametric marginal is fitted
+    once, to ``data``, and stays fixed across draws. More than 5% failed
+    draws aborts.
     """
     return _run_draws(
-        _weight_draw,
+        random_weight_fit,
         data,
         scheme,
+        _fit_marginal(data, scheme),
         n_draws,
         seed,
         ties,
@@ -240,15 +199,18 @@ def bootstrap(
     ties: str = "breslow",
     jobs: int | None = None,
 ) -> ResampleResult:
-    """Nonparametric bootstrap: resample subjects, refit marginal and score.
+    """Nonparametric bootstrap: resample subjects and solve ``scheme`` again.
 
-    Replicates that cannot be fit (no events, degenerate risk sets) are
-    skipped and recorded in ``failures`` rather than aborting, since heavy
-    censoring can make occasional empty replicates expected behavior.
+    A family-named parametric marginal is refit to each replicate, a
+    supplied model is kept. Replicates that cannot be fit (no events,
+    degenerate risk sets) are skipped and recorded in ``failures`` rather
+    than aborting, since heavy censoring can make occasional empty
+    replicates expected behavior.
     """
     return _run_draws(
-        _bootstrap_draw,
+        _bootstrap_fit,
         data,
+        scheme,
         scheme,
         n_draws,
         seed,

@@ -20,8 +20,7 @@ mixture g_k(M) = E_Z[exp(-H_k(Z) - M e^{b_k Z})] for the marginal role).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Union
 
@@ -29,10 +28,17 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
+from ._parallel import parallel_map
 from .dataset import SurvivalDataset
-from .errors import ConfigError, ConvergenceError, DataError, FitError
-from .estimate import Constant, KaplanMeier, iterative_marginal_fit, solve_score
-from .marginal import Exponential, PiecewiseExponential, Weibull
+from .errors import ConfigError, DataError, FitError
+from .estimate import Constant, KaplanMeier, Parametric, solve_score
+from .marginal import (
+    Exponential,
+    PiecewiseExponential,
+    Weibull,
+    model_params,
+    parse_family,
+)
 
 __all__ = [
     "BetaFunction",
@@ -338,10 +344,7 @@ def calibrate_censoring(
     uniform_family = isinstance(spec.censoring, UniformCensoring)
 
     def frac(param: float) -> float:
-        law = (
-            UniformCensoring(param) if uniform_family else ExponentialCensoring(param)
-        )
-        c = _draw_censoring_from_uniforms(law, u)
+        c = _draw_censoring_from_uniforms(type(spec.censoring)(param), u)
         return float(np.mean(t > c))
 
     # censored fraction decreases in the uniform upper bound and increases
@@ -375,7 +378,7 @@ def calibrate_censoring(
 
     z2 = spec.covariate.draw(rng, n_mc)
     t2 = _draw_survival_times(spec, z2, rng)
-    law = UniformCensoring(param) if uniform_family else ExponentialCensoring(param)
+    law = type(spec.censoring)(param)
     c2 = _draw_censoring_from_uniforms(law, rng.random(n_mc))
     achieved = float(np.mean(t2 > c2))
     if abs(achieved - target_fraction) > 0.005:
@@ -409,7 +412,7 @@ class StudyConfig:
         if not fams:
             fams = (_default_family(self.spec.baseline),)
         for f in fams:
-            _parse_family_id(f)
+            parse_family(f)
         object.__setattr__(self, "families_to_fit", fams)
 
 
@@ -431,27 +434,10 @@ class SimStudyResult:
 
 
 def _default_family(baseline) -> str:
-    if isinstance(baseline, Exponential):
-        return "exponential"
-    if isinstance(baseline, Weibull):
-        return "weibull"
-    cuts = ",".join(repr(c) for c in baseline.cuts)
-    return f"pwexp:{cuts}"
-
-
-def _parse_family_id(fid: str):
-    """'exponential' | 'weibull' | 'pwexp:c1,c2,...' -> (family, cuts)."""
-    if fid == "exponential" or fid == "weibull":
-        return fid, ()
-    if fid.startswith("pwexp:"):
-        try:
-            cuts = tuple(float(x) for x in fid[len("pwexp:") :].split(","))
-        except ValueError:
-            raise ConfigError(f"bad piecewise-exponential cuts in {fid!r}") from None
-        if not cuts:
-            raise ConfigError("pwexp family needs at least one cut")
-        return "pwexp", cuts
-    raise ConfigError(f"unknown parametric family id {fid!r}")
+    """The family name of the baseline model, as ``parse_family`` reads it."""
+    params = model_params(baseline)
+    cuts = ",".join(repr(c) for c in params.get("cuts", ()))
+    return f"pwexp:{cuts}" if cuts else params["family"]
 
 
 def _one_rep(spec: GeneratorSpec, families, seed: int, n: int, rep: int):
@@ -468,9 +454,8 @@ def _one_rep(spec: GeneratorSpec, families, seed: int, n: int, rep: int):
     except (FitError, DataError) as exc:
         fails.append(("km", str(exc)))
     for fid in families:
-        fam, cuts = _parse_family_id(fid)
         try:
-            res = iterative_marginal_fit(data, fam, cuts=cuts)
+            res = solve_score(data, Parametric(fid))
             values[f"par:{fid}"] = float(res.beta[0])
         except (FitError, DataError) as exc:
             fails.append((f"par:{fid}", str(exc)))
@@ -503,10 +488,7 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
             config.target_censoring,
             rng=np.random.default_rng([config.seed, _CALIBRATION_STREAM]),
         )
-        if isinstance(spec.censoring, UniformCensoring):
-            spec = replace(spec, censoring=UniformCensoring(param))
-        else:
-            spec = replace(spec, censoring=ExponentialCensoring(param))
+        spec = replace(spec, censoring=type(spec.censoring)(param))
     else:
         param = None
         spec = replace(spec, censoring=NoCensoring())
@@ -517,23 +499,9 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     realized = np.full(reps, np.nan)
     failures = []
 
-    if jobs is None or jobs <= 1:
-        rows = [
-            _one_rep(spec, config.families_to_fit, config.seed, config.n, rep)
-            for rep in range(reps)
-        ]
-    else:
-        block = max(1, reps // (4 * jobs))
-        payloads = [
-            (spec, config.families_to_fit, config.seed, config.n,
-             range(start, min(start + block, reps)))
-            for start in range(0, reps, block)
-        ]
-        rows = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for out in pool.map(_rep_block, payloads):
-                rows.extend(out)
-
+    rows = parallel_map(
+        _rep_block, (spec, config.families_to_fit, config.seed, config.n), reps, jobs
+    )
     for rep, values, frac, fails in rows:
         realized[rep] = frac
         for name, v in values.items():
@@ -734,18 +702,7 @@ def _baseline_from_dict(d: dict):
 
 
 def _baseline_to_dict(model, role: str) -> dict:
-    if isinstance(model, Exponential):
-        out = {"family": "exponential", "rate": model.rate}
-    elif isinstance(model, Weibull):
-        out = {"family": "weibull", "shape": model.shape, "scale": model.scale}
-    else:
-        out = {
-            "family": "pwexp",
-            "cuts": list(model.cuts),
-            "rates": list(model.rates),
-        }
-    out["role"] = role
-    return out
+    return {**model_params(model), "role": role}
 
 
 def _covariate_from_dict(d: dict):

@@ -8,7 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from margfit import SurvivalDataset, kaplan_meier, load_external_curve, save_csv
+from margfit import (
+    BetaFunction,
+    ConfigError,
+    Exponential,
+    GeneratorSpec,
+    Parametric,
+    StudyConfig,
+    SurvivalDataset,
+    kaplan_meier,
+    load_external_curve,
+    save_csv,
+)
 from margfit.cli import main
 
 
@@ -289,3 +300,47 @@ class TestKmExport:
         assert main(["km-export", str(csv)]) == 0
         assert (tmp_path / "sub" / "leukemia_km.csv").exists()
         assert not Path("leukemia_km.csv").exists()
+
+
+# (family name, accepted); bare pwexp has no cuts and names the exponential fit
+FAMILY_NAMES = [
+    ("exponential", True),
+    ("weibull", True),
+    ("pwexp", True),
+    ("pwexp:10", True),
+    ("pwexp:5,15", True),
+    ("gamma", False),
+    ("pwexp:x", False),
+    ("pwexp:", False),
+    ("weibull:2", False),
+]
+
+
+class TestFamilyGrammar:
+    """Every entry point reads a parametric family name the same way."""
+
+    @pytest.mark.parametrize("name,valid", FAMILY_NAMES)
+    def test_one_grammar(self, name, valid, leukemia_csv, tmp_path):
+        spec = GeneratorSpec(
+            baseline=Exponential(rate=2.0), beta=BetaFunction.constant(1.0)
+        )
+
+        def study():
+            return StudyConfig(spec=spec, n=10, reps=1, seed=0, families_to_fit=(name,))
+
+        code = 0 if valid else 2
+        prefix = str(tmp_path / "leuk")
+        assert main(["fit", leukemia_csv, "--scheme", f"par:{name}"]) == code
+        assert (
+            main(["km-export", leukemia_csv, "--family", name, "--out-prefix", prefix])
+            == code
+        )
+        assert Path(f"{prefix}_km.csv").exists() == valid
+        if valid:
+            assert Parametric(name).model == name
+            assert study().families_to_fit == (name,)
+        else:
+            with pytest.raises(ConfigError):
+                Parametric(name)
+            with pytest.raises(ConfigError):
+                study()

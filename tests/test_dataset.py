@@ -38,19 +38,6 @@ class TestConstruction:
         d = make([1, 2, 3], [1, 1, 1], [0.1, 0.2, 0.3])
         assert d.covariates.shape == (3, 1)
 
-    def test_subjects_iterator(self):
-        d = make([2, 1], [1, 0], [[5.0], [4.0]])
-        subs = list(d.subjects)
-        assert subs[0].time == 1.0 and subs[0].status == 0
-        assert subs[1].covariates == (5.0,)
-
-    def test_at_risk_count(self):
-        d = make([1, 2, 2, 4], [1, 1, 0, 1], [[0]] * 4)
-        assert d.at_risk_count(0.0) == 4
-        assert d.at_risk_count(2.0) == 3
-        assert d.at_risk_count(2.5) == 1
-        assert d.at_risk_count(5.0) == 0
-
     def test_require_events(self):
         d = make([1, 2], [0, 0], [[0], [1]])
         with pytest.raises(DataError, match="no events"):

@@ -245,14 +245,6 @@ class TestIterativeMarginalFit:
         res = iterative_marginal_fit(leukemia, "pwexp")
         assert res.theta["family"] == "exponential"
 
-    def test_exponential_prior(self, leukemia):
-        res = iterative_marginal_fit(leukemia, "exponential", prior=(1.0, 10.0))
-        assert res.theta["rate"] == pytest.approx(31 / 551)
-
-    def test_prior_only_for_exponential(self, leukemia):
-        with pytest.raises(ConfigError):
-            iterative_marginal_fit(leukemia, "weibull", prior=(1.0, 1.0))
-
     def test_unknown_family(self, leukemia):
         with pytest.raises(ConfigError):
             iterative_marginal_fit(leukemia, "gamma")

@@ -9,7 +9,6 @@ from scipy import stats
 from margfit import (
     ConvergenceError,
     DataError,
-    Empirical,
     Exponential,
     ExternalCurve,
     FitError,
@@ -138,8 +137,6 @@ class TestParametricModels:
 
     def test_survival_at_dispatch(self):
         assert survival_at(Exponential(rate=1.0), 1.0) == pytest.approx(np.exp(-1))
-        step = StepSurvival(np.array([1.0, 2.0]), np.array([0.5, 0.0]))
-        assert survival_at(Empirical(step), 1.5) == pytest.approx(0.5)
         curve = ExternalCurve(StepSurvival(np.array([1.0]), np.array([0.4])))
         assert survival_at(curve, 2.0) == pytest.approx(0.4)
 

@@ -15,10 +15,22 @@ from margfit import (
     Parametric,
     SurvivalDataset,
     bootstrap,
+    fit_exponential,
     random_weight_fit,
     resample_distribution,
     solve_score,
 )
+
+
+def replicates(data, n_draws, seed):
+    """The bootstrap's replicate datasets, drawn as it draws them."""
+    for b in range(n_draws):
+        idx = np.random.default_rng([seed, b]).integers(0, data.n, size=data.n)
+        yield SurvivalDataset(
+            time=data.time[idx],
+            status=data.status[idx],
+            covariates=data.covariates[idx],
+        )
 
 
 class EqualWeights:
@@ -75,6 +87,17 @@ class TestResampleDistribution:
         res = resample_distribution(leukemia, scheme, n_draws=1000, seed=42)
         # sandwich SE for this scheme is 0.4192
         assert abs(res.se[0] - 0.4192) < 0.08
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_family_named_marginal_is_fitted_once(self, leukemia, jobs):
+        # the weights stay at the original-data fit on every draw
+        named = resample_distribution(
+            leukemia, Parametric("exponential"), n_draws=40, seed=3, jobs=jobs
+        )
+        fixed = Parametric(fit_exponential(leukemia))
+        supplied = resample_distribution(leukemia, fixed, n_draws=40, seed=3)
+        assert np.array_equal(named.draws, supplied.draws)
+        assert named.point.theta == {"family": "exponential", "rate": 30 / 541}
 
     def test_draws_look_normal_around_point(self, pl_draws):
         ks = stats.kstest(
@@ -154,12 +177,36 @@ class TestBootstrap:
         assert np.array_equal(a.draws, b.draws)
 
     def test_parametric_marginal_is_refit_per_replicate(self, leukemia):
-        scheme = Parametric(Exponential(rate=30 / 541))
+        scheme = Parametric("exponential")
         res = bootstrap(leukemia, scheme, n_draws=60, seed=11)
-        fixed = bootstrap(leukemia, KaplanMeier(), n_draws=60, seed=11)
-        # same replicate indices, different weighting machinery
-        assert res.draws.shape == fixed.draws.shape
-        assert not np.allclose(res.draws, fixed.draws)
+        fixed = Parametric(Exponential(rate=30 / 541))  # the point fit's rate
+        kept = bootstrap(leukemia, fixed, n_draws=60, seed=11)
+        # same replicate indices; only the per-replicate refit differs
+        assert res.point.theta["rate"] == pytest.approx(30 / 541)
+        assert res.draws.shape == kept.draws.shape
+        assert not np.allclose(res.draws, kept.draws)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_supplied_marginal_is_kept_on_every_replicate(self, leukemia, jobs):
+        scheme = Parametric(Exponential(rate=2.0))
+        res = bootstrap(leukemia, scheme, n_draws=30, seed=11, jobs=jobs)
+        by_hand = [
+            solve_score(rep, scheme, variance="none").beta
+            for rep in replicates(leukemia, 30, 11)
+        ]
+        assert res.n_failed == 0
+        assert np.array_equal(res.draws, np.vstack(by_hand))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_family_named_marginal_is_refit_on_every_replicate(self, leukemia, jobs):
+        scheme = Parametric("exponential")
+        res = bootstrap(leukemia, scheme, n_draws=30, seed=11, jobs=jobs)
+        by_hand = [
+            solve_score(rep, Parametric(fit_exponential(rep)), variance="none").beta
+            for rep in replicates(leukemia, 30, 11)
+        ]
+        assert res.n_failed == 0
+        assert np.array_equal(res.draws, np.vstack(by_hand))
 
     def test_se_matches_draw_spread(self, leukemia):
         res = bootstrap(leukemia, Constant(), n_draws=80, seed=2)
