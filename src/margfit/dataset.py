@@ -6,6 +6,9 @@ fixed covariate vector ``Z_i`` per subject, stored sorted by time. Risk-set
 statistics ``S^(r)(beta, t)``, the at-risk covariate mean ``E(beta, t)`` and
 variance ``V(beta, t)`` are computed here; they are the building blocks of
 every estimator in :mod:`margfit.estimate`.
+
+``_risk_set_sums`` is the package's only risk-set kernel: every estimator
+and the population oracles in :mod:`margfit.simulate` use its sums.
 """
 
 from __future__ import annotations
@@ -107,6 +110,24 @@ class RiskSetStats:
     n_at_risk: int
 
 
+def _risk_set_sums(z: np.ndarray, w: np.ndarray, at, second: bool = True):
+    """Reverse cumulative sums of w, w z and w z z' at rows ``at``.
+
+    ``z`` (n, d) holds time-sorted covariates and ``w`` (n,) their tilts
+    exp(beta'Z); row k of each sum runs over rows ``at[k]``, ..., n - 1,
+    which is a risk set when ``at[k]`` is the first row at its time. The
+    sums are unnormalized. Returns ``(s0, s1, s2)``, with ``s2`` None unless
+    ``second``.
+    """
+    s0 = np.cumsum(w[::-1])[::-1][at]
+    s1 = np.cumsum((w[:, None] * z)[::-1], axis=0)[::-1][at]
+    if not second:
+        return s0, s1, None
+    zz = z[:, :, None] * z[:, None, :]
+    s2 = np.cumsum((w[:, None, None] * zz)[::-1], axis=0)[::-1][at]
+    return s0, s1, s2
+
+
 def risk_set_stats(data: SurvivalDataset, beta: np.ndarray, t: float) -> RiskSetStats:
     """Evaluate S^(r)(beta, t) for r = 0, 1, 2 and the derived E, V.
 
@@ -133,14 +154,11 @@ def risk_set_stats(data: SurvivalDataset, beta: np.ndarray, t: float) -> RiskSet
     if m == 0:
         raise DataError(f"empty risk set at t={t} (beyond last observed time)")
     z = data.covariates[start:]
-    w = np.exp(z @ beta)
-    s0 = float(w.sum()) / data.n
-    s1 = (w @ z) / data.n
-    s2 = np.einsum("j,jk,jl->kl", w, z, z) / data.n
+    s0, s1, s2 = (s[0] / data.n for s in _risk_set_sums(z, np.exp(z @ beta), [0]))
     e = s1 / s0
     v = s2 / s0 - np.outer(e, e)
     v = 0.5 * (v + v.T)
-    return RiskSetStats(s0=s0, s1=s1, s2=s2, e=e, v=v, n_at_risk=m)
+    return RiskSetStats(s0=float(s0), s1=s1, s2=s2, e=e, v=v, n_at_risk=m)
 
 
 def load_csv(path) -> SurvivalDataset:

@@ -15,9 +15,16 @@ at t. Three weight choices give the three estimators:
   survival model that is either supplied or, given as a family name,
   fitted to the data the score is solved on.
 
+Scores, Jacobians, variances and the log partial likelihood evaluate
+through one prepared state, ``_Kernel``, built once per (data, scheme,
+ties, event multipliers); only the sums of ``dataset._risk_set_sums``
+depend on beta. Efron ties (Efron 1977) are Breslow at adjusted sums: the
+l-th of d_k failures tied at a time sees S_r - (l/d_k) D_r, D_r the tie
+group's own sums.
+
 Solving is Newton-Raphson with step halving; variances are Andersen-Gill
 (information inverse) for the constant weights and the robust sandwich
-A^{-1} B A^{-1} for weighted schemes.
+A^{-1} B A^{-1} for weighted schemes, both under the fit's tie rule.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, _risk_set_sums
 from .errors import ConfigError, ConvergenceError, DataError, FitError
 from .marginal import (
     MarginalModel,
@@ -160,92 +167,96 @@ def _fit_marginal(data: SurvivalDataset, scheme: WeightScheme) -> WeightScheme:
     return scheme
 
 
-def _check_ties(scheme: WeightScheme, ties: str) -> None:
-    if ties not in ("breslow", "efron"):
-        raise ConfigError(f"ties must be 'breslow' or 'efron', got {ties!r}")
-    if ties == "efron" and not isinstance(scheme, Constant):
-        raise ConfigError("the Efron tie correction applies to constant weights only")
+class _Kernel:
+    """The beta-free state of one weighted score, evaluated at any beta.
 
-
-def _suffix_sums(data: SurvivalDataset, beta: np.ndarray):
-    """Unnormalized risk-set sums at each subject's own time.
-
-    Returns (s0, s1, s2, w) where s0[i] = sum_{j: X_j >= X_i} w_j and so on;
-    w_j = exp(beta' Z_j). Ratios e and v are unaffected by the missing 1/n.
+    ``weights`` is the scheme's W at each failure, ``score_weights`` W times
+    the event multipliers; under Efron, ``frac`` is each failure's l/d_k.
     """
-    z = data.covariates
-    w = np.exp(z @ beta)
-    first = np.searchsorted(data.time, data.time, side="left")
-    s0 = np.cumsum(w[::-1])[::-1][first]
-    s1 = np.cumsum((w[:, None] * z)[::-1], axis=0)[::-1][first]
-    zz = z[:, :, None] * z[:, None, :]
-    s2 = np.cumsum((w[:, None, None] * zz)[::-1], axis=0)[::-1][first]
-    return s0, s1, s2, w
 
-
-def _tie_groups(data: SurvivalDataset):
-    """Indices of event rows grouped by tied event time (groups of size >= 2)."""
-    ev = np.flatnonzero(data.status == 1)
-    if ev.size == 0:
-        return []
-    t = data.time[ev]
-    cut = np.flatnonzero(np.diff(t) != 0) + 1
-    return [g for g in np.split(ev, cut) if g.size >= 2]
-
-
-def _score_terms(
-    data: SurvivalDataset,
-    scheme: WeightScheme,
-    beta: np.ndarray,
-    ties: str,
-    event_multipliers: np.ndarray | None,
-):
-    """Return (U, J, events_w, v_events) for the weighted score at beta.
-
-    ``event_multipliers`` is an optional per-subject extra factor on the
-    score terms (the resampling hook); it must be constant across events
-    tied at the same time when ties='efron'.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if beta.shape != (data.d,):
-        raise DataError(f"beta must have length {data.d}")
-    data.require_events()
-    _check_ties(scheme, ties)
-    s0, s1, s2, w = _suffix_sums(data, beta)
-    z = data.covariates
-    ev = data.status == 1
-    e = s1 / s0[:, None]
-    v = s2 / s0[:, None, None] - e[:, :, None] * e[:, None, :]
-    wt = event_weights(data, scheme)
-    if event_multipliers is not None:
-        wt = wt * np.asarray(event_multipliers, dtype=float)
-    wte = wt[ev]
-    U = (wte[:, None] * (z[ev] - e[ev])).sum(axis=0)
-    J = -(wte[:, None, None] * v[ev]).sum(axis=0)
-    if ties == "efron":
-        for g in _tie_groups(data):
-            i0 = g[0]
-            dk = g.size
-            wg = wt[i0]
-            if event_multipliers is not None and not np.allclose(wt[g], wg):
+    def __init__(self, data, scheme, ties="breslow", event_multipliers=None):
+        self.scheme = _fit_marginal(data, scheme)
+        data.require_events()
+        if ties not in ("breslow", "efron"):
+            raise ConfigError(f"ties must be 'breslow' or 'efron', got {ties!r}")
+        if ties == "efron" and not isinstance(scheme, Constant):
+            raise ConfigError("the Efron tie correction applies to constant weights only")
+        self.data = data
+        self.ev = np.flatnonzero(data.status == 1)
+        self.z = data.covariates[self.ev]
+        self.first = np.searchsorted(data.time, data.time[self.ev], side="left")
+        self.weights = event_weights(data, self.scheme)[self.ev]
+        mult = np.ones(data.n) if event_multipliers is None else event_multipliers
+        self.score_weights = self.weights * np.asarray(mult, dtype=float)[self.ev]
+        self.frac = None
+        if ties == "efron":
+            _, self.starts, sizes = np.unique(
+                data.time[self.ev], return_index=True, return_counts=True
+            )
+            self.group = np.repeat(np.arange(sizes.size), sizes)
+            shared = self.score_weights[self.starts][self.group]
+            if not np.allclose(self.score_weights, shared):
                 raise ConfigError(
                     "event multipliers must be shared within tied event times"
                 )
-            # remove the Breslow terms for this group, add the Efron ones
-            U -= wg * (z[g].sum(axis=0) - dk * e[i0])
-            J += wg * dk * v[i0]
-            d0 = w[g].sum()
-            d1 = w[g] @ z[g]
-            d2 = np.einsum("j,jk,jl->kl", w[g], z[g], z[g])
-            U += wg * z[g].sum(axis=0)
-            for ell in range(dk):
-                f = ell / dk
-                s0l = s0[i0] - f * d0
-                e_l = (s1[i0] - f * d1) / s0l
-                v_l = (s2[i0] - f * d2) / s0l - np.outer(e_l, e_l)
-                U -= wg * e_l
-                J -= wg * v_l
-    return U, J, wt, v
+            self.score_weights = shared
+            rank = np.arange(self.ev.size) - self.starts[self.group]
+            self.frac = rank / sizes[self.group]
+            self.zz = self.z[:, :, None] * self.z[:, None, :]
+
+    def moments(self, beta):
+        """S0, the tilted mean E and variance V of each failure's risk set."""
+        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        if beta.shape != (self.data.d,):
+            raise DataError(f"beta must have length {self.data.d}")
+        z = self.data.covariates
+        w = np.exp(z @ beta)
+        s0, s1, s2 = _risk_set_sums(z, w, self.first)
+        if self.frac is not None:
+            f, we = self.frac, w[self.ev]
+
+            def tied(x):  # D_r: the sum of x over each failure's tie group
+                return np.add.reduceat(x, self.starts, axis=0)[self.group]
+
+            s0 = s0 - f * tied(we)
+            s1 = s1 - f[:, None] * tied(we[:, None] * self.z)
+            s2 = s2 - f[:, None, None] * tied(we[:, None, None] * self.zz)
+        e = s1 / s0[:, None]
+        v = s2 / s0[:, None, None] - e[:, :, None] * e[:, None, :]
+        return s0, e, v
+
+    def score(self, beta):
+        """(U, J): the weighted score and its Jacobian at beta."""
+        _, e, v = self.moments(beta)
+        w = self.score_weights
+        U = (w[:, None] * (self.z - e)).sum(axis=0)
+        J = -(w[:, None, None] * v).sum(axis=0)
+        return U, J
+
+    def log_likelihood(self, beta) -> float:
+        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        s0, _, _ = self.moments(beta)
+        return float((self.z @ beta).sum() - np.log(s0 / self.data.n).sum())
+
+    def andersen_gill(self, beta) -> np.ndarray:
+        """Information inverse, (sum_events V)^{-1}, under the kernel's ties."""
+        _, _, v = self.moments(beta)
+        try:
+            return np.linalg.inv(v.sum(axis=0))
+        except np.linalg.LinAlgError:
+            raise FitError("singular information matrix") from None
+
+    def sandwich(self, beta) -> np.ndarray:
+        """A^{-1} B A^{-1} with the scheme's weights, under the kernel's ties."""
+        _, _, v = self.moments(beta)
+        w = self.weights
+        a = (w[:, None, None] * v).sum(axis=0)
+        b = ((w**2)[:, None, None] * v).sum(axis=0)
+        try:
+            a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            raise FitError("singular sandwich A matrix") from None
+        return a_inv @ b @ a_inv
 
 
 def weighted_score(
@@ -256,9 +267,12 @@ def weighted_score(
     ties: str = "breslow",
     event_multipliers: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The weighted score U_W(beta) = sum delta_i W(X_i){Z_i - E(beta, X_i)}."""
-    U, _, _, _ = _score_terms(data, scheme, beta, ties, event_multipliers)
-    return U
+    """The weighted score U_W(beta) = sum delta_i W(X_i){Z_i - E(beta, X_i)}.
+
+    ``event_multipliers`` (the resampling hook) scale the terms; under
+    ties='efron' they must be shared within tied event times.
+    """
+    return _Kernel(data, scheme, ties, event_multipliers).score(beta)[0]
 
 
 def score_jacobian(
@@ -270,8 +284,7 @@ def score_jacobian(
     event_multipliers: np.ndarray | None = None,
 ) -> np.ndarray:
     """dU_W/dbeta = -sum delta_i W(X_i) V(beta, X_i); negative semidefinite."""
-    _, J, _, _ = _score_terms(data, scheme, beta, ties, event_multipliers)
-    return J
+    return _Kernel(data, scheme, ties, event_multipliers).score(beta)[1]
 
 
 def log_partial_likelihood(
@@ -279,24 +292,10 @@ def log_partial_likelihood(
 ) -> float:
     """l(beta) = sum delta_i [beta'Z_i - log S0(beta, X_i)].
 
-    The Breslow form; with ties='efron' the tied-event denominators are
-    progressively downweighted. Its gradient is the constant-weight score.
+    The Breslow form; with ties='efron' each tied failure's S0 is the
+    Efron-adjusted sum. Its gradient is the constant-weight score.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    _check_ties(Constant(), ties)
-    s0, _, _, w = _suffix_sums(data, beta)
-    ev = data.status == 1
-    n = data.n
-    ll = float((data.covariates[ev] @ beta).sum() - np.log(s0[ev] / n).sum())
-    if ties == "efron":
-        for g in _tie_groups(data):
-            i0 = g[0]
-            dk = g.size
-            d0 = w[g].sum()
-            ll += np.log(s0[i0] / n) * dk
-            for ell in range(dk):
-                ll -= np.log((s0[i0] - (ell / dk) * d0) / n)
-    return ll
+    return _Kernel(data, Constant(), ties).log_likelihood(beta)
 
 
 def variance_andersen_gill(
@@ -307,12 +306,7 @@ def variance_andersen_gill(
     With I = n^{-1} sum delta_i V(beta, X_i), returns I^{-1}/n, i.e. the
     variance on the coefficient scale.
     """
-    _, J, _, _ = _score_terms(data, Constant(), np.asarray(beta, float), ties, None)
-    info = -J
-    try:
-        return np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        raise FitError("singular information matrix") from None
+    return _Kernel(data, Constant(), ties).andersen_gill(beta)
 
 
 def variance_sandwich(
@@ -320,20 +314,11 @@ def variance_sandwich(
 ) -> np.ndarray:
     """Robust variance A^{-1} B A^{-1} / n for weighted estimating equations.
 
-    A = n^{-1} sum delta_i W V, B = n^{-1} sum delta_i W^2 V. Invariant to
-    rescaling the weights; equals the Andersen-Gill variance when W = 1.
+    A = n^{-1} sum delta_i W V, B = n^{-1} sum delta_i W^2 V, with Breslow
+    ties. Invariant to rescaling the weights; equals the Andersen-Gill
+    variance when W = 1.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    _, _, wt, v = _score_terms(data, scheme, beta, "breslow", None)
-    ev = data.status == 1
-    wte = wt[ev]
-    a = (wte[:, None, None] * v[ev]).sum(axis=0)
-    b = ((wte**2)[:, None, None] * v[ev]).sum(axis=0)
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        raise FitError("singular sandwich A matrix") from None
-    return a_inv @ b @ a_inv
+    return _Kernel(data, scheme).sandwich(beta)
 
 
 def solve_score(
@@ -363,10 +348,12 @@ def solve_score(
         Efron is available for the constant scheme only.
     variance : {'auto', 'andersen-gill', 'sandwich', 'none'}
         'auto' pairs constant weights with Andersen-Gill and weighted
-        schemes with the sandwich.
+        schemes with the sandwich. Both follow ``ties``.
 
-    A family-named parametric marginal is fitted to ``data`` once, before
-    the first Newton step, and its parameters are recorded in ``theta``.
+    The beta-free state is built once: a Kaplan-Meier curve or a
+    family-named parametric marginal is fitted to ``data`` once, before
+    the first Newton step, and serves every step and the variance; a
+    fitted family's parameters are recorded in ``theta``.
 
     Raises
     ------
@@ -376,11 +363,8 @@ def solve_score(
     ConvergenceError
         No convergence within ``max_iter``.
     """
-    fitted = _fit_marginal(data, scheme)
-    theta = model_params(fitted.model) if fitted is not scheme else None
-    scheme = fitted
-    data.require_events()
-    _check_ties(scheme, ties)
+    kernel = _Kernel(data, scheme, ties, event_multipliers)
+    theta = model_params(kernel.scheme.model) if kernel.scheme is not scheme else None
     if variance not in ("auto", "andersen-gill", "sandwich", "none"):
         raise ConfigError(f"unknown variance rule {variance!r}")
     beta = np.zeros(data.d) if init is None else np.atleast_1d(
@@ -389,7 +373,7 @@ def solve_score(
     if beta.shape != (data.d,):
         raise DataError(f"init must have length {data.d}")
 
-    U, J, _, _ = _score_terms(data, scheme, beta, ties, event_multipliers)
+    U, J = kernel.score(beta)
     norm = float(np.abs(U).max())
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -405,9 +389,7 @@ def solve_score(
         scale = 1.0
         for _ in range(21):
             cand = beta + scale * step
-            U_new, J_new, _, _ = _score_terms(
-                data, scheme, cand, ties, event_multipliers
-            )
+            U_new, J_new = kernel.score(cand)
             new_norm = float(np.abs(U_new).max())
             if np.isfinite(new_norm) and new_norm < norm:
                 break
@@ -426,9 +408,9 @@ def solve_score(
     elif variance == "andersen-gill" or (
         variance == "auto" and isinstance(scheme, Constant)
     ):
-        var = variance_andersen_gill(data, beta, ties=ties)
+        var = kernel.andersen_gill(beta)
     else:
-        var = variance_sandwich(data, scheme, beta)
+        var = kernel.sandwich(beta)
     se = np.sqrt(np.clip(np.diag(var), 0.0, None))
     return FitResult(
         beta=beta,
@@ -437,7 +419,7 @@ def solve_score(
         iterations=iterations,
         converged=bool(converged),
         final_score_norm=norm,
-        scheme=scheme.describe(),
+        scheme=kernel.scheme.describe(),
         ties=ties,
         n=data.n,
         n_events=data.n_events,

@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from ._parallel import parallel_map
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, _risk_set_sums
 from .errors import ConfigError, DataError, FitError
 from .estimate import Constant, KaplanMeier, Parametric, solve_score
 from .marginal import (
@@ -624,10 +624,8 @@ def beta_star_oracle(
     bvals = spec.beta(t[gidx])
 
     def tilted_means(beta: float) -> np.ndarray:
-        w = np.exp(beta * z)
-        s0 = np.cumsum(w[::-1])[::-1]
-        s1 = np.cumsum((w * z)[::-1])[::-1]
-        return s1[gidx] / s0[gidx]
+        s0, s1, _ = _risk_set_sums(z[:, None], np.exp(beta * z), gidx, second=False)
+        return s1[:, 0] / s0
 
     target = np.empty(grid_size)
     for b in np.unique(bvals):
@@ -676,11 +674,12 @@ def beta_star_taylor(
     for b in np.unique(bvals):
         m = bvals == b
         w = np.exp(float(b) * z)
-        s0 = np.cumsum(w[::-1])[::-1][gidx]
-        s1 = np.cumsum((w * z)[::-1])[::-1][gidx]
-        s2 = np.cumsum((w * z * z)[::-1])[::-1][gidx]
-        e = s1 / s0
-        v[m] = (s2 / s0 - e * e)[m]
+        s0, s1, _ = _risk_set_sums(z[:, None], w, gidx, second=False)
+        # sum (w z) z as the first moment under the tilt w z: this product
+        # order keeps fixed-seed values unchanged
+        s2 = _risk_set_sums(z[:, None], w * z, gidx, second=False)[1]
+        e = s1[:, 0] / s0
+        v[m] = (s2[:, 0] / s0 - e * e)[m]
     return float(np.sum(v * bvals) / np.sum(v))
 
 

@@ -96,6 +96,28 @@ class TestRiskSetStats:
             assert np.linalg.eigvalsh(st.v).min() >= -1e-12
             assert np.allclose(st.v, st.v.T)
 
+    def test_every_event_time_matches_a_direct_sum(self):
+        rng = np.random.default_rng(8)
+        n = 300
+        d = make(
+            np.ceil(rng.exponential(size=n) * 20.0) / 20.0,  # many ties
+            rng.integers(0, 2, size=n),
+            rng.normal(size=(n, 2)) + [0.0, 3.0],
+        )
+        beta = np.array([0.5, -0.8])
+        for t in np.unique(d.time[d.status == 1]):
+            z = d.covariates[d.time >= t]
+            w = np.exp(z @ beta)
+            s0 = w.sum() / n
+            s1 = (w[:, None] * z).sum(axis=0) / n
+            s2 = np.einsum("j,jk,jl->kl", w, z, z) / n
+            st = risk_set_stats(d, beta, float(t))
+            assert st.n_at_risk == z.shape[0]
+            assert st.s0 == pytest.approx(s0, rel=1e-12)
+            assert np.allclose(st.s1, s1, rtol=1e-12, atol=0)
+            assert np.allclose(st.s2, s2, rtol=1e-12, atol=0)
+            assert np.allclose(st.e, s1 / s0, rtol=1e-12, atol=0)
+
     def test_errors(self):
         d = make([1, 2], [1, 1], [[0], [1]])
         with pytest.raises(DataError, match="length 1"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import margfit.estimate as estimate_module
 from margfit import (
     ConfigError,
     Constant,
@@ -20,6 +21,7 @@ from margfit import (
     iterative_marginal_fit,
     kaplan_meier,
     log_partial_likelihood,
+    random_weight_fit,
     score_jacobian,
     solve_score,
     variance_andersen_gill,
@@ -189,6 +191,8 @@ class TestSolver:
         d = make([1, 2], [0, 0], [[0.0], [1.0]])
         with pytest.raises(DataError, match="no events"):
             solve_score(d, Constant())
+        with pytest.raises(DataError, match="no events"):
+            log_partial_likelihood(d, np.zeros(1))
 
     def test_bad_options(self, leukemia):
         with pytest.raises(ConfigError):
@@ -197,6 +201,8 @@ class TestSolver:
             solve_score(leukemia, KaplanMeier(), ties="efron")
         with pytest.raises(DataError):
             solve_score(leukemia, Constant(), init=np.zeros(3))
+        with pytest.raises(DataError, match="length 1"):
+            log_partial_likelihood(leukemia, np.zeros(3))
 
     def test_variance_none_gives_nan(self, leukemia):
         res = solve_score(leukemia, Constant(), variance="none")
@@ -250,11 +256,30 @@ class TestIterativeMarginalFit:
             iterative_marginal_fit(leukemia, "gamma")
 
 
+def _public_variances(data):
+    res = solve_score(data, Constant())
+    return (
+        variance_andersen_gill(data, res.beta),
+        variance_sandwich(data, Constant(), res.beta),
+    )
+
+
+def _solve_score_efron_variances(data):
+    # both variances follow the tie rule of the fit
+    ag = solve_score(data, Constant(), ties="efron")
+    sw = solve_score(data, Constant(), ties="efron", variance="sandwich")
+    assert np.allclose(ag.variance, variance_andersen_gill(data, ag.beta, ties="efron"))
+    return ag.variance, sw.variance
+
+
 class TestVariances:
-    def test_constant_sandwich_equals_andersen_gill(self, leukemia):
-        res = solve_score(leukemia, Constant())
-        ag = variance_andersen_gill(leukemia, res.beta)
-        sw = variance_sandwich(leukemia, Constant(), res.beta)
+    @pytest.mark.parametrize(
+        "variances",
+        [_public_variances, _solve_score_efron_variances],
+        ids=["public-breslow", "solve_score-efron"],
+    )
+    def test_constant_sandwich_equals_andersen_gill(self, leukemia, variances):
+        ag, sw = variances(leukemia)
         assert np.allclose(ag, sw, rtol=1e-12)
 
     def test_auto_dispatch(self, leukemia):
@@ -309,3 +334,153 @@ class TestVariances:
         for v in (res.variance, variance_andersen_gill(data, res.beta)):
             assert np.allclose(v, v.T)
             assert np.linalg.eigvalsh(v).min() > 0
+
+
+# -- reference implementation: suffix sums and per-tie-group Efron loops ------
+
+
+def _ref_suffix_sums(data, beta):
+    z = data.covariates
+    w = np.exp(z @ beta)
+    first = np.searchsorted(data.time, data.time, side="left")
+    s0 = np.cumsum(w[::-1])[::-1][first]
+    s1 = np.cumsum((w[:, None] * z)[::-1], axis=0)[::-1][first]
+    zz = z[:, :, None] * z[:, None, :]
+    s2 = np.cumsum((w[:, None, None] * zz)[::-1], axis=0)[::-1][first]
+    return s0, s1, s2, w
+
+
+def _ref_tie_groups(data):
+    ev = np.flatnonzero(data.status == 1)
+    cut = np.flatnonzero(np.diff(data.time[ev]) != 0) + 1
+    return [g for g in np.split(ev, cut) if g.size >= 2]
+
+
+def _ref_score(data, wt, beta, ties):
+    """(U, J) with per-subject weights ``wt``, Efron by a loop over tie groups."""
+    s0, s1, s2, w = _ref_suffix_sums(data, beta)
+    z = data.covariates
+    ev = data.status == 1
+    e = s1 / s0[:, None]
+    v = s2 / s0[:, None, None] - e[:, :, None] * e[:, None, :]
+    U = (wt[ev][:, None] * (z[ev] - e[ev])).sum(axis=0)
+    J = -(wt[ev][:, None, None] * v[ev]).sum(axis=0)
+    if ties == "efron":
+        for g in _ref_tie_groups(data):
+            i0, dk, wg = g[0], g.size, wt[g[0]]
+            U -= wg * (z[g].sum(axis=0) - dk * e[i0])
+            J += wg * dk * v[i0]
+            d0 = w[g].sum()
+            d1 = w[g] @ z[g]
+            d2 = np.einsum("j,jk,jl->kl", w[g], z[g], z[g])
+            U += wg * z[g].sum(axis=0)
+            for ell in range(dk):
+                f = ell / dk
+                s0l = s0[i0] - f * d0
+                e_l = (s1[i0] - f * d1) / s0l
+                v_l = (s2[i0] - f * d2) / s0l - np.outer(e_l, e_l)
+                U -= wg * e_l
+                J -= wg * v_l
+    return U, J
+
+
+def _ref_log_likelihood(data, beta, ties):
+    s0, _, _, w = _ref_suffix_sums(data, beta)
+    ev = data.status == 1
+    n = data.n
+    ll = float((data.covariates[ev] @ beta).sum() - np.log(s0[ev] / n).sum())
+    if ties == "efron":
+        for g in _ref_tie_groups(data):
+            i0, dk = g[0], g.size
+            d0 = w[g].sum()
+            ll += np.log(s0[i0] / n) * dk
+            for ell in range(dk):
+                ll -= np.log((s0[i0] - (ell / dk) * d0) / n)
+    return ll
+
+
+def heavy_tie_data(seed=5, n=2000):
+    """Two covariates; times on a 0.1 grid, so nearly every failure is tied."""
+    rng = np.random.default_rng(seed)
+    z = np.column_stack([rng.random(n) < 0.5, rng.standard_normal(n)]).astype(float)
+    t = rng.exponential(size=n) / (0.5 * np.exp(z @ np.array([0.7, -0.5])))
+    c = rng.uniform(0.0, 6.0, size=n)
+    time = np.ceil(np.minimum(t, c) * 10.0) / 10.0
+    return SurvivalDataset(time=time, status=(t <= c).astype(int), covariates=z)
+
+
+def shared_multipliers(data, seed=9):
+    """One exponential draw per distinct failure time, shared by its ties."""
+    ev = data.status == 1
+    _, which = np.unique(data.time[ev], return_inverse=True)
+    e = np.random.default_rng(seed).exponential(size=which.max() + 1)[which]
+    mult = np.ones(data.n)
+    mult[ev] = e / e.sum()
+    return mult
+
+
+def rel_err(a, b):
+    return float(np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b)))
+
+
+class TestKernelMatchesReference:
+    @pytest.fixture(scope="class")
+    def ties_data(self):
+        data = heavy_tie_data()
+        assert data.n_events > 1000
+        assert np.unique(data.time[data.status == 1]).size < 100
+        return data
+
+    @pytest.mark.parametrize(
+        "scheme,ties,shared",
+        [
+            (Constant(), "breslow", False),
+            (Constant(), "efron", False),
+            (Constant(), "breslow", True),
+            (Constant(), "efron", True),
+            (KaplanMeier(), "breslow", False),
+        ],
+        ids=["pl-breslow", "pl-efron", "pl-breslow-mult", "pl-efron-mult", "km-breslow"],
+    )
+    def test_score_and_jacobian(self, ties_data, scheme, ties, shared):
+        data = ties_data
+        mult = shared_multipliers(data) if shared else None
+        wt = event_weights(data, scheme) * (1.0 if mult is None else mult)
+        for beta in (np.zeros(2), np.array([0.6, -0.4])):
+            U_ref, J_ref = _ref_score(data, wt, beta, ties)
+            kw = {"ties": ties, "event_multipliers": mult}
+            U = weighted_score(data, scheme, beta, **kw)
+            J = score_jacobian(data, scheme, beta, **kw)
+            assert rel_err(U, U_ref) <= 1e-12
+            assert rel_err(J, J_ref) <= 1e-12
+
+    @pytest.mark.parametrize("ties", ["breslow", "efron"])
+    def test_log_partial_likelihood(self, ties_data, ties):
+        for beta in (np.zeros(2), np.array([0.6, -0.4])):
+            ll = log_partial_likelihood(ties_data, beta, ties=ties)
+            ref = _ref_log_likelihood(ties_data, beta, ties)
+            assert abs(ll - ref) <= 1e-12 * abs(ref)
+
+
+class TestPreparedState:
+    """The beta-free state (here the KM curve) is built once per fit."""
+
+    @pytest.fixture
+    def km_calls(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return kaplan_meier(data)
+
+        monkeypatch.setattr(estimate_module, "kaplan_meier", counting)
+        return calls
+
+    def test_solve_score_fits_km_once(self, censored_sample, km_calls):
+        res = solve_score(censored_sample, KaplanMeier())
+        assert res.iterations >= 2
+        assert len(km_calls) == 1
+
+    def test_random_weight_fit_fits_km_once(self, censored_sample, km_calls):
+        random_weight_fit(censored_sample, KaplanMeier(), np.random.default_rng(3))
+        assert len(km_calls) == 1
