@@ -5,167 +5,21 @@ right censoring: classical partial likelihood, Kaplan-Meier-weighted, and
 parametric-marginal-weighted score equations, with Andersen-Gill and robust
 sandwich variances, an exact simulation engine with censoring calibration,
 asymptotic relative-efficiency quadrature, and resampling distributions.
+
+Each submodule's ``__all__`` declares its public names; this namespace
+re-exports all of them.
 """
 
-from .dataset import SurvivalDataset, freireich, load_csv, risk_set_stats, save_csv
-from .efficiency import (
-    AREConfig,
-    AREResult,
-    a_function,
-    are_table,
-    censoring_fraction,
-    relative_efficiency,
-    sigma_integrals,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DataError,
-    FitError,
-    MargfitError,
-)
-from .estimate import (
-    Constant,
-    FitResult,
-    KaplanMeier,
-    Parametric,
-    WeightScheme,
-    event_weights,
-    iterative_marginal_fit,
-    log_partial_likelihood,
-    score_jacobian,
-    solve_score,
-    variance_andersen_gill,
-    variance_sandwich,
-    weighted_score,
-)
-from .marginal import (
-    Exponential,
-    ExternalCurve,
-    Lognormal,
-    MarginalModel,
-    PiecewiseExponential,
-    StepSurvival,
-    Weibull,
-    fit_exponential,
-    fit_family,
-    fit_piecewise_exponential,
-    fit_weibull,
-    kaplan_meier,
-    load_external_curve,
-    map_exponential,
-    model_params,
-    parse_family,
-    save_curve,
-    survival_at,
-)
-from .resample import ResampleResult, bootstrap, random_weight_fit, resample_distribution
-from .simulate import (
-    Bernoulli,
-    BetaFunction,
-    ExponentialCensoring,
-    GeneratorSpec,
-    NoCensoring,
-    SimStudyResult,
-    StudyConfig,
-    Uniform01,
-    UniformCensoring,
-    beta_star_oracle,
-    beta_star_taylor,
-    calibrate_censoring,
-    draw_survival_time,
-    expected_beta,
-    expected_beta_family,
-    generate_dataset,
-    load_study_config,
-    results_to_json,
-    run_study,
-    study_configs_from_dict,
-    write_results_csv,
-)
+from . import dataset, efficiency, errors, estimate, marginal, resample, simulate
+from .dataset import *  # noqa: F401,F403
+from .efficiency import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .estimate import *  # noqa: F401,F403
+from .marginal import *  # noqa: F401,F403
+from .resample import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "MargfitError",
-    "ConfigError",
-    "ConvergenceError",
-    "DataError",
-    "FitError",
-    # dataset
-    "SurvivalDataset",
-    "load_csv",
-    "save_csv",
-    "risk_set_stats",
-    "freireich",
-    # marginal
-    "StepSurvival",
-    "Exponential",
-    "Weibull",
-    "PiecewiseExponential",
-    "Lognormal",
-    "ExternalCurve",
-    "MarginalModel",
-    "kaplan_meier",
-    "fit_exponential",
-    "fit_weibull",
-    "fit_piecewise_exponential",
-    "map_exponential",
-    "parse_family",
-    "fit_family",
-    "model_params",
-    "survival_at",
-    "load_external_curve",
-    "save_curve",
-    # estimate
-    "Constant",
-    "KaplanMeier",
-    "Parametric",
-    "WeightScheme",
-    "FitResult",
-    "event_weights",
-    "weighted_score",
-    "score_jacobian",
-    "log_partial_likelihood",
-    "solve_score",
-    "variance_andersen_gill",
-    "variance_sandwich",
-    "iterative_marginal_fit",
-    # simulate
-    "BetaFunction",
-    "Uniform01",
-    "Bernoulli",
-    "NoCensoring",
-    "UniformCensoring",
-    "ExponentialCensoring",
-    "GeneratorSpec",
-    "StudyConfig",
-    "SimStudyResult",
-    "draw_survival_time",
-    "generate_dataset",
-    "calibrate_censoring",
-    "run_study",
-    "expected_beta",
-    "expected_beta_family",
-    "beta_star_oracle",
-    "beta_star_taylor",
-    "load_study_config",
-    "study_configs_from_dict",
-    "results_to_json",
-    "write_results_csv",
-    # efficiency
-    "AREConfig",
-    "AREResult",
-    "a_function",
-    "sigma_integrals",
-    "relative_efficiency",
-    "censoring_fraction",
-    "are_table",
-    # resample
-    "ResampleResult",
-    "random_weight_fit",
-    "resample_distribution",
-    "bootstrap",
-]
+_MODULES = (errors, dataset, marginal, estimate, simulate, efficiency, resample)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

@@ -23,20 +23,8 @@ import numpy as np
 from .dataset import load_csv
 from .efficiency import are_table
 from .errors import ConfigError, ConvergenceError, DataError, FitError
-from .estimate import (
-    Constant,
-    FitResult,
-    KaplanMeier,
-    Parametric,
-    solve_score,
-)
-from .marginal import (
-    StepSurvival,
-    fit_family,
-    kaplan_meier,
-    load_external_curve,
-    save_curve,
-)
+from .estimate import FitResult, _parse_scheme, solve_score
+from .marginal import StepSurvival, fit_family, kaplan_meier, save_curve
 from .resample import bootstrap, resample_distribution
 from .simulate import load_study_config, results_to_json, run_study, write_results_csv
 
@@ -73,27 +61,6 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     return vals
 
 
-def _scheme(spec: str):
-    """Scheme-spec string ``pl | km | par:<family> | curve:FILE`` -> WeightScheme.
-
-    ``par:<family>`` names a parametric family (exponential, weibull or
-    pwexp[:cut1,cut2,...]) that is fitted to the data the scheme is solved
-    on; ``curve:FILE`` supplies an external survival curve as given.
-    """
-    if spec == "pl":
-        return Constant()
-    if spec == "km":
-        return KaplanMeier()
-    if spec.startswith("par:"):
-        return Parametric(spec[len("par:") :])
-    if spec.startswith("curve:"):
-        return Parametric(load_external_curve(spec[len("curve:") :]))
-    raise ConfigError(
-        f"unknown scheme {spec!r}; expected pl, km, par:exponential, "
-        "par:weibull, par:pwexp:cut1,cut2,..., or curve:FILE"
-    )
-
-
 def _print_fit(result: FitResult) -> None:
     print(
         f"scheme: {result.scheme}  ties: {result.ties}  "
@@ -110,7 +77,7 @@ def _print_fit(result: FitResult) -> None:
 
 def cmd_fit(args) -> int:
     data = load_csv(args.csv)
-    result = solve_score(data, _scheme(args.scheme), ties=args.ties)
+    result = solve_score(data, _parse_scheme(args.scheme), ties=args.ties)
     _print_fit(result)
     if args.out:
         doc = {"schema": 1, **result.to_dict()}
@@ -205,7 +172,7 @@ def cmd_are(args) -> int:
 
 def cmd_resample(args) -> int:
     data = load_csv(args.csv)
-    scheme = _scheme(args.scheme)
+    scheme = _parse_scheme(args.scheme)
     seed = args.seed
     if seed is None:
         seed = secrets.randbits(32)

@@ -40,6 +40,8 @@ __all__ = [
 
 # integrand values this far below their peak are treated as numerically zero
 _TAIL_RATIO = 1e-14
+# relative tolerance of every quadrature
+_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class AREConfig:
     p: float
     t_c: float
     sigma_role: str = "log_sd"
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -134,7 +135,8 @@ def sigma_integrals(config: AREConfig) -> tuple[float, float, float]:
 
     T is chosen so the discarded tails are below 1e-14 of each integrand's
     peak (the Sigma_2 integrand dominates the other two pointwise after
-    scaling, so one cut serves all three).
+    scaling, so one cut serves all three). The relative tolerance of this
+    and every other quadrature here is fixed at 1e-10.
     """
     sigma = config.sigma
     upper = _upper_limit(config)
@@ -151,7 +153,7 @@ def sigma_integrals(config: AREConfig) -> tuple[float, float, float]:
 
     vals = []
     for f in (f0, f1, f2):
-        v, err = quad(f, 0.0, upper, epsabs=0.0, epsrel=config.quad_tol, limit=200)
+        v, err = quad(f, 0.0, upper, epsabs=0.0, epsrel=_QUAD_TOL, limit=200)
         if not np.isfinite(v) or v <= 0.0:
             raise FitError("efficiency integral did not evaluate to a positive value")
         vals.append(float(v))
@@ -173,7 +175,7 @@ def censoring_fraction(config: AREConfig) -> float:
         def f(t, rate=rate):
             return rate * np.exp(-rate * t) * (1.0 - np.exp(_log_censor_sf(t, sigma)))
 
-        v, _ = quad(f, 0.0, upper, epsabs=0.0, epsrel=config.quad_tol, limit=200)
+        v, _ = quad(f, 0.0, upper, epsabs=0.0, epsrel=_QUAD_TOL, limit=200)
         total += pz * float(v)
     return total
 
@@ -197,22 +199,11 @@ def are_table(
     t_cs=(1.0, 0.5),
     ps=(0.25, 0.5, 0.75),
     sigma_role: str = "log_sd",
-    quad_tol: float = 1e-10,
 ) -> list[AREResult]:
     """The full efficiency grid, row-major in (t_c, beta0, p)."""
-    out = []
-    for t_c in t_cs:
-        for b0 in beta0s:
-            for p in ps:
-                out.append(
-                    relative_efficiency(
-                        AREConfig(
-                            beta0=b0,
-                            p=p,
-                            t_c=t_c,
-                            sigma_role=sigma_role,
-                            quad_tol=quad_tol,
-                        )
-                    )
-                )
-    return out
+    return [
+        relative_efficiency(AREConfig(beta0=b0, p=p, t_c=t_c, sigma_role=sigma_role))
+        for t_c in t_cs
+        for b0 in beta0s
+        for p in ps
+    ]

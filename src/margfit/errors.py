@@ -7,6 +7,8 @@ callers can catch one type. The CLI maps the subtypes to exit codes
 
 from __future__ import annotations
 
+__all__ = ["MargfitError", "ConfigError", "ConvergenceError", "DataError", "FitError"]
+
 
 class MargfitError(Exception):
     """Base class for all margfit errors."""

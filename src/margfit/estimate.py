@@ -41,9 +41,9 @@ from .marginal import (
     MarginalModel,
     fit_family,
     kaplan_meier,
+    load_external_curve,
     model_params,
     parse_family,
-    survival_at,
 )
 
 __all__ = [
@@ -61,6 +61,11 @@ __all__ = [
     "variance_sandwich",
     "iterative_marginal_fit",
 ]
+
+# Newton stops once the max-norm of the score is below _TOL, and fails after
+# _MAX_ITER steps
+_TOL = 1e-9
+_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,29 @@ class Parametric:
 
 
 WeightScheme = Union[Constant, KaplanMeier, Parametric]
+
+
+def _parse_scheme(spec: str) -> WeightScheme:
+    """Scheme string ``pl | km | par:<family> | curve:FILE`` -> WeightScheme.
+
+    The package's one scheme grammar, read by the CLI and by the study
+    runner's estimator names. ``par:<family>`` names a parametric family
+    (exponential, weibull or pwexp[:cut1,cut2,...]) that is fitted to the
+    data the scheme is solved on; ``curve:FILE`` supplies an external
+    survival curve as given.
+    """
+    if spec == "pl":
+        return Constant()
+    if spec == "km":
+        return KaplanMeier()
+    if spec.startswith("par:"):
+        return Parametric(spec[len("par:") :])
+    if spec.startswith("curve:"):
+        return Parametric(load_external_curve(spec[len("curve:") :]))
+    raise ConfigError(
+        f"unknown scheme {spec!r}; expected pl, km, par:exponential, "
+        "par:weibull, par:pwexp:cut1,cut2,..., or curve:FILE"
+    )
 
 
 @dataclass(frozen=True)
@@ -154,7 +182,7 @@ def event_weights(data: SurvivalDataset, scheme: WeightScheme) -> np.ndarray:
         surv = kaplan_meier(data)(data.time)
     elif isinstance(scheme, Parametric):
         model = _fit_marginal(data, scheme).model
-        surv = np.asarray(survival_at(model, data.time), dtype=float)
+        surv = np.asarray(model.survival(data.time), dtype=float)
     else:
         raise ConfigError(f"unknown weight scheme {scheme!r}")
     return surv / at_risk
@@ -175,12 +203,13 @@ class _Kernel:
     """
 
     def __init__(self, data, scheme, ties="breslow", event_multipliers=None):
-        self.scheme = _fit_marginal(data, scheme)
         data.require_events()
         if ties not in ("breslow", "efron"):
             raise ConfigError(f"ties must be 'breslow' or 'efron', got {ties!r}")
         if ties == "efron" and not isinstance(scheme, Constant):
             raise ConfigError("the Efron tie correction applies to constant weights only")
+        # every check runs before the marginal fit, whose failure would hide it
+        self.scheme = _fit_marginal(data, scheme)
         self.data = data
         self.ev = np.flatnonzero(data.status == 1)
         self.z = data.covariates[self.ev]
@@ -325,8 +354,6 @@ def solve_score(
     data: SurvivalDataset,
     scheme: WeightScheme,
     init=None,
-    tol: float = 1e-9,
-    max_iter: int = 50,
     *,
     ties: str = "breslow",
     variance: str = "auto",
@@ -340,15 +367,15 @@ def solve_score(
     scheme : WeightScheme
     init : array-like, optional
         Starting value (default zero vector).
-    tol : float
-        Convergence on the max-norm of the score.
-    max_iter : int
-        Newton iteration budget; each step allows up to 20 halvings.
     ties : {'breslow', 'efron'}
         Efron is available for the constant scheme only.
     variance : {'auto', 'andersen-gill', 'sandwich', 'none'}
         'auto' pairs constant weights with Andersen-Gill and weighted
         schemes with the sandwich. Both follow ``ties``.
+
+    Newton stops once the max-norm of the score is below 1e-9; the budget
+    is 50 iterations, each allowing up to 20 step halvings. Both are fixed.
+    Every check of the arguments runs before any marginal is fitted.
 
     The beta-free state is built once: a Kaplan-Meier curve or a
     family-named parametric marginal is fitted to ``data`` once, before
@@ -361,10 +388,8 @@ def solve_score(
         Singular Jacobian (collinear or degenerate covariates), or a
         marginal family that cannot be fitted.
     ConvergenceError
-        No convergence within ``max_iter``.
+        No convergence within 50 iterations.
     """
-    kernel = _Kernel(data, scheme, ties, event_multipliers)
-    theta = model_params(kernel.scheme.model) if kernel.scheme is not scheme else None
     if variance not in ("auto", "andersen-gill", "sandwich", "none"):
         raise ConfigError(f"unknown variance rule {variance!r}")
     beta = np.zeros(data.d) if init is None else np.atleast_1d(
@@ -372,12 +397,14 @@ def solve_score(
     ).copy()
     if beta.shape != (data.d,):
         raise DataError(f"init must have length {data.d}")
+    kernel = _Kernel(data, scheme, ties, event_multipliers)
+    theta = model_params(kernel.scheme.model) if kernel.scheme is not scheme else None
 
     U, J = kernel.score(beta)
     norm = float(np.abs(U).max())
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if norm < tol:
+    for iterations in range(1, _MAX_ITER + 1):
+        if norm < _TOL:
             iterations -= 1
             break
         try:
@@ -397,10 +424,10 @@ def solve_score(
         else:
             raise ConvergenceError("step halving failed to reduce the score")
         beta, U, J, norm = cand, U_new, J_new, new_norm
-    converged = norm < tol
+    converged = norm < _TOL
     if not converged:
         raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (|U| = {norm:.3g})"
+            f"no convergence after {_MAX_ITER} iterations (|U| = {norm:.3g})"
         )
 
     if variance == "none":

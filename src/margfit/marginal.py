@@ -17,26 +17,32 @@ import numpy as np
 from .dataset import SurvivalDataset
 from .errors import ConfigError, ConvergenceError, DataError, FitError
 
+# Newton iteration budget of the Weibull shape
+_WEIBULL_MAX_ITER = 100
+
 __all__ = [
     "StepSurvival",
     "Exponential",
     "Weibull",
     "PiecewiseExponential",
-    "Lognormal",
     "ExternalCurve",
     "MarginalModel",
     "kaplan_meier",
     "fit_exponential",
     "fit_weibull",
     "fit_piecewise_exponential",
-    "map_exponential",
     "parse_family",
     "fit_family",
     "model_params",
-    "survival_at",
     "load_external_curve",
     "save_curve",
 ]
+
+
+def _positive_ascending(cuts) -> bool:
+    """Cut points are finite, positive and strictly ascending (NaN fails)."""
+    c = np.asarray(cuts, dtype=float)
+    return bool(np.all(np.isfinite(c) & (c > 0)) and np.all(np.diff(c) > 0))
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,12 @@ class StepSurvival:
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
             raise DataError("jump_times and values must be 1-d arrays of equal length")
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] < 0):
-            raise DataError("jump times must be strictly ascending and nonnegative")
-        if np.any(v < 0) or np.any(v > 1) or (v.size and np.any(np.diff(v) > 1e-12)):
+        # every test below is written so that NaN fails it
+        if not (np.all(np.isfinite(t) & (t >= 0)) and np.all(np.diff(t) > 0)):
+            raise DataError(
+                "jump times must be finite, strictly ascending and nonnegative"
+            )
+        if not (np.all((v >= 0) & (v <= 1)) and np.all(np.diff(v) <= 1e-12)):
             raise DataError("survival values must be nonincreasing within [0, 1]")
         object.__setattr__(self, "jump_times", t)
         object.__setattr__(self, "values", v)
@@ -79,8 +88,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise DataError("exponential rate must be positive")
+        if not 0 < self.rate < np.inf:
+            raise DataError("exponential rate must be positive and finite")
 
     def survival(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -103,8 +112,8 @@ class Weibull:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise DataError("Weibull shape and scale must be positive")
+        if not (0 < self.shape < np.inf and 0 < self.scale < np.inf):
+            raise DataError("Weibull shape and scale must be positive and finite")
 
     def survival(self, t):
         return np.exp(-self.cumulative_hazard(t))
@@ -131,12 +140,10 @@ class PiecewiseExponential:
         rates = tuple(float(r) for r in self.rates)
         if len(rates) != len(cuts) + 1:
             raise DataError("need exactly one more rate than cuts")
-        if any(r <= 0 for r in rates):
-            raise DataError("piecewise rates must be positive")
-        if any(c <= 0 for c in cuts) or any(
-            b <= a for a, b in zip(cuts, cuts[1:])
-        ):
-            raise DataError("cuts must be positive and strictly ascending")
+        if not all(0 < r < np.inf for r in rates):
+            raise DataError("piecewise rates must be positive and finite")
+        if not _positive_ascending(cuts):
+            raise DataError("cuts must be finite, positive and strictly ascending")
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "rates", rates)
 
@@ -171,26 +178,6 @@ class PiecewiseExponential:
 
 
 @dataclass(frozen=True)
-class Lognormal:
-    """Lognormal law (used for censoring models, never fitted to data)."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise DataError("lognormal sigma must be positive")
-
-    def survival(self, t):
-        from scipy.stats import norm
-
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            x = (np.log(t) - self.mu) / self.sigma
-        return np.where(t <= 0, 1.0, norm.sf(x))
-
-
-@dataclass(frozen=True)
 class ExternalCurve:
     """A step survival function supplied from outside (e.g. population tables)."""
 
@@ -200,15 +187,7 @@ class ExternalCurve:
         return self.step(t)
 
 
-MarginalModel = Union[
-    Exponential, Weibull, PiecewiseExponential, Lognormal, ExternalCurve
-]
-
-
-def survival_at(model: MarginalModel, t) -> float:
-    """Evaluate the model's survival function at ``t`` (vectorized)."""
-    out = model.survival(t)
-    return out if np.ndim(out) else float(out)
+MarginalModel = Union[Exponential, Weibull, PiecewiseExponential, ExternalCurve]
 
 
 def kaplan_meier(data: SurvivalDataset) -> StepSurvival:
@@ -239,23 +218,7 @@ def fit_exponential(data: SurvivalDataset) -> Exponential:
     return Exponential(rate=data.n_events / exposure)
 
 
-def map_exponential(
-    data: SurvivalDataset, prior_shape: float, prior_rate: float
-) -> Exponential:
-    """Posterior-mean exponential rate under a conjugate Gamma prior.
-
-    rate = (prior_shape + events) / (prior_rate + exposure). With a
-    vanishing prior this reduces to :func:`fit_exponential`. Usable with
-    no events (the prior carries the estimate).
-    """
-    if not (prior_shape > 0 and prior_rate > 0):
-        raise DataError("prior parameters must be positive")
-    return Exponential(
-        rate=(prior_shape + data.n_events) / (prior_rate + float(data.time.sum()))
-    )
-
-
-def fit_weibull(data: SurvivalDataset, max_iter: int = 100) -> Weibull:
+def fit_weibull(data: SurvivalDataset) -> Weibull:
     """Censored maximum-likelihood Weibull fit via the profile likelihood.
 
     The scale is profiled out (``scale^shape = sum t_i^shape / events``) and
@@ -267,7 +230,7 @@ def fit_weibull(data: SurvivalDataset, max_iter: int = 100) -> Weibull:
     FitError
         Fewer than two distinct event times, or degenerate data.
     ConvergenceError
-        No convergence after ``max_iter`` iterations.
+        No convergence after 100 iterations.
     """
     events = data.status == 1
     if np.unique(data.time[events]).size < 2:
@@ -296,7 +259,7 @@ def fit_weibull(data: SurvivalDataset, max_iter: int = 100) -> Weibull:
         dg = -1.0 / k**2 - (s2 * s - s1 * s1) / s**2
         return g, dg
 
-    for _ in range(max_iter):
+    for _ in range(_WEIBULL_MAX_ITER):
         g, dg = score_and_slope(k)
         if abs(g) < 1e-10:
             break
@@ -324,8 +287,8 @@ def fit_piecewise_exponential(
     cuts = tuple(float(c) for c in cuts)
     if not cuts:
         return fit_exponential(data)
-    if any(b <= a for a, b in zip(cuts, cuts[1:])) or cuts[0] <= 0:
-        raise DataError("cuts must be positive and strictly ascending")
+    if not _positive_ascending(cuts):
+        raise DataError("cuts must be finite, positive and strictly ascending")
     data.require_events()
     lo = np.concatenate(([0.0], cuts))
     hi = np.append(cuts, np.inf)
@@ -352,9 +315,12 @@ def parse_family(name: str) -> tuple[str, tuple[float, ...]]:
             "weibull, or pwexp[:cut1,cut2,...]"
         )
     try:
-        return "pwexp", tuple(float(x) for x in name[len("pwexp:") :].split(","))
+        cuts = tuple(float(x) for x in name[len("pwexp:") :].split(","))
     except ValueError:
-        raise ConfigError(f"bad piecewise cuts in family {name!r}") from None
+        cuts = (np.nan,)
+    if not np.all(np.isfinite(cuts)):
+        raise ConfigError(f"bad piecewise cuts in family {name!r}")
+    return "pwexp", cuts
 
 
 def fit_family(

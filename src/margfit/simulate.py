@@ -31,11 +31,12 @@ from scipy.special import logsumexp
 from ._parallel import parallel_map
 from .dataset import SurvivalDataset, _risk_set_sums
 from .errors import ConfigError, DataError, FitError
-from .estimate import Constant, KaplanMeier, Parametric, solve_score
+from .estimate import Constant, _parse_scheme, solve_score
 from .marginal import (
     Exponential,
     PiecewiseExponential,
     Weibull,
+    _positive_ascending,
     model_params,
     parse_family,
 )
@@ -69,6 +70,10 @@ _BaselineModel = Union[Exponential, Weibull, PiecewiseExponential]
 # fixed sub-stream indices that cannot collide with replication numbers
 _CALIBRATION_STREAM = 1 << 32
 _REFERENCE_STREAM = (1 << 32) + 1
+# Monte Carlo draws of the calibration and of the reference E[beta(T)]
+_N_MC = 200_000
+# quantile-grid points of the population oracles
+_GRID_SIZE = 200
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -95,8 +100,10 @@ class BetaFunction:
             raise ConfigError("need exactly one more value than changepoints")
         if any(not np.isfinite(v) for v in vals):
             raise ConfigError("coefficient values must be finite")
-        if any(c <= 0 for c in cp) or any(b <= a for a, b in zip(cp, cp[1:])):
-            raise ConfigError("changepoints must be positive and strictly ascending")
+        if not _positive_ascending(cp):
+            raise ConfigError(
+                "changepoints must be finite, positive and strictly ascending"
+            )
         object.__setattr__(self, "changepoints", cp)
         object.__setattr__(self, "values", vals)
 
@@ -316,7 +323,6 @@ def generate_dataset(spec: GeneratorSpec, n: int, rng) -> SurvivalDataset:
 def calibrate_censoring(
     spec: GeneratorSpec,
     target_fraction: float,
-    n_mc: int = 200_000,
     rng=None,
 ) -> float | None:
     """Censoring parameter achieving a target censored fraction.
@@ -325,7 +331,8 @@ def calibrate_censoring(
     uniform family, rate for the exponential) over a Monte Carlo estimate of
     P(censored) built from one shared draw of (z, T, u) — common random
     numbers, so the estimated fraction is exactly monotone in the parameter.
-    A fresh validation draw must land within +-0.5% of the target.
+    A fresh validation draw must land within +-0.5% of the target. Both
+    draws are of a fixed 200,000 subjects.
 
     Returns None for a zero target (the no-censoring sentinel).
     """
@@ -335,12 +342,10 @@ def calibrate_censoring(
         raise ConfigError("target censoring fraction must be in [0, 1)")
     if isinstance(spec.censoring, NoCensoring):
         raise ConfigError("spec has no censoring family to calibrate")
-    if n_mc < 100_000:
-        raise ConfigError("calibration needs n_mc >= 100000")
     rng = _as_rng(rng)
-    z = spec.covariate.draw(rng, n_mc)
+    z = spec.covariate.draw(rng, _N_MC)
     t = _draw_survival_times(spec, z, rng)
-    u = rng.random(n_mc)
+    u = rng.random(_N_MC)
     uniform_family = isinstance(spec.censoring, UniformCensoring)
 
     def frac(param: float) -> float:
@@ -376,10 +381,10 @@ def calibrate_censoring(
             break
     param = 0.5 * (lo + hi)
 
-    z2 = spec.covariate.draw(rng, n_mc)
+    z2 = spec.covariate.draw(rng, _N_MC)
     t2 = _draw_survival_times(spec, z2, rng)
     law = type(spec.censoring)(param)
-    c2 = _draw_censoring_from_uniforms(law, rng.random(n_mc))
+    c2 = _draw_censoring_from_uniforms(law, rng.random(_N_MC))
     achieved = float(np.mean(t2 > c2))
     if abs(achieved - target_fraction) > 0.005:
         raise FitError(
@@ -440,32 +445,24 @@ def _default_family(baseline) -> str:
     return f"pwexp:{cuts}" if cuts else params["family"]
 
 
-def _one_rep(spec: GeneratorSpec, families, seed: int, n: int, rep: int):
+def _one_rep(spec: GeneratorSpec, names, seed: int, n: int, rep: int):
+    """Fit each estimator, named as a scheme string, to replication ``rep``."""
     rng = np.random.default_rng([seed, rep])
     data = generate_dataset(spec, n, rng)
     values = {}
     fails = []
-    try:
-        values["pl"] = float(solve_score(data, Constant()).beta[0])
-    except (FitError, DataError) as exc:
-        fails.append(("pl", str(exc)))
-    try:
-        values["km"] = float(solve_score(data, KaplanMeier()).beta[0])
-    except (FitError, DataError) as exc:
-        fails.append(("km", str(exc)))
-    for fid in families:
+    for name in names:
         try:
-            res = solve_score(data, Parametric(fid))
-            values[f"par:{fid}"] = float(res.beta[0])
+            values[name] = float(solve_score(data, _parse_scheme(name)).beta[0])
         except (FitError, DataError) as exc:
-            fails.append((f"par:{fid}", str(exc)))
+            fails.append((name, str(exc)))
     realized = 1.0 - float(np.mean(data.status))
     return rep, values, realized, fails
 
 
 def _rep_block(payload):
-    spec, families, seed, n, rep_indices = payload
-    return [_one_rep(spec, families, seed, n, rep) for rep in rep_indices]
+    spec, names, seed, n, rep_indices = payload
+    return [_one_rep(spec, names, seed, n, rep) for rep in rep_indices]
 
 
 def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
@@ -499,9 +496,7 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     realized = np.full(reps, np.nan)
     failures = []
 
-    rows = parallel_map(
-        _rep_block, (spec, config.families_to_fit, config.seed, config.n), reps, jobs
-    )
+    rows = parallel_map(_rep_block, (spec, names, config.seed, config.n), reps, jobs)
     for rep, values, frac, fails in rows:
         realized[rep] = frac
         for name, v in values.items():
@@ -544,13 +539,14 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     )
 
 
-def expected_beta(spec: GeneratorSpec, n_mc: int = 200_000, rng=None) -> float:
-    """Monte Carlo E[beta(T)] under the generator, censoring ignored."""
-    if n_mc < 100_000:
-        raise ConfigError("expected_beta needs n_mc >= 100000")
+def expected_beta(spec: GeneratorSpec, rng=None) -> float:
+    """Monte Carlo E[beta(T)] under the generator, censoring ignored.
+
+    The draw is of a fixed 200,000 subjects.
+    """
     rng = _as_rng(rng)
     uncensored = replace(spec, censoring=NoCensoring())
-    z = spec.covariate.draw(rng, n_mc)
+    z = spec.covariate.draw(rng, _N_MC)
     t = _draw_survival_times(uncensored, z, rng)
     return float(np.mean(spec.beta(t)))
 
@@ -562,32 +558,21 @@ def expected_beta_family(spec: GeneratorSpec) -> float:
     baseline-distribution average the reference tables print, which differs
     from the generator-faithful value whenever beta varies over time.
     """
-    bounds = np.concatenate(
-        (
-            [0.0],
-            np.asarray(spec.beta.changepoints, dtype=float),
-            [np.inf],
-        )
-    )
-    surv = np.array(
-        [1.0]
-        + [float(spec.baseline.survival(b)) for b in bounds[1:-1]]
-        + [0.0]
-    )
+    inner = [float(spec.baseline.survival(c)) for c in spec.beta.changepoints]
+    surv = np.array([1.0] + inner + [0.0])
     vals = np.asarray(spec.beta.values, dtype=float)
     return float(np.sum(vals * (surv[:-1] - surv[1:])))
 
 
-def _grid_indices(n: int, grid_size: int) -> np.ndarray:
-    """Order-statistic positions of the (g + 0.5)/G quantiles."""
-    probs = (np.arange(grid_size) + 0.5) / grid_size
+def _grid_indices(n: int) -> np.ndarray:
+    """Order-statistic positions of the (g + 0.5)/G quantiles, G = _GRID_SIZE."""
+    probs = (np.arange(_GRID_SIZE) + 0.5) / _GRID_SIZE
     return np.minimum((probs * n).astype(int), n - 1)
 
 
 def beta_star_oracle(
     spec: GeneratorSpec,
     n_mc: int = 1_000_000,
-    grid_size: int = 200,
     rng=None,
     weighting: str = "failure",
 ) -> float:
@@ -598,13 +583,14 @@ def beta_star_oracle(
         integral { e(beta0(t), t) - e(beta, t) } dF(t) = 0
 
     with the tilted at-risk means e and the failure law F estimated from one
-    large uncensored draw on a quantile grid; the root is found by bisection.
+    large uncensored draw on a fixed grid of 200 quantiles; the root is found
+    by bisection.
 
     ``weighting='risk'`` instead solves the expectation of the unweighted
     partial-likelihood score *including* the spec's censoring (the
     event-density-weighted equation), exposing the partial-likelihood drift
     under non-proportional hazards. Implemented as a single large solve of
-    the score equation, so ``grid_size`` is not used.
+    the score equation, so the quantile grid is not used.
     """
     if weighting not in ("failure", "risk"):
         raise ConfigError("weighting must be 'failure' or 'risk'")
@@ -620,14 +606,14 @@ def beta_star_oracle(
     t = _draw_survival_times(uncensored, z, rng)
     order = np.argsort(t, kind="stable")
     t, z = t[order], z[order]
-    gidx = _grid_indices(n_mc, grid_size)
+    gidx = _grid_indices(n_mc)
     bvals = spec.beta(t[gidx])
 
     def tilted_means(beta: float) -> np.ndarray:
         s0, s1, _ = _risk_set_sums(z[:, None], np.exp(beta * z), gidx, second=False)
         return s1[:, 0] / s0
 
-    target = np.empty(grid_size)
+    target = np.empty(_GRID_SIZE)
     for b in np.unique(bvals):
         m = bvals == b
         target[m] = tilted_means(float(b))[m]
@@ -651,13 +637,11 @@ def beta_star_oracle(
     return float(brentq(h, lo, hi, xtol=1e-10, maxiter=200))
 
 
-def beta_star_taylor(
-    spec: GeneratorSpec, n_mc: int = 200_000, grid_size: int = 200, rng=None
-) -> float:
+def beta_star_taylor(spec: GeneratorSpec, n_mc: int = 200_000, rng=None) -> float:
     """First-order average-effect approximation sum v b / sum v.
 
     v(t) = Var[Z | T = t] is the exponentially tilted at-risk variance at
-    beta0(t), estimated on the same quantile grid as the oracle; the
+    beta0(t), estimated on the oracle's grid of 200 quantiles; the
     averaging law is the failure distribution (equal grid mass).
     """
     if n_mc < 100_000:
@@ -668,9 +652,9 @@ def beta_star_taylor(
     t = _draw_survival_times(uncensored, z, rng)
     order = np.argsort(t, kind="stable")
     t, z = t[order], z[order]
-    gidx = _grid_indices(n_mc, grid_size)
+    gidx = _grid_indices(n_mc)
     bvals = spec.beta(t[gidx])
-    v = np.empty(grid_size)
+    v = np.empty(_GRID_SIZE)
     for b in np.unique(bvals):
         m = bvals == b
         w = np.exp(float(b) * z)
@@ -686,16 +670,50 @@ def beta_star_taylor(
 # -- study configuration files ------------------------------------------------
 
 
-def _baseline_from_dict(d: dict):
-    fam = d.get("family")
+def _value(d: dict, key: str, convert, *default):
+    """``convert(d[key])`` (of ``default`` if given and the key is absent).
+
+    A value that ``convert`` rejects is a ConfigError naming ``key``.
+    """
+    value = d.get(key, *default) if default else d[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError, DataError) as exc:
+        raise ConfigError(f"study config key {key!r}: {exc}") from None
+
+
+def _as_dict(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _floats(value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _levels(value) -> tuple[float, ...]:
+    return (float(value),) if isinstance(value, (int, float)) else _floats(value)
+
+
+def _names(value) -> tuple[str, ...]:
+    listed = isinstance(value, (list, tuple))
+    if not (listed and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"expected a list of family names, got {value!r}")
+    return tuple(value)
+
+
+def _baseline_from_dict(d) -> _BaselineModel:
+    fam = _as_dict(d).get("family")
     if fam == "exponential":
-        return Exponential(rate=float(d["rate"]))
+        return Exponential(rate=_value(d, "rate", float))
     if fam == "weibull":
-        return Weibull(shape=float(d["shape"]), scale=float(d["scale"]))
+        return Weibull(shape=_value(d, "shape", float), scale=_value(d, "scale", float))
     if fam == "pwexp":
         return PiecewiseExponential(
-            cuts=tuple(float(c) for c in d["cuts"]),
-            rates=tuple(float(r) for r in d["rates"]),
+            cuts=_value(d, "cuts", _floats), rates=_value(d, "rates", _floats)
         )
     raise ConfigError(f"unknown baseline family {fam!r}")
 
@@ -704,12 +722,12 @@ def _baseline_to_dict(model, role: str) -> dict:
     return {**model_params(model), "role": role}
 
 
-def _covariate_from_dict(d: dict):
-    kind = d.get("kind", "uniform01")
+def _covariate_from_dict(d) -> _CovariateLaw:
+    kind = _as_dict(d).get("kind", "uniform01")
     if kind == "uniform01":
         return Uniform01()
     if kind == "bernoulli":
-        return Bernoulli(p=float(d["p"]))
+        return Bernoulli(p=_value(d, "p", float))
     raise ConfigError(f"unknown covariate kind {kind!r}")
 
 
@@ -718,34 +736,33 @@ def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
 
     ``target_censoring`` may be a number or a list of numbers; each level
     becomes one study sharing the document's seed, so survival draws are
-    common random numbers across levels.
+    common random numbers across levels. A malformed value raises a
+    ConfigError that names its key.
     """
     try:
-        baseline = _baseline_from_dict(doc["baseline"])
+        baseline = _value(doc, "baseline", _baseline_from_dict)
         role = doc["baseline"].get("role", "hazard")
-        bd = doc["beta"]
+        bd = _value(doc, "beta", _as_dict)
         if "constant" in bd:
-            beta = BetaFunction.constant(float(bd["constant"]))
+            beta = BetaFunction.constant(_value(bd, "constant", float))
         else:
             beta = BetaFunction(
-                changepoints=tuple(float(c) for c in bd.get("changepoints", ())),
-                values=tuple(float(v) for v in bd["values"]),
+                changepoints=_value(bd, "changepoints", _floats, ()),
+                values=_value(bd, "values", _floats),
             )
-        covariate = _covariate_from_dict(doc.get("covariate", {}))
+        covariate = _value(doc, "covariate", _covariate_from_dict, {})
         cfam = doc.get("censoring_family", "none")
-        n = int(doc["n"])
-        reps = int(doc["reps"])
-        seed = int(doc["seed"])
-        fams = tuple(doc.get("families_to_fit", ()))
+        n = _value(doc, "n", int)
+        reps = _value(doc, "reps", int)
+        seed = _value(doc, "seed", int)
+        fams = _value(doc, "families_to_fit", _names, ())
         label = str(doc.get("label", ""))
-        targets = doc.get("target_censoring", 0.0)
+        targets = _value(doc, "target_censoring", _levels, 0.0)
     except KeyError as exc:
         raise ConfigError(f"study config is missing key {exc.args[0]!r}") from None
-    if isinstance(targets, (int, float)):
-        targets = [targets]
     if cfam == "none":
         censoring = NoCensoring()
-        if any(float(x) > 0 for x in targets):
+        if any(x > 0 for x in targets):
             raise ConfigError("nonzero target_censoring with censoring_family 'none'")
     elif cfam == "uniform":
         censoring = UniformCensoring(1.0)
@@ -766,7 +783,7 @@ def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
             n=n,
             reps=reps,
             seed=seed,
-            target_censoring=float(x),
+            target_censoring=x,
             families_to_fit=fams,
             label=label,
         )

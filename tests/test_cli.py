@@ -92,6 +92,20 @@ class TestExitCodes:
 
     def test_weighted_efron_is_2(self, leukemia_csv):
         assert main(["fit", leukemia_csv, "--scheme", "km", "--ties", "efron"]) == 2
+        # the option check runs before a marginal fit that would fail (exit 4)
+        argv = ["fit", leukemia_csv, "--scheme", "par:pwexp:1000", "--ties", "efron"]
+        assert main(argv) == 2
+
+    def test_nan_curve_is_3(self, leukemia_csv, tmp_path):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("time,survival\n0,1\n5,nan\n")
+        assert main(["fit", leukemia_csv, "--scheme", f"curve:{curve}"]) == 3
+
+    def test_malformed_study_document_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(TestSimulate.CONFIG, n="abc")))
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "'n'" in capsys.readouterr().err
 
     def test_solver_failure_is_4(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -313,6 +327,8 @@ FAMILY_NAMES = [
     ("pwexp:x", False),
     ("pwexp:", False),
     ("weibull:2", False),
+    ("pwexp:nan", False),
+    ("pwexp:inf", False),
 ]
 
 

@@ -191,6 +191,9 @@ class TestSolver:
         d = make([1, 2], [0, 0], [[0.0], [1.0]])
         with pytest.raises(DataError, match="no events"):
             solve_score(d, Constant())
+        # checked before the marginal fit, which would fail first otherwise
+        with pytest.raises(DataError, match="no events"):
+            solve_score(d, Parametric("weibull"))
         with pytest.raises(DataError, match="no events"):
             log_partial_likelihood(d, np.zeros(1))
 
@@ -203,6 +206,16 @@ class TestSolver:
             solve_score(leukemia, Constant(), init=np.zeros(3))
         with pytest.raises(DataError, match="length 1"):
             log_partial_likelihood(leukemia, np.zeros(3))
+        # every check runs before a marginal fit that would fail (zero exposure)
+        unfittable = Parametric("pwexp:1000")
+        with pytest.raises(ConfigError, match="ties"):
+            solve_score(leukemia, unfittable, ties="bogus")
+        with pytest.raises(ConfigError, match="constant weights"):
+            solve_score(leukemia, unfittable, ties="efron")
+        with pytest.raises(ConfigError, match="variance"):
+            solve_score(leukemia, unfittable, variance="bogus")
+        with pytest.raises(DataError, match="init"):
+            solve_score(leukemia, unfittable, init=[0, 0])
 
     def test_variance_none_gives_nan(self, leukemia):
         res = solve_score(leukemia, Constant(), variance="none")

@@ -33,6 +33,7 @@ from margfit import (
     study_configs_from_dict,
     write_results_csv,
 )
+from margfit.simulate import _config_echo
 
 # the change-point design studied throughout: beta(t) = 1 on [0, 0.2), 0 after,
 # with the failure time's marginal law pinned to Exponential(2)
@@ -69,6 +70,8 @@ class TestBetaFunction:
             BetaFunction(changepoints=(0.2,), values=(1.0,))
         with pytest.raises(ConfigError):
             BetaFunction(changepoints=(-0.1,), values=(1.0, 0.0))
+        with pytest.raises(ConfigError):
+            BetaFunction(changepoints=(np.nan,), values=(1.0, 0.0))
 
 
 class TestGeneratorSpecValidation:
@@ -263,8 +266,6 @@ class TestCensoring:
             baseline_role="marginal",
         )
         with pytest.raises(ConfigError):
-            calibrate_censoring(spec, 0.5, n_mc=1000, rng=np.random.default_rng(1))
-        with pytest.raises(ConfigError):
             calibrate_censoring(spec, 1.0, rng=np.random.default_rng(1))
 
 
@@ -444,6 +445,22 @@ class TestConfigFiles:
         "reps": 4,
         "seed": 7,
     }
+    BERNOULLI = {
+        "beta": {"constant": 0.5},
+        "covariate": {"kind": "bernoulli", "p": 0.3},
+        "censoring_family": "none",
+        "target_censoring": 0.0,
+    }
+    PWEXP = {
+        "baseline": {
+            "family": "pwexp",
+            "cuts": [1.0],
+            "rates": [0.5, 1.5],
+            "role": "hazard",
+        },
+        "censoring_family": "none",
+        "target_censoring": 0.0,
+    }
 
     def test_levels_expand_to_one_config_each(self):
         cfgs = study_configs_from_dict(self.DOC)
@@ -453,31 +470,13 @@ class TestConfigFiles:
         assert cfgs[0].spec.baseline_role == "marginal"
 
     def test_constant_beta_and_bernoulli(self):
-        doc = dict(
-            self.DOC,
-            beta={"constant": 0.5},
-            covariate={"kind": "bernoulli", "p": 0.3},
-            censoring_family="none",
-            target_censoring=0.0,
-        )
-        (cfg,) = study_configs_from_dict(doc)
+        (cfg,) = study_configs_from_dict(dict(self.DOC, **self.BERNOULLI))
         assert cfg.spec.beta(123.0) == 0.5
         assert cfg.spec.covariate == Bernoulli(0.3)
         assert isinstance(cfg.spec.censoring, NoCensoring)
 
     def test_pwexp_baseline(self):
-        doc = dict(
-            self.DOC,
-            baseline={
-                "family": "pwexp",
-                "cuts": [1.0],
-                "rates": [0.5, 1.5],
-                "role": "hazard",
-            },
-            censoring_family="none",
-            target_censoring=0.0,
-        )
-        (cfg,) = study_configs_from_dict(doc)
+        (cfg,) = study_configs_from_dict(dict(self.DOC, **self.PWEXP))
         assert cfg.spec.baseline == PiecewiseExponential(cuts=(1.0,), rates=(0.5, 1.5))
 
     @pytest.mark.parametrize(
@@ -488,6 +487,14 @@ class TestConfigFiles:
             {"covariate": {"kind": "normal"}},
             {"censoring_family": "none"},  # but nonzero targets remain
             {"n": 1},
+            {"n": "abc"},
+            {"target_censoring": ["x"]},
+            {"baseline": {"family": "exponential", "rate": "fast"}},
+            {"baseline": "exponential"},
+            {"beta": {"values": 3}},
+            {"families_to_fit": "exponential"},  # a list, not one name
+            {"beta": {"changepoints": [float("nan")], "values": [1.0, 0.0]}},
+            {"baseline": {"family": "exponential", "rate": -1}},
         ],
     )
     def test_bad_documents(self, patch):
@@ -504,6 +511,21 @@ class TestConfigFiles:
         p2 = tmp_path / "two.json"
         p2.write_text(json.dumps([self.DOC, dict(self.DOC, label="b")]))
         assert len(load_study_config(p2)) == 4
+
+    def test_echo_reads_back_as_the_same_design(self):
+        from importlib import resources
+
+        data = resources.files("margfit.data")
+        configs = [
+            cfg
+            for name in ("table1", "table2", "table3")
+            for cfg in load_study_config(str(data / f"{name}.json"))
+        ]
+        assert len(configs) == 20
+        for patch in (self.BERNOULLI, self.PWEXP):
+            configs += study_configs_from_dict(dict(self.DOC, **patch))
+        for cfg in configs:
+            assert study_configs_from_dict(_config_echo(cfg)) == [cfg]
 
     def test_bundled_designs_parse(self):
         from importlib import resources
