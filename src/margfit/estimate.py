@@ -100,6 +100,8 @@ class Parametric:
             parse_family(self.model)
 
     def describe(self) -> str:
+        if isinstance(self.model, str):
+            return f"parametric:{parse_family(self.model)[0]}"
         return f"parametric:{type(self.model).__name__.lower()}"
 
 

@@ -305,7 +305,8 @@ def fit_piecewise_exponential(
 def parse_family(name: str) -> tuple[str, tuple[float, ...]]:
     """'exponential' | 'weibull' | 'pwexp[:c1,c2,...]' -> (family, cuts).
 
-    Bare 'pwexp' has no cuts, i.e. the exponential; the fit checks cut values.
+    Bare 'pwexp' has no cuts, i.e. the exponential. Cuts must be finite,
+    positive and strictly ascending.
     """
     if name in ("exponential", "weibull", "pwexp"):
         return name, ()
@@ -318,8 +319,11 @@ def parse_family(name: str) -> tuple[str, tuple[float, ...]]:
         cuts = tuple(float(x) for x in name[len("pwexp:") :].split(","))
     except ValueError:
         cuts = (np.nan,)
-    if not np.all(np.isfinite(cuts)):
-        raise ConfigError(f"bad piecewise cuts in family {name!r}")
+    if not _positive_ascending(cuts):
+        raise ConfigError(
+            f"bad piecewise cuts in family {name!r}: cuts must be finite, "
+            "positive and strictly ascending"
+        )
     return "pwexp", cuts
 
 

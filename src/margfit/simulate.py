@@ -15,6 +15,9 @@ Sampling is exact in both roles: conditional on z, draw V ~ Exp(1), locate
 the coefficient segment whose cumulative-hazard interval contains V, and
 invert segment-wise (closed form for the hazard role; via the marginal
 mixture g_k(M) = E_Z[exp(-H_k(Z) - M e^{b_k Z})] for the marginal role).
+The marginal role evaluates log g_k over the covariate law's atoms in row
+blocks of a fixed size, so memory does not grow with the draw, and with the
+arithmetic of SciPy's ``logsumexp``, so its bits are SciPy's.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Union
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from ._parallel import parallel_map
 from .dataset import SurvivalDataset, _risk_set_sums
@@ -74,6 +76,9 @@ _REFERENCE_STREAM = (1 << 32) + 1
 _N_MC = 200_000
 # quantile-grid points of the population oracles
 _GRID_SIZE = 200
+# subjects per block of the marginal-role inversion; a block's temporaries
+# hold one double per subject and covariate atom (4 MB for 64 atoms)
+_BLOCK_ROWS = 8192
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -277,11 +282,43 @@ def _draw_survival_times(
         )
     T = np.empty(n)
     for k in np.unique(idx):
-        m = idx == k
-        expo = logwq[None, :] - H[k][None, :] - np.outer(M[m], np.exp(bvals[k] * zq))
-        logg = logsumexp(expo, axis=1)
-        T[m] = spec.baseline.inverse_cumulative_hazard(np.minimum(-logg, 1e12))
+        rows = np.flatnonzero(idx == k)
+        c = logwq - H[k]
+        ez = np.exp(bvals[k] * zq)
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            expo = np.multiply.outer(M[block], ez)
+            np.subtract(c, expo, out=expo)
+            logg = _log_sum_exp_rows(expo)
+            T[block] = spec.baseline.inverse_cumulative_hazard(np.minimum(-logg, 1e12))
     return T
+
+
+def _log_sum_exp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a C-contiguous 2-D array, overwriting ``a``.
+
+    The arithmetic of ``scipy.special.logsumexp(a, axis=1)`` (SciPy 1.17),
+    hence its bits: each row's maxima are taken out of the shifted sum, which
+    is divided by their count. A row whose maximum is not finite gets SciPy's
+    fallback, the direct log of the sum of exponentials.
+    """
+    amax = a.max(axis=1, keepdims=True)
+    bad = ~np.isfinite(amax[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fallback = np.log(np.exp(a[bad]).sum(axis=1))
+        top = a == amax
+        m = top.sum(axis=1, keepdims=True, dtype=float)
+        np.subtract(a, amax, out=a)
+        np.exp(a, out=a)
+        a[top] = 0.0
+        s = a.sum(axis=1, keepdims=True)
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s)
+        out += np.log(m)
+        out += amax
+    out = out[:, 0]
+    out[bad] = fallback
+    return out
 
 
 def draw_survival_time(spec: GeneratorSpec, z: float, rng) -> float:
@@ -688,6 +725,15 @@ def _as_dict(value) -> dict:
     return value
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with an integral value such as 1500.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list of numbers, got {value!r}")
@@ -752,9 +798,9 @@ def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
             )
         covariate = _value(doc, "covariate", _covariate_from_dict, {})
         cfam = doc.get("censoring_family", "none")
-        n = _value(doc, "n", int)
-        reps = _value(doc, "reps", int)
-        seed = _value(doc, "seed", int)
+        n = _value(doc, "n", _integer)
+        reps = _value(doc, "reps", _integer)
+        seed = _value(doc, "seed", _integer)
         fams = _value(doc, "families_to_fit", _names, ())
         label = str(doc.get("label", ""))
         targets = _value(doc, "target_censoring", _levels, 0.0)

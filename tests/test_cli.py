@@ -103,9 +103,12 @@ class TestExitCodes:
 
     def test_malformed_study_document_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(dict(TestSimulate.CONFIG, n="abc")))
-        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 2
-        assert "'n'" in capsys.readouterr().err
+        bad = [("n", "abc"), ("n", 100.7), ("seed", 1.5), ("reps", True), ("n", "120")]
+        for key, value in bad:
+            cfg.write_text(json.dumps(dict(TestSimulate.CONFIG, **{key: value})))
+            assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_results.*"))
 
     def test_solver_failure_is_4(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -329,6 +332,9 @@ FAMILY_NAMES = [
     ("weibull:2", False),
     ("pwexp:nan", False),
     ("pwexp:inf", False),
+    ("pwexp:-1", False),
+    ("pwexp:0", False),
+    ("pwexp:2,1", False),
 ]
 
 

@@ -127,6 +127,23 @@ class TestEventWeights:
         # at t=1: S(1-) = 1, 2 at risk; at t=2: S(2-) = 1/2, 1 at risk
         assert np.allclose(w, [1 / 2, 1 / 2])
 
+    def test_describe_names_the_family_or_the_model(self, leukemia):
+        for name, family in [
+            ("exponential", "exponential"),
+            ("weibull", "weibull"),
+            ("pwexp", "pwexp"),
+            ("pwexp:5,15", "pwexp"),
+        ]:
+            assert Parametric(name).describe() == f"parametric:{family}"
+        supplied = Parametric(fit_exponential(leukemia))
+        assert supplied.describe() == "parametric:exponential"
+        assert Parametric(ExternalCurve(kaplan_meier(leukemia))).describe() == (
+            "parametric:externalcurve"
+        )
+        # a fit reports the model it fitted
+        fit = solve_score(leukemia, Parametric("pwexp:10"))
+        assert fit.scheme == "parametric:piecewiseexponential"
+
 
 class TestSolver:
     # Pinned point estimates for the bundled trial. The unit-weight values

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from margfit import (
     Bernoulli,
@@ -33,7 +37,13 @@ from margfit import (
     study_configs_from_dict,
     write_results_csv,
 )
-from margfit.simulate import _config_echo
+from margfit.simulate import (
+    _BLOCK_ROWS,
+    _config_echo,
+    _draw_survival_times,
+    _log_sum_exp_rows,
+    _marginal_tables,
+)
 
 # the change-point design studied throughout: beta(t) = 1 on [0, 0.2), 0 after,
 # with the failure time's marginal law pinned to Exponential(2)
@@ -188,6 +198,93 @@ class TestMarginalRole:
         z = d.covariates[:, 0]
         early = d.time < 0.1
         assert z[early].mean() > z[~early].mean() + 0.01
+
+
+def _scipy_marginal_draw(spec, z, rng):
+    """The marginal-role sampler on SciPy's ``logsumexp``, one whole-array
+    temporary per coefficient segment: the reference the row-block sampler
+    must reproduce bit for bit."""
+    n = z.size
+    V = rng.exponential(size=n)
+    bounds, bvals, Lam, zq, logwq, H = _marginal_tables(
+        spec.baseline, spec.beta, spec.covariate
+    )
+    if bvals.size == 1:
+        idx = np.zeros(n, dtype=int)
+        thr_at = np.zeros(n)
+    else:
+        inc = np.diff(Lam)[None, :] * np.exp(np.outer(z, bvals[:-1]))
+        thr = np.concatenate([np.zeros((n, 1)), np.cumsum(inc, axis=1)], axis=1)
+        idx = (V[:, None] >= thr).sum(axis=1) - 1
+        thr_at = thr[np.arange(n), idx]
+    M = (V - thr_at) * np.exp(-bvals[idx] * z)
+    T = np.empty(n)
+    for k in np.unique(idx):
+        m = idx == k
+        expo = logwq[None, :] - H[k][None, :] - np.outer(M[m], np.exp(bvals[k] * zq))
+        logg = logsumexp(expo, axis=1)
+        T[m] = spec.baseline.inverse_cumulative_hazard(np.minimum(-logg, 1e12))
+    return T
+
+
+class TestMarginalSampler:
+    """Row blocks and the NumPy log-sum-exp keep the SciPy sampler's bits."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CHANGEPOINT,
+            PH,
+            replace(CHANGEPOINT, covariate=Bernoulli(0.5)),
+            replace(
+                CHANGEPOINT,
+                baseline=Weibull(shape=1.5, scale=0.7),
+                beta=BetaFunction(changepoints=(0.3,), values=(1.0, 0.2)),
+            ),
+            replace(
+                CHANGEPOINT,
+                baseline=PiecewiseExponential(cuts=(0.3,), rates=(1.0, 3.0)),
+            ),
+        ],
+        ids=["changepoint", "constant", "bernoulli", "weibull", "pwexp"],
+    )
+    def test_draws_match_scipy_reference_bitwise(self, spec):
+        n = 3 * _BLOCK_ROWS + 17
+        z = spec.covariate.draw(np.random.default_rng(1), n)
+        got = _draw_survival_times(spec, z, np.random.default_rng(2))
+        want = _scipy_marginal_draw(spec, z, np.random.default_rng(2))
+        assert np.array_equal(got, want)
+        if spec is CHANGEPOINT:
+            # both coefficient segments hold rows, the later one several blocks
+            early = int((want < 0.2).sum())
+            assert 0 < early and n - early > _BLOCK_ROWS
+
+    def test_log_sum_exp_rows_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(3)
+        *_, logwq, _ = _marginal_tables(CHANGEPOINT.baseline, CHANGEPOINT.beta, Uniform01())
+        a = rng.normal(size=(200, 64)) * rng.choice([1e-3, 1.0, 30.0], size=(200, 1))
+        a[:50] = logwq - rng.random((50, 1))  # symmetric log-weights: tied maxima
+        a[50] = np.linspace(-800.0, 5.0, 64)  # spread above 700
+        a[51] = -np.inf
+        a[52, 7] = np.nan
+        a[53, 9] = np.inf
+        assert np.all((a[:50] == a[:50].max(axis=1, keepdims=True)).sum(axis=1) == 2)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = logsumexp(a, axis=1)
+        got = _log_sum_exp_rows(a.copy())
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[51] == -np.inf and np.isnan(got[52]) and got[53] == np.inf
+
+    def test_reference_draw_memory_is_bounded(self):
+        # NumPy reports its buffers to tracemalloc; a whole-array (200k, 64)
+        # temporary alone would be 100 MB
+        tracemalloc.start()
+        try:
+            expected_beta(CHANGEPOINT, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestCensoring:
@@ -469,6 +566,11 @@ class TestConfigFiles:
         assert cfgs[0].spec.baseline == Exponential(rate=2.0)
         assert cfgs[0].spec.baseline_role == "marginal"
 
+    def test_integral_floats_are_integers(self):
+        cfgs = study_configs_from_dict(dict(self.DOC, n=100.0, reps=4.0, seed=7.0))
+        assert cfgs == study_configs_from_dict(self.DOC)
+        assert all(type(v) is int for c in cfgs for v in (c.n, c.reps, c.seed))
+
     def test_constant_beta_and_bernoulli(self):
         (cfg,) = study_configs_from_dict(dict(self.DOC, **self.BERNOULLI))
         assert cfg.spec.beta(123.0) == 0.5
@@ -495,6 +597,11 @@ class TestConfigFiles:
             {"families_to_fit": "exponential"},  # a list, not one name
             {"beta": {"changepoints": [float("nan")], "values": [1.0, 0.0]}},
             {"baseline": {"family": "exponential", "rate": -1}},
+            {"n": 100.7},
+            {"seed": 1.5},
+            {"reps": True},
+            {"n": "100"},
+            {"seed": float("inf")},
         ],
     )
     def test_bad_documents(self, patch):
