@@ -7,8 +7,9 @@ statistics ``S^(r)(beta, t)``, the at-risk covariate mean ``E(beta, t)`` and
 variance ``V(beta, t)`` are computed here; they are the building blocks of
 every estimator in :mod:`margfit.estimate`.
 
-``_risk_set_sums`` is the package's only risk-set kernel: every estimator
-and the population oracles in :mod:`margfit.simulate` use its sums.
+``_risk_set_sums`` is the package's only risk-set kernel over a sample:
+every estimator uses its sums. (The population oracle in
+:mod:`margfit.simulate` integrates over the design's laws instead.)
 """
 
 from __future__ import annotations
@@ -110,19 +111,16 @@ class RiskSetStats:
     n_at_risk: int
 
 
-def _risk_set_sums(z: np.ndarray, w: np.ndarray, at, second: bool = True):
+def _risk_set_sums(z: np.ndarray, w: np.ndarray, at):
     """Reverse cumulative sums of w, w z and w z z' at rows ``at``.
 
     ``z`` (n, d) holds time-sorted covariates and ``w`` (n,) their tilts
     exp(beta'Z); row k of each sum runs over rows ``at[k]``, ..., n - 1,
     which is a risk set when ``at[k]`` is the first row at its time. The
-    sums are unnormalized. Returns ``(s0, s1, s2)``, with ``s2`` None unless
-    ``second``.
+    sums are unnormalized. Returns ``(s0, s1, s2)``.
     """
     s0 = np.cumsum(w[::-1])[::-1][at]
     s1 = np.cumsum((w[:, None] * z)[::-1], axis=0)[::-1][at]
-    if not second:
-        return s0, s1, None
     zz = z[:, :, None] * z[:, None, :]
     s2 = np.cumsum((w[:, None, None] * zz)[::-1], axis=0)[::-1][at]
     return s0, s1, s2

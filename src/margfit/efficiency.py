@@ -56,8 +56,8 @@ class AREConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ConfigError("p must be in (0, 1)")
-        if not self.t_c > 0:
-            raise ConfigError("t_c must be positive")
+        if not 0 < self.t_c < np.inf:
+            raise ConfigError("t_c must be positive and finite")
         if self.sigma_role not in ("log_sd", "log_var"):
             raise ConfigError("sigma_role must be 'log_sd' or 'log_var'")
         if not np.isfinite(self.beta0):

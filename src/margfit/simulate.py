@@ -18,6 +18,9 @@ mixture g_k(M) = E_Z[exp(-H_k(Z) - M e^{b_k Z})] for the marginal role).
 The marginal role evaluates log g_k over the covariate law's atoms in row
 blocks of a fixed size, so memory does not grow with the draw, and with the
 arithmetic of SciPy's ``logsumexp``, so its bits are SciPy's.
+
+Calibration and the reference E[beta(T)] are Monte Carlo draws; the
+population oracle is deterministic quadrature on the sampler's segment tables.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._parallel import parallel_map
-from .dataset import SurvivalDataset, _risk_set_sums
+from .dataset import SurvivalDataset
 from .errors import ConfigError, DataError, FitError
-from .estimate import Constant, _parse_scheme, solve_score
+from .estimate import _parse_scheme, solve_score
 from .marginal import (
     Exponential,
     PiecewiseExponential,
@@ -60,7 +63,6 @@ __all__ = [
     "expected_beta",
     "expected_beta_family",
     "beta_star_oracle",
-    "beta_star_taylor",
     "load_study_config",
     "study_configs_from_dict",
     "results_to_json",
@@ -74,8 +76,8 @@ _CALIBRATION_STREAM = 1 << 32
 _REFERENCE_STREAM = (1 << 32) + 1
 # Monte Carlo draws of the calibration and of the reference E[beta(T)]
 _N_MC = 200_000
-# quantile-grid points of the population oracles
-_GRID_SIZE = 200
+# Gauss-Legendre nodes per smooth piece of the population oracles' integral
+_PIECE_NODES = 64
 # subjects per block of the marginal-role inversion; a block's temporaries
 # hold one double per subject and covariate atom (4 MB for 64 atoms)
 _BLOCK_ROWS = 8192
@@ -212,14 +214,15 @@ class GeneratorSpec:
 
 
 @lru_cache(maxsize=64)
-def _marginal_tables(baseline, beta: BetaFunction, covariate):
-    """Segment tables for the marginal baseline role.
+def _segment_tables(baseline, beta: BetaFunction, covariate, role: str):
+    """Per-segment tables of the coefficient path, in either baseline role.
 
-    Solves, segment by segment, for the implicit baseline cumulative-hazard
-    increments that make E_Z[exp(-Lambda(t|Z))] equal the target marginal at
-    each coefficient changepoint. Returns (bounds, bvals, Lam, zq, logwq, H)
-    where H[k] holds the conditional cumulative hazard at the k-th segment
-    start for each covariate node.
+    Returns (bvals, Lam, zq, logwq, H): each segment's coefficient and
+    baseline cumulative hazard at its start, the covariate atoms and their
+    log-weights, and H[k], each atom's conditional cumulative hazard at the
+    k-th start; in segment k, S(t|z) = exp(-H[k] - (Lambda0(t) - Lam[k]) e^{b_k z}).
+    The marginal role solves segment by segment for the implicit baseline
+    increments that make E_Z[S(t|Z)] the model's survival at each changepoint.
     """
     bounds = np.concatenate(([0.0], np.asarray(beta.changepoints, dtype=float)))
     bvals = np.asarray(beta.values, dtype=float)
@@ -227,25 +230,29 @@ def _marginal_tables(baseline, beta: BetaFunction, covariate):
     zq, wq = covariate.atoms()
     logwq = np.log(wq)
     H = np.zeros((K, zq.size))
-    Lam = np.zeros(K)
+    hazard = role == "hazard"
+    Lam = np.asarray(baseline.cumulative_hazard(bounds)) if hazard else np.zeros(K)
     for k in range(K - 1):
-        target = float(baseline.survival(bounds[k + 1]))
         ez = np.exp(bvals[k] * zq)
-
-        def gap(dL):
-            return float(np.exp(logwq - H[k] - dL * ez).sum()) - target
-
-        hi = 1.0
-        for _ in range(200):
-            if gap(hi) < 0.0:
-                break
-            hi *= 2.0
+        if hazard:
+            dL = Lam[k + 1] - Lam[k]
         else:
-            raise FitError("could not bracket the marginal segment increment")
-        dL = brentq(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        Lam[k + 1] = Lam[k] + dL
+            target = float(baseline.survival(bounds[k + 1]))
+
+            def gap(dL):
+                return float(np.exp(logwq - H[k] - dL * ez).sum()) - target
+
+            hi = 1.0
+            for _ in range(200):
+                if gap(hi) < 0.0:
+                    break
+                hi *= 2.0
+            else:
+                raise FitError("could not bracket the marginal segment increment")
+            dL = brentq(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+            Lam[k + 1] = Lam[k] + dL
         H[k + 1] = H[k] + dL * ez
-    return bounds, bvals, Lam, zq, logwq, H
+    return bvals, Lam, zq, logwq, H
 
 
 def _draw_survival_times(
@@ -255,18 +262,10 @@ def _draw_survival_times(
     z = np.asarray(z, dtype=float)
     n = z.size
     V = rng.exponential(size=n)
-    bvals = np.asarray(spec.beta.values, dtype=float)
-    K = bvals.size
-    if spec.baseline_role == "hazard":
-        bounds = np.concatenate(
-            ([0.0], np.asarray(spec.beta.changepoints, dtype=float))
-        )
-        Lam = np.asarray(spec.baseline.cumulative_hazard(bounds), dtype=float)
-    else:
-        bounds, bvals, Lam, zq, logwq, H = _marginal_tables(
-            spec.baseline, spec.beta, spec.covariate
-        )
-    if K == 1:
+    bvals, Lam, zq, logwq, H = _segment_tables(
+        spec.baseline, spec.beta, spec.covariate, spec.baseline_role
+    )
+    if bvals.size == 1:
         idx = np.zeros(n, dtype=int)
         thr_at = np.zeros(n)
     else:
@@ -601,107 +600,94 @@ def expected_beta_family(spec: GeneratorSpec) -> float:
     return float(np.sum(vals * (surv[:-1] - surv[1:])))
 
 
-def _grid_indices(n: int) -> np.ndarray:
-    """Order-statistic positions of the (g + 0.5)/G quantiles, G = _GRID_SIZE."""
-    probs = (np.arange(_GRID_SIZE) + 0.5) / _GRID_SIZE
-    return np.minimum((probs * n).astype(int), n - 1)
+def _failure_law_nodes(spec: GeneratorSpec, law):
+    """Quadrature over u = F(t) of the failure law, weighted by P(C >= t).
+
+    Returns (w, b, q, zq): the weights dF(t) P(C >= t), beta0(t), and the
+    risk set's covariate profile S(t|z) dP(z) over the atoms zq (one row per
+    node, largest entry 1). Gauss-Legendre runs over each coefficient segment
+    as u = phi(s) = 10 s^3 - 15 s^4 + 6 s^5, whose derivative vanishes at both
+    ends; that smooths the integrand's power and log behaviour there. Where
+    P(C >= t) bends inside a segment, it is split by a changepoint at which
+    beta does not change. At each node, Newton's method from M = 0 on the
+    convex, decreasing log E_Z[S(t|Z)] rises to the root of E_Z[S(t|Z)] = 1 - u.
+    """
+    cuts = set(spec.beta.changepoints)
+    if not isinstance(law, NoCensoring):
+        # P(C >= t) bends where t(u) does, at a piecewise baseline's cuts
+        if isinstance(spec.baseline, PiecewiseExponential):
+            cuts.update(spec.baseline.cuts)
+        if isinstance(law, UniformCensoring):
+            cuts.add(law.upper)
+    cuts = sorted(cuts)
+    values = spec.beta(np.array([0.0, *cuts]))
+    beta = BetaFunction(changepoints=tuple(cuts), values=tuple(values))
+    bvals, Lam, zq, logwq, H = _segment_tables(
+        spec.baseline, beta, spec.covariate, spec.baseline_role
+    )
+    # 1 - u = E_Z[S(t|Z)] at each segment's start and end
+    top = np.exp(_log_sum_exp_rows(logwq - H))
+    bottom = np.append(top[1:], 0.0)
+    x, gw = np.polynomial.legendre.leggauss(_PIECE_NODES)
+    s = 0.5 * (x + 1.0)
+    phi = s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    dphi = 15.0 * gw * (s * (1.0 - s)) ** 2
+    hazard = spec.baseline_role == "hazard"
+    parts = []
+    for k, bk in enumerate(bvals):
+        if top[k] == 0.0:
+            break  # the failure law has no mass left past this point
+        log_surv = np.log(bottom[k] + (top[k] - bottom[k]) * phi)
+        ez = np.exp(bk * zq)
+        M = np.zeros(s.size)
+        for _ in range(100):
+            a = logwq - H[k] - np.multiply.outer(M, ez)
+            amax = a.max(axis=1, keepdims=True)
+            q = np.exp(a - amax)
+            g = q.sum(axis=1)
+            step = (np.log(g) + amax[:, 0] - log_surv) * g / (q @ ez)
+            M += step
+            if np.all(np.abs(step) <= 1e-13 * (1.0 + M)):
+                break
+        else:
+            raise FitError("no convergence of the failure-law quadrature")
+        # the baseline's cumulative hazard at t: Lam[k] + M, or in the marginal
+        # role the marginal's, -log(1 - u)
+        t = spec.baseline.inverse_cumulative_hazard(Lam[k] + M if hazard else -log_surv)
+        w = (top[k] - bottom[k]) * dphi
+        if isinstance(law, UniformCensoring):
+            w *= np.clip(1.0 - t / law.upper, 0.0, None)
+        elif isinstance(law, ExponentialCensoring):
+            w *= np.exp(-law.rate * t)
+        parts.append((w, np.full(s.size, bk), q))
+    w, b, q = (np.concatenate(p) for p in zip(*parts))
+    return w, b, q, zq
 
 
-def beta_star_oracle(
-    spec: GeneratorSpec,
-    n_mc: int = 1_000_000,
-    rng=None,
-    weighting: str = "failure",
-) -> float:
-    """Population target of the marginal-weighted estimators.
+def beta_star_oracle(spec: GeneratorSpec, weighting: str = "failure") -> float:
+    """Population limit of the estimators, by deterministic quadrature.
 
-    ``weighting='failure'`` solves the censoring-free limiting equation
-
-        integral { e(beta0(t), t) - e(beta, t) } dF(t) = 0
-
-    with the tilted at-risk means e and the failure law F estimated from one
-    large uncensored draw on a fixed grid of 200 quantiles; the root is found
-    by bisection.
-
-    ``weighting='risk'`` instead solves the expectation of the unweighted
-    partial-likelihood score *including* the spec's censoring (the
-    event-density-weighted equation), exposing the partial-likelihood drift
-    under non-proportional hazards. Implemented as a single large solve of
-    the score equation, so the quantile grid is not used.
+    Solves  integral P(C >= t)^k { e(beta0(t), t) - e(beta, t) } dF(t) = 0
+    for beta, with e(beta, t) the beta-tilted covariate mean of the risk set
+    at t and F the failure law. ``weighting='failure'`` (k = 0) gives beta*,
+    the censoring-free target of the marginal-weighted estimators (Xu &
+    O'Quigley 2000); ``weighting='risk'`` (k = 1) gives the limit of partial
+    likelihood under the spec's censoring (Struthers & Kalbfleisch 1986).
     """
     if weighting not in ("failure", "risk"):
         raise ConfigError("weighting must be 'failure' or 'risk'")
-    if n_mc < 100_000:
-        raise ConfigError("beta_star_oracle needs n_mc >= 100000")
-    rng = _as_rng(rng)
-    if weighting == "risk":
-        data = generate_dataset(spec, n_mc, rng)
-        return float(solve_score(data, Constant(), variance="none").beta[0])
+    law = spec.censoring if weighting == "risk" else NoCensoring()
+    w, b, q, zq = _failure_law_nodes(spec, law)
 
-    uncensored = replace(spec, censoring=NoCensoring())
-    z = spec.covariate.draw(rng, n_mc)
-    t = _draw_survival_times(uncensored, z, rng)
-    order = np.argsort(t, kind="stable")
-    t, z = t[order], z[order]
-    gidx = _grid_indices(n_mc)
-    bvals = spec.beta(t[gidx])
+    def weighted_mean(beta) -> float:
+        tilted = q * np.exp(np.multiply.outer(beta, zq))
+        return float(w @ (tilted @ zq / tilted.sum(axis=1)))
 
-    def tilted_means(beta: float) -> np.ndarray:
-        s0, s1, _ = _risk_set_sums(z[:, None], np.exp(beta * z), gidx, second=False)
-        return s1[:, 0] / s0
-
-    target = np.empty(_GRID_SIZE)
-    for b in np.unique(bvals):
-        m = bvals == b
-        target[m] = tilted_means(float(b))[m]
-
-    def h(beta: float) -> float:
-        # decreasing in beta: the tilted at-risk mean rises with the tilt
-        return float(np.mean(target - tilted_means(beta)))
-
-    lo = float(min(spec.beta.values)) - 1.0
-    hi = float(max(spec.beta.values)) + 1.0
-    for _ in range(60):
-        if h(lo) > 0.0:
-            break
-        lo -= 1.0
-    for _ in range(60):
-        if h(hi) < 0.0:
-            break
-        hi += 1.0
-    if not (h(hi) < 0.0 < h(lo)):
-        raise FitError("could not bracket the limiting-equation root")
-    return float(brentq(h, lo, hi, xtol=1e-10, maxiter=200))
-
-
-def beta_star_taylor(spec: GeneratorSpec, n_mc: int = 200_000, rng=None) -> float:
-    """First-order average-effect approximation sum v b / sum v.
-
-    v(t) = Var[Z | T = t] is the exponentially tilted at-risk variance at
-    beta0(t), estimated on the oracle's grid of 200 quantiles; the
-    averaging law is the failure distribution (equal grid mass).
-    """
-    if n_mc < 100_000:
-        raise ConfigError("beta_star_taylor needs n_mc >= 100000")
-    rng = _as_rng(rng)
-    uncensored = replace(spec, censoring=NoCensoring())
-    z = spec.covariate.draw(rng, n_mc)
-    t = _draw_survival_times(uncensored, z, rng)
-    order = np.argsort(t, kind="stable")
-    t, z = t[order], z[order]
-    gidx = _grid_indices(n_mc)
-    bvals = spec.beta(t[gidx])
-    v = np.empty(_GRID_SIZE)
-    for b in np.unique(bvals):
-        m = bvals == b
-        w = np.exp(float(b) * z)
-        s0, s1, _ = _risk_set_sums(z[:, None], w, gidx, second=False)
-        # sum (w z) z as the first moment under the tilt w z: this product
-        # order keeps fixed-seed values unchanged
-        s2 = _risk_set_sums(z[:, None], w * z, gidx, second=False)[1]
-        e = s1[:, 0] / s0
-        v[m] = (s2[:, 0] / s0 - e * e)[m]
-    return float(np.sum(v * bvals) / np.sum(v))
+    # target - weighted_mean(beta) falls in beta, from >= 0 at the smallest
+    # beta0(t) to <= 0 at the largest
+    target = weighted_mean(b)
+    lo, hi = min(spec.beta.values) - 1.0, max(spec.beta.values) + 1.0
+    return float(brentq(lambda x: target - weighted_mean(x), lo, hi, xtol=1e-13))
 
 
 # -- study configuration files ------------------------------------------------
@@ -734,14 +720,25 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """A JSON number; a boolean or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v) for v in value)
 
 
 def _levels(value) -> tuple[float, ...]:
-    return (float(value),) if isinstance(value, (int, float)) else _floats(value)
+    """One number, or a nonempty list of them."""
+    levels = _floats(value) if isinstance(value, (list, tuple)) else (_number(value),)
+    if not levels:
+        raise ValueError("expected at least one level, got []")
+    return levels
 
 
 def _names(value) -> tuple[str, ...]:
@@ -754,9 +751,11 @@ def _names(value) -> tuple[str, ...]:
 def _baseline_from_dict(d) -> _BaselineModel:
     fam = _as_dict(d).get("family")
     if fam == "exponential":
-        return Exponential(rate=_value(d, "rate", float))
+        return Exponential(rate=_value(d, "rate", _number))
     if fam == "weibull":
-        return Weibull(shape=_value(d, "shape", float), scale=_value(d, "scale", float))
+        return Weibull(
+            shape=_value(d, "shape", _number), scale=_value(d, "scale", _number)
+        )
     if fam == "pwexp":
         return PiecewiseExponential(
             cuts=_value(d, "cuts", _floats), rates=_value(d, "rates", _floats)
@@ -773,7 +772,7 @@ def _covariate_from_dict(d) -> _CovariateLaw:
     if kind == "uniform01":
         return Uniform01()
     if kind == "bernoulli":
-        return Bernoulli(p=_value(d, "p", float))
+        return Bernoulli(p=_value(d, "p", _number))
     raise ConfigError(f"unknown covariate kind {kind!r}")
 
 
@@ -790,7 +789,7 @@ def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
         role = doc["baseline"].get("role", "hazard")
         bd = _value(doc, "beta", _as_dict)
         if "constant" in bd:
-            beta = BetaFunction.constant(_value(bd, "constant", float))
+            beta = BetaFunction.constant(_value(bd, "constant", _number))
         else:
             beta = BetaFunction(
                 changepoints=_value(bd, "changepoints", _floats, ()),

@@ -500,14 +500,12 @@ def test_criterion_7_oracle_consistency(table2_run, report):
     design = _spec(
         BetaFunction(changepoints=(0.2,), values=(1.0, 0.0)), UniformCensoring(1.0)
     )
-    oracle = beta_star_oracle(design, n_mc=400_000, rng=np.random.default_rng(32))
+    oracle = beta_star_oracle(design)
     run_mean = table2_run[0.0].means["km"]
     if abs(oracle - run_mean) > 0.015:
         failures.append(f"oracle {oracle:.4f} vs 0% run mean {run_mean:.4f} (±0.015)")
     ph = beta_star_oracle(
         _spec(BetaFunction.constant(1.0), UniformCensoring(1.0)),
-        n_mc=400_000,
-        rng=np.random.default_rng(31),
     )
     if abs(ph - 1.0) > 0.01:
         failures.append(f"PH oracle {ph:.4f} vs 1.0 (±0.01)")

@@ -168,6 +168,8 @@ class TestAre:
 
     def test_bad_p_is_2(self):
         assert main(["are", "--p", "0"]) == 2
+        # numbers from flags must be finite
+        assert main(["are", "--tc", "inf"]) == 2
 
     def test_bad_float_list_is_2(self):
         assert main(["are", "--beta0", "one,two"]) == 2

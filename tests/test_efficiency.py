@@ -166,6 +166,9 @@ class TestGrid:
             AREConfig(beta0=1.0, p=0.5, t_c=1.0, sigma_role="plain")
         with pytest.raises(ConfigError):
             AREConfig(beta0=np.inf, p=0.5, t_c=1.0)
+        for t_c in (np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                AREConfig(beta0=1.0, p=0.5, t_c=t_c)
 
     def test_sigma_property(self):
         assert AREConfig(beta0=1.0, p=0.5, t_c=0.25).sigma == 0.25

@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import logsumexp
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import expit, logsumexp
 
 from margfit import (
     Bernoulli,
@@ -25,7 +27,6 @@ from margfit import (
     UniformCensoring,
     Weibull,
     beta_star_oracle,
-    beta_star_taylor,
     calibrate_censoring,
     draw_survival_time,
     expected_beta,
@@ -42,7 +43,7 @@ from margfit.simulate import (
     _config_echo,
     _draw_survival_times,
     _log_sum_exp_rows,
-    _marginal_tables,
+    _segment_tables,
 )
 
 # the change-point design studied throughout: beta(t) = 1 on [0, 0.2), 0 after,
@@ -206,8 +207,8 @@ def _scipy_marginal_draw(spec, z, rng):
     must reproduce bit for bit."""
     n = z.size
     V = rng.exponential(size=n)
-    bounds, bvals, Lam, zq, logwq, H = _marginal_tables(
-        spec.baseline, spec.beta, spec.covariate
+    bvals, Lam, zq, logwq, H = _segment_tables(
+        spec.baseline, spec.beta, spec.covariate, "marginal"
     )
     if bvals.size == 1:
         idx = np.zeros(n, dtype=int)
@@ -261,7 +262,9 @@ class TestMarginalSampler:
 
     def test_log_sum_exp_rows_matches_scipy_bitwise(self):
         rng = np.random.default_rng(3)
-        *_, logwq, _ = _marginal_tables(CHANGEPOINT.baseline, CHANGEPOINT.beta, Uniform01())
+        *_, logwq, _ = _segment_tables(
+            CHANGEPOINT.baseline, CHANGEPOINT.beta, Uniform01(), "marginal"
+        )
         a = rng.normal(size=(200, 64)) * rng.choice([1e-3, 1.0, 30.0], size=(200, 1))
         a[:50] = logwq - rng.random((50, 1))  # symmetric log-weights: tied maxima
         a[50] = np.linspace(-800.0, 5.0, 64)  # spread above 700
@@ -476,58 +479,209 @@ class TestRunStudy:
             StudyConfig(spec=PH, n=10, reps=10, seed=0, families_to_fit=("gamma",))
 
 
+def _quad_limit(design, k):
+    """Independent population limit: SciPy ``quad`` over t, ``brentq`` over beta.
+
+    Root of  int_0^inf P(C >= t)^k {e(beta0(t), t) - e(beta, t)} f(t) dt.
+    ``design`` holds plain numbers and functions, no margfit objects: a
+    Bernoulli(p) covariate, so that e(beta, t) = expit(beta + logit p -
+    A(t, 1) + A(t, 0)) with A(t, z) the conditional cumulative hazard; the
+    coefficient path (cuts, values); the model's cumulative hazard and
+    hazard, read as the baseline (role "hazard") or as the marginal law of T
+    (role "marginal", whose implicit baseline is solved at each t by
+    ``brentq``); and P(C >= t) with the end of its support.
+    """
+    p, cuts, values = design["p"], design["cuts"], design["values"]
+    cum, haz, at_risk, end = (design[key] for key in ("cum", "haz", "at_risk", "end"))
+    starts = [0.0, *cuts]
+
+    def seg(t):
+        return int(np.searchsorted(cuts, t, side="right"))
+
+    def cum_hazards(t):
+        """A(t, 0) and A(t, 1)."""
+        if design["role"] == "hazard":
+            spans = [max(0.0, cum(min(t, b)) - cum(a)) for a, b in zip(starts, cuts)]
+            spans.append(max(0.0, cum(t) - cum(starts[-1])))
+            return sum(spans), sum(s * np.exp(b) for s, b in zip(spans, values))
+        h0 = h1 = 0.0
+        for j in range(seg(t) + 1):
+            target = np.exp(-cum(min(t, cuts[j]) if j < len(cuts) else t))
+            eb = np.exp(values[j])
+
+            def gap(m):
+                return (1 - p) * np.exp(-h0 - m) + p * np.exp(-h1 - m * eb) - target
+
+            m = brentq(gap, 0.0, 1e3, xtol=1e-15, rtol=1e-15)
+            h0, h1 = h0 + m, h1 + m * eb
+        return h0, h1
+
+    def density(t):
+        if design["role"] == "marginal":
+            return haz(t) * np.exp(-cum(t))
+        a0, a1 = cum_hazards(t)
+        return haz(t) * ((1 - p) * np.exp(-a0) + p * np.exp(values[seg(t)] - a1))
+
+    def e(beta, t):
+        a0, a1 = cum_hazards(t)
+        return expit(beta + np.log(p / (1 - p)) - a1 + a0)
+
+    edges = sorted({*starts, np.inf} | ({end} if k else set()))
+    edges = [x for x in edges if not k or x <= end]
+
+    def score(beta):
+        def integrand(t):
+            f = density(t)
+            if f == 0.0:  # exp(-cum(t)) underflows: no implicit baseline to solve
+                return 0.0
+            return at_risk(t) ** k * f * (e(values[seg(t)], t) - e(beta, t))
+
+        return sum(
+            quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+            for a, b in zip(edges, edges[1:])
+        )
+
+    return brentq(score, min(values) - 1.0, max(values) + 1.0, xtol=1e-13)
+
+
+# Weibull(shape 1.5) hazard, three coefficient segments, Exp(0.7) censoring
+HAZARD_DESIGN = GeneratorSpec(
+    baseline=Weibull(shape=1.5, scale=1.0),
+    beta=BetaFunction(changepoints=(0.3, 0.8), values=(1.0, -0.5, 0.5)),
+    covariate=Bernoulli(0.4),
+    censoring=ExponentialCensoring(rate=0.7),
+)
+HAZARD_NUMBERS = {
+    "role": "hazard",
+    "p": 0.4,
+    "cuts": [0.3, 0.8],
+    "values": [1.0, -0.5, 0.5],
+    "cum": lambda t: t**1.5,
+    "haz": lambda t: 1.5 * t**0.5,
+    "at_risk": lambda t: np.exp(-0.7 * t),
+    "end": np.inf,
+}
+# Exp(1) marginal law of T, a change at 0.4, U(0, 1.2) censoring
+MARGINAL_DESIGN = GeneratorSpec(
+    baseline=Exponential(rate=1.0),
+    beta=BetaFunction(changepoints=(0.4,), values=(2.0, 0.5)),
+    covariate=Bernoulli(0.5),
+    censoring=UniformCensoring(upper=1.2),
+    baseline_role="marginal",
+)
+MARGINAL_NUMBERS = {
+    "role": "marginal",
+    "p": 0.5,
+    "cuts": [0.4],
+    "values": [2.0, 0.5],
+    "cum": lambda t: t,
+    "haz": lambda t: 1.0,
+    "at_risk": lambda t: max(0.0, 1.0 - t / 1.2),
+    "end": 1.2,
+}
+
+
 class TestOracles:
     def test_ph_oracle_returns_true_beta(self):
-        val = beta_star_oracle(PH, n_mc=400_000, rng=np.random.default_rng(31))
-        assert val == pytest.approx(1.0, abs=0.01)
+        assert beta_star_oracle(PH) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("weighting", ["failure", "risk"])
+    @pytest.mark.parametrize(
+        "spec, numbers",
+        [(HAZARD_DESIGN, HAZARD_NUMBERS), (MARGINAL_DESIGN, MARGINAL_NUMBERS)],
+        ids=["hazard", "marginal"],
+    )
+    def test_matches_independent_quad(self, spec, numbers, weighting):
+        want = _quad_limit(numbers, k=int(weighting == "risk"))
+        assert beta_star_oracle(spec, weighting=weighting) == pytest.approx(
+            want, abs=1e-8
+        )
+
+    # Exact limits below come from the independent Gauss-Legendre helper
+    # ``_score_limit`` of tests/test_acceptance.py, which shares no code with
+    # margfit.
 
     def test_changepoint_oracle_matches_independent_quadrature(self):
-        # 0.3306: deterministic Gauss-Legendre evaluation of the limiting
-        # equation for this design, frozen from a standalone prototype
-        val = beta_star_oracle(
-            CHANGEPOINT, n_mc=400_000, rng=np.random.default_rng(32)
-        )
-        assert val == pytest.approx(0.3306, abs=0.01)
-
-    def test_failure_weighting_ignores_censoring(self):
-        censored = GeneratorSpec(
-            baseline=Exponential(rate=2.0),
-            beta=BetaFunction(changepoints=(0.2,), values=(1.0, 0.0)),
-            covariate=Uniform01(),
-            censoring=UniformCensoring(upper=0.8),
-            baseline_role="marginal",
-        )
-        a = beta_star_oracle(CHANGEPOINT, n_mc=150_000, rng=np.random.default_rng(33))
-        b = beta_star_oracle(censored, n_mc=150_000, rng=np.random.default_rng(33))
-        assert a == b
+        val = beta_star_oracle(CHANGEPOINT)
+        assert val == pytest.approx(0.328883061468545, abs=1e-9)
 
     def test_risk_weighting_exposes_partial_likelihood_drift(self):
-        censored = GeneratorSpec(
-            baseline=Exponential(rate=2.0),
-            beta=BetaFunction(changepoints=(0.2,), values=(1.0, 0.0)),
-            covariate=Uniform01(),
-            censoring=UniformCensoring(upper=0.7968),
-            baseline_role="marginal",
+        censored = replace(CHANGEPOINT, censoring=UniformCensoring(upper=0.7968))
+        assert beta_star_oracle(censored, weighting="risk") == pytest.approx(
+            0.5795411819497828, abs=1e-9
         )
-        # 0.5784: frozen quadrature value of the censored score limit at 50%
-        val = beta_star_oracle(
-            censored, n_mc=400_000, rng=np.random.default_rng(34), weighting="risk"
+
+    @pytest.mark.parametrize(
+        "beta, censoring, weighting, want",
+        [
+            # beta* of the table-3 design, and the partial-likelihood limits
+            # of both designs at exactly 50% censoring
+            ((3.0, 0.0), NoCensoring(), "failure", 0.9685277800924982),
+            (
+                (1.0, 0.0),
+                UniformCensoring(0.7968121300200264),
+                "risk",
+                0.579537118438356,
+            ),
+            ((3.0, 0.0), ExponentialCensoring(2.0), "risk", 1.5944681552901623),
+        ],
+        ids=["table3-beta-star", "table2-pl-50", "table3-pl-50"],
+    )
+    def test_exact_limits_of_the_table_designs(self, beta, censoring, weighting, want):
+        spec = replace(
+            CHANGEPOINT,
+            beta=BetaFunction(changepoints=(0.2,), values=beta),
+            censoring=censoring,
         )
-        assert val == pytest.approx(0.5784, abs=0.02)
+        assert beta_star_oracle(spec, weighting=weighting) == pytest.approx(
+            want, abs=1e-9
+        )
+
+    def test_failure_weighting_ignores_censoring(self):
+        censored = replace(CHANGEPOINT, censoring=UniformCensoring(upper=0.8))
+        assert beta_star_oracle(censored) == beta_star_oracle(CHANGEPOINT)
+        assert beta_star_oracle(CHANGEPOINT, weighting="risk") == beta_star_oracle(
+            CHANGEPOINT
+        )
+
+    def test_risk_weighting_with_a_bernoulli_covariate(self):
+        # a million-subject score solve stalled on this design before the
+        # oracle became quadrature; a constant coefficient is its own limit
+        spec = GeneratorSpec(
+            baseline=Exponential(rate=1.0),
+            beta=BetaFunction.constant(1.0),
+            covariate=Bernoulli(0.5),
+            censoring=ExponentialCensoring(rate=1.0),
+        )
+        assert beta_star_oracle(spec, weighting="risk") == pytest.approx(1.0, abs=1e-9)
+
+    def test_piecewise_baseline_under_censoring_is_converged(self):
+        # the baseline's cuts split the quadrature where P(C >= t) bends
+        spec = GeneratorSpec(
+            baseline=PiecewiseExponential(cuts=(0.5, 1.5), rates=(0.5, 2.0, 1.0)),
+            beta=BetaFunction(changepoints=(0.3,), values=(1.5, 0.5)),
+            covariate=Bernoulli(0.4),
+            censoring=ExponentialCensoring(rate=0.8),
+        )
+        coarse = beta_star_oracle(spec, weighting="risk")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("margfit.simulate._PIECE_NODES", 256)
+            fine = beta_star_oracle(spec, weighting="risk")
+        assert coarse == pytest.approx(fine, abs=1e-12)
+
+    def test_draws_nothing_and_fits_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not sample or fit")
+
+        samplers = ("_as_rng", "_draw_survival_times", "generate_dataset")
+        for name in (*samplers, "solve_score"):
+            monkeypatch.setattr(f"margfit.simulate.{name}", forbidden)
+        beta_star_oracle(MARGINAL_DESIGN, weighting="risk")
+        beta_star_oracle(HAZARD_DESIGN)
 
     def test_oracle_validation(self):
         with pytest.raises(ConfigError):
-            beta_star_oracle(PH, n_mc=1000)
-        with pytest.raises(ConfigError):
             beta_star_oracle(PH, weighting="both")
-
-    def test_taylor_equals_constant_beta_exactly(self):
-        val = beta_star_taylor(PH, n_mc=150_000, rng=np.random.default_rng(35))
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_taylor_is_close_to_oracle_here(self):
-        t = beta_star_taylor(CHANGEPOINT, n_mc=300_000, rng=np.random.default_rng(36))
-        assert t == pytest.approx(0.3306, abs=0.02)
 
 
 class TestConfigFiles:
@@ -602,12 +756,31 @@ class TestConfigFiles:
             {"reps": True},
             {"n": "100"},
             {"seed": float("inf")},
+            {"target_censoring": False},
+            {"target_censoring": []},
+            {"beta": {"changepoints": [0.2], "values": [True, False]}},
+            {"baseline": {"family": "exponential", "rate": True}},
+            {"beta": {"constant": True}},
         ],
     )
     def test_bad_documents(self, patch):
         doc = dict(self.DOC, **patch)
         with pytest.raises(ConfigError):
             study_configs_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"target_censoring": False}, "target_censoring"),
+            ({"target_censoring": []}, "target_censoring"),
+            ({"beta": {"changepoints": [0.2], "values": [True, False]}}, "values"),
+            ({"baseline": {"family": "exponential", "rate": True}}, "rate"),
+            ({"beta": {"constant": True}}, "constant"),
+        ],
+    )
+    def test_booleans_and_empty_levels_name_their_key(self, patch, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            study_configs_from_dict(dict(self.DOC, **patch))
 
     def test_load_single_and_list(self, tmp_path):
         import json
