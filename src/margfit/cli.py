@@ -26,7 +26,13 @@ from .errors import ConfigError, ConvergenceError, DataError, FitError
 from .estimate import FitResult, _parse_scheme, solve_score
 from .marginal import StepSurvival, fit_family, kaplan_meier, save_curve
 from .resample import bootstrap, resample_distribution
-from .simulate import load_study_config, results_to_json, run_study, write_results_csv
+from .simulate import (
+    _estimator_names,
+    load_study_config,
+    results_to_json,
+    run_study,
+    write_results_csv,
+)
 
 __all__ = [
     "main",
@@ -128,13 +134,14 @@ def cmd_simulate(args) -> int:
         json.dumps(results_to_json(results), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    names = list(results[0].means)
+    names = _estimator_names(results)
     print(f"seed: {results[0].seed}")
     header = "label            censoring  " + "  ".join(f"{n:<16}" for n in names)
     print(header + "  E[beta(T)]")
     for r in results:
         cells = "  ".join(
-            f"{r.means[n]:.3f} ({r.sds[n]:.3f})".ljust(16) for n in names
+            (f"{r.means[n]:.3f} ({r.sds[n]:.3f})" if n in r.means else "").ljust(16)
+            for n in names
         )
         print(
             f"{r.config.label:<16} {r.realized_censoring:>8.1%}  "

@@ -59,7 +59,6 @@ __all__ = [
     "solve_score",
     "variance_andersen_gill",
     "variance_sandwich",
-    "iterative_marginal_fit",
 ]
 
 # Newton stops once the max-norm of the score is below _TOL, and fails after
@@ -455,26 +454,3 @@ def solve_score(
         theta=theta,
     )
 
-
-def iterative_marginal_fit(
-    data: SurvivalDataset,
-    family: str = "exponential",
-    *,
-    cuts: tuple[float, ...] = (),
-    **solver_kwargs,
-) -> FitResult:
-    """Fit a parametric marginal once, then solve the weighted score with it.
-
-    The plug-in estimator ``solve_score(data, Parametric(name))``, with
-    ``name`` the family and its cuts: the maximum-likelihood fit, recorded
-    in ``theta``, fixes the weights for the whole solve.
-
-    Parameters
-    ----------
-    family : {'exponential', 'weibull', 'pwexp'}
-    cuts : tuple of float
-        Interval cuts for the 'pwexp' family.
-    """
-    if cuts:
-        family = f"{family}:{','.join(repr(float(c)) for c in cuts)}"
-    return solve_score(data, Parametric(family), **solver_kwargs)

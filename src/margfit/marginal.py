@@ -9,7 +9,7 @@ which is the convention the weighted estimators require.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -189,6 +189,13 @@ class ExternalCurve:
 
 MarginalModel = Union[Exponential, Weibull, PiecewiseExponential, ExternalCurve]
 
+# the family name of each parametric model class, as documents and fits name it
+_FAMILIES = {
+    "exponential": Exponential,
+    "weibull": Weibull,
+    "pwexp": PiecewiseExponential,
+}
+
 
 def kaplan_meier(data: SurvivalDataset) -> StepSurvival:
     """Product-limit estimate of the marginal survival function.
@@ -308,7 +315,7 @@ def parse_family(name: str) -> tuple[str, tuple[float, ...]]:
     Bare 'pwexp' has no cuts, i.e. the exponential. Cuts must be finite,
     positive and strictly ascending.
     """
-    if name in ("exponential", "weibull", "pwexp"):
+    if name in _FAMILIES:
         return name, ()
     if not name.startswith("pwexp:"):
         raise ConfigError(
@@ -337,17 +344,24 @@ def fit_family(
     return fit_piecewise_exponential(data, cuts)  # no cuts: the exponential
 
 
+def _name_of(law, names: dict) -> str:
+    """The name under which ``names`` lists the class of ``law``."""
+    return next(name for name, cls in names.items() if isinstance(law, cls))
+
+
+def _plain(value):
+    """A field value as JSON holds it: a tuple becomes a list."""
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _fields_doc(law) -> dict:
+    """A dataclass's fields as a plain dict, tuples as lists."""
+    return {f.name: _plain(getattr(law, f.name)) for f in fields(law)}
+
+
 def model_params(model: Exponential | Weibull | PiecewiseExponential) -> dict:
     """A parametric model's family name and parameters, as a plain dict."""
-    if isinstance(model, Exponential):
-        return {"family": "exponential", "rate": model.rate}
-    if isinstance(model, Weibull):
-        return {"family": "weibull", "shape": model.shape, "scale": model.scale}
-    return {
-        "family": "pwexp",
-        "cuts": list(model.cuts),
-        "rates": list(model.rates),
-    }
+    return {"family": _name_of(model, _FAMILIES), **_fields_doc(model)}
 
 
 def load_external_curve(path) -> ExternalCurve:

@@ -26,7 +26,7 @@ population oracle is deterministic quadrature on the sampler's segment tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Union
 
@@ -38,9 +38,13 @@ from .dataset import SurvivalDataset
 from .errors import ConfigError, DataError, FitError
 from .estimate import _parse_scheme, solve_score
 from .marginal import (
+    _FAMILIES,
     Exponential,
     PiecewiseExponential,
     Weibull,
+    _fields_doc,
+    _name_of,
+    _plain,
     _positive_ascending,
     model_params,
     parse_family,
@@ -170,6 +174,13 @@ class UniformCensoring:
         if not self.upper > 0:
             raise ConfigError("uniform censoring upper bound must be positive")
 
+    def quantile(self, u):
+        return u * self.upper
+
+    def survival(self, t):
+        """P(C >= t)."""
+        return np.clip(1.0 - t / self.upper, 0.0, None)
+
 
 @dataclass(frozen=True)
 class ExponentialCensoring:
@@ -181,9 +192,27 @@ class ExponentialCensoring:
         if not self.rate > 0:
             raise ConfigError("exponential censoring rate must be positive")
 
+    def quantile(self, u):
+        return -np.log1p(-u) / self.rate
+
+    def survival(self, t):
+        """P(C >= t)."""
+        return np.exp(-self.rate * t)
+
 
 _CensoringLaw = Union[NoCensoring, UniformCensoring, ExponentialCensoring]
 _CovariateLaw = Union[Uniform01, Bernoulli]
+
+# the document name of each covariate and censoring law; a covariate law's
+# other document keys are its fields (a censoring law's parameter is calibrated)
+_COVARIATES = {"uniform01": Uniform01, "bernoulli": Bernoulli}
+_CENSORING = {
+    "none": NoCensoring,
+    "uniform": UniformCensoring,
+    "exponential": ExponentialCensoring,
+}
+# each law field of GeneratorSpec and the classes it may hold
+_LAWS = {"baseline": _FAMILIES, "covariate": _COVARIATES, "censoring": _CENSORING}
 
 
 @dataclass(frozen=True)
@@ -197,18 +226,12 @@ class GeneratorSpec:
     baseline_role: str = "hazard"
 
     def __post_init__(self):
-        if not isinstance(self.baseline, (Exponential, Weibull, PiecewiseExponential)):
-            raise ConfigError(
-                "baseline must be Exponential, Weibull, or PiecewiseExponential"
-            )
+        for name, laws in _LAWS.items():
+            if not isinstance(getattr(self, name), tuple(laws.values())):
+                kinds = ", ".join(cls.__name__ for cls in laws.values())
+                raise ConfigError(f"{name} must be one of {kinds}")
         if not isinstance(self.beta, BetaFunction):
             raise ConfigError("beta must be a BetaFunction")
-        if not isinstance(self.covariate, (Uniform01, Bernoulli)):
-            raise ConfigError("covariate must be Uniform01 or Bernoulli")
-        if not isinstance(
-            self.censoring, (NoCensoring, UniformCensoring, ExponentialCensoring)
-        ):
-            raise ConfigError("unknown censoring law")
         if self.baseline_role not in ("hazard", "marginal"):
             raise ConfigError("baseline_role must be 'hazard' or 'marginal'")
 
@@ -223,6 +246,8 @@ def _segment_tables(baseline, beta: BetaFunction, covariate, role: str):
     k-th start; in segment k, S(t|z) = exp(-H[k] - (Lambda0(t) - Lam[k]) e^{b_k z}).
     The marginal role solves segment by segment for the implicit baseline
     increments that make E_Z[S(t|Z)] the model's survival at each changepoint.
+    Where that survival underflows to 0, the later segments carry no mass and
+    are left out of the tables.
     """
     bounds = np.concatenate(([0.0], np.asarray(beta.changepoints, dtype=float)))
     bvals = np.asarray(beta.values, dtype=float)
@@ -238,6 +263,9 @@ def _segment_tables(baseline, beta: BetaFunction, covariate, role: str):
             dL = Lam[k + 1] - Lam[k]
         else:
             target = float(baseline.survival(bounds[k + 1]))
+            if target == 0.0:
+                bvals, Lam, H = bvals[: k + 1], Lam[: k + 1], H[: k + 1]
+                break
 
             def gap(dL):
                 return float(np.exp(logwq - H[k] - dL * ez).sum()) - target
@@ -327,14 +355,6 @@ def draw_survival_time(spec: GeneratorSpec, z: float, rng) -> float:
     return float(_draw_survival_times(spec, np.array([float(z)]), _as_rng(rng))[0])
 
 
-def _draw_censoring_from_uniforms(law, u: np.ndarray) -> np.ndarray:
-    if isinstance(law, UniformCensoring):
-        return u * law.upper
-    if isinstance(law, ExponentialCensoring):
-        return -np.log1p(-u) / law.rate
-    raise ConfigError("no censoring law to draw from")
-
-
 def generate_dataset(spec: GeneratorSpec, n: int, rng) -> SurvivalDataset:
     """One replication: covariates, survival times, censoring, observed data.
 
@@ -350,7 +370,7 @@ def generate_dataset(spec: GeneratorSpec, n: int, rng) -> SurvivalDataset:
     if isinstance(spec.censoring, NoCensoring):
         time, status = t, np.ones(n, dtype=int)
     else:
-        c = _draw_censoring_from_uniforms(spec.censoring, rng.random(n))
+        c = spec.censoring.quantile(rng.random(n))
         time = np.minimum(t, c)
         status = (t <= c).astype(int)
     return SurvivalDataset(time=time, status=status, covariates=z[:, None])
@@ -385,7 +405,7 @@ def calibrate_censoring(
     uniform_family = isinstance(spec.censoring, UniformCensoring)
 
     def frac(param: float) -> float:
-        c = _draw_censoring_from_uniforms(type(spec.censoring)(param), u)
+        c = type(spec.censoring)(param).quantile(u)
         return float(np.mean(t > c))
 
     # censored fraction decreases in the uniform upper bound and increases
@@ -419,8 +439,7 @@ def calibrate_censoring(
 
     z2 = spec.covariate.draw(rng, _N_MC)
     t2 = _draw_survival_times(spec, z2, rng)
-    law = type(spec.censoring)(param)
-    c2 = _draw_censoring_from_uniforms(law, rng.random(_N_MC))
+    c2 = type(spec.censoring)(param).quantile(rng.random(_N_MC))
     achieved = float(np.mean(t2 > c2))
     if abs(achieved - target_fraction) > 0.005:
         raise FitError(
@@ -512,10 +531,6 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     """
     spec = config.spec
     if config.target_censoring > 0.0:
-        if isinstance(spec.censoring, NoCensoring):
-            raise ConfigError(
-                "target_censoring > 0 requires a censoring family in the spec"
-            )
         param = calibrate_censoring(
             spec,
             config.target_censoring,
@@ -613,7 +628,8 @@ def _failure_law_nodes(spec: GeneratorSpec, law):
     convex, decreasing log E_Z[S(t|Z)] rises to the root of E_Z[S(t|Z)] = 1 - u.
     """
     cuts = set(spec.beta.changepoints)
-    if not isinstance(law, NoCensoring):
+    censored = not isinstance(law, NoCensoring)
+    if censored:
         # P(C >= t) bends where t(u) does, at a piecewise baseline's cuts
         if isinstance(spec.baseline, PiecewiseExponential):
             cuts.update(spec.baseline.cuts)
@@ -655,10 +671,8 @@ def _failure_law_nodes(spec: GeneratorSpec, law):
         # role the marginal's, -log(1 - u)
         t = spec.baseline.inverse_cumulative_hazard(Lam[k] + M if hazard else -log_surv)
         w = (top[k] - bottom[k]) * dphi
-        if isinstance(law, UniformCensoring):
-            w *= np.clip(1.0 - t / law.upper, 0.0, None)
-        elif isinstance(law, ExponentialCensoring):
-            w *= np.exp(-law.rate * t)
+        if censored:
+            w *= law.survival(t)
         parts.append((w, np.full(s.size, bk), q))
     w, b, q = (np.concatenate(p) for p in zip(*parts))
     return w, b, q, zq
@@ -748,32 +762,42 @@ def _names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _baseline_from_dict(d) -> _BaselineModel:
-    fam = _as_dict(d).get("family")
-    if fam == "exponential":
-        return Exponential(rate=_value(d, "rate", _number))
-    if fam == "weibull":
-        return Weibull(
-            shape=_value(d, "shape", _number), scale=_value(d, "scale", _number)
-        )
-    if fam == "pwexp":
-        return PiecewiseExponential(
-            cuts=_value(d, "cuts", _floats), rates=_value(d, "rates", _floats)
-        )
-    raise ConfigError(f"unknown baseline family {fam!r}")
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
-def _baseline_to_dict(model, role: str) -> dict:
-    return {**model_params(model), "role": role}
+def _one_of(names: dict):
+    """Reader of a law's document name, which returns the class it names."""
+
+    def read(value):
+        if not (isinstance(value, str) and value in names):
+            raise ValueError(f"expected one of {', '.join(names)}, got {value!r}")
+        return names[value]
+
+    return read
 
 
-def _covariate_from_dict(d) -> _CovariateLaw:
-    kind = _as_dict(d).get("kind", "uniform01")
-    if kind == "uniform01":
-        return Uniform01()
-    if kind == "bernoulli":
-        return Bernoulli(p=_value(d, "p", _number))
-    raise ConfigError(f"unknown covariate kind {kind!r}")
+# the reader of a law's field, by the field's annotated type
+_FIELD_READERS = {"float": _number, "tuple[float, ...]": _floats}
+
+# the document keys that are StudyConfig fields as they stand: key -> (reader,
+# default), and a key without a default is required
+_KEYS = {
+    "n": (_integer,),
+    "reps": (_integer,),
+    "seed": (_integer,),
+    "families_to_fit": (_names, ()),
+    "label": (_text, ""),
+}
+
+
+def _law(d, key: str, names: dict, *default):
+    """The law that object ``d`` names at ``key``; its other keys are the fields."""
+    cls = _value(_as_dict(d), key, _one_of(names), *default)
+    read = {f.name: _FIELD_READERS[f.type] for f in fields(cls)}
+    return cls(**{name: _value(d, name, reader) for name, reader in read.items()})
 
 
 def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
@@ -785,7 +809,7 @@ def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
     ConfigError that names its key.
     """
     try:
-        baseline = _value(doc, "baseline", _baseline_from_dict)
+        baseline = _value(doc, "baseline", lambda d: _law(d, "family", _FAMILIES))
         role = doc["baseline"].get("role", "hazard")
         bd = _value(doc, "beta", _as_dict)
         if "constant" in bd:
@@ -795,45 +819,25 @@ def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
                 changepoints=_value(bd, "changepoints", _floats, ()),
                 values=_value(bd, "values", _floats),
             )
-        covariate = _value(doc, "covariate", _covariate_from_dict, {})
-        cfam = doc.get("censoring_family", "none")
-        n = _value(doc, "n", _integer)
-        reps = _value(doc, "reps", _integer)
-        seed = _value(doc, "seed", _integer)
-        fams = _value(doc, "families_to_fit", _names, ())
-        label = str(doc.get("label", ""))
+        covariate = _value(
+            doc, "covariate", lambda d: _law(d, "kind", _COVARIATES, "uniform01"), {}
+        )
+        censoring = _value(doc, "censoring_family", _one_of(_CENSORING), "none")
         targets = _value(doc, "target_censoring", _levels, 0.0)
+        scalars = {key: _value(doc, key, *how) for key, how in _KEYS.items()}
     except KeyError as exc:
         raise ConfigError(f"study config is missing key {exc.args[0]!r}") from None
-    if cfam == "none":
-        censoring = NoCensoring()
-        if any(x > 0 for x in targets):
-            raise ConfigError("nonzero target_censoring with censoring_family 'none'")
-    elif cfam == "uniform":
-        censoring = UniformCensoring(1.0)
-    elif cfam == "exponential":
-        censoring = ExponentialCensoring(1.0)
-    else:
-        raise ConfigError(f"unknown censoring family {cfam!r}")
+    if censoring is NoCensoring and any(x > 0 for x in targets):
+        raise ConfigError("nonzero target_censoring with censoring_family 'none'")
     spec = GeneratorSpec(
         baseline=baseline,
         beta=beta,
         covariate=covariate,
-        censoring=censoring,
+        # a placeholder parameter, which calibration replaces
+        censoring=censoring(*(1.0 for _ in fields(censoring))),
         baseline_role=role,
     )
-    return [
-        StudyConfig(
-            spec=spec,
-            n=n,
-            reps=reps,
-            seed=seed,
-            target_censoring=x,
-            families_to_fit=fams,
-            label=label,
-        )
-        for x in targets
-    ]
+    return [StudyConfig(spec=spec, target_censoring=x, **scalars) for x in targets]
 
 
 def load_study_config(path) -> list[StudyConfig]:
@@ -858,84 +862,69 @@ def load_study_config(path) -> list[StudyConfig]:
 
 
 def _config_echo(config: StudyConfig) -> dict:
+    """The design document that reads back as ``config``."""
     spec = config.spec
-    if isinstance(spec.censoring, UniformCensoring):
-        cfam = "uniform"
-    elif isinstance(spec.censoring, ExponentialCensoring):
-        cfam = "exponential"
-    else:
-        cfam = "none"
-    cov = (
-        {"kind": "uniform01"}
-        if isinstance(spec.covariate, Uniform01)
-        else {"kind": "bernoulli", "p": spec.covariate.p}
-    )
     return {
-        "baseline": _baseline_to_dict(spec.baseline, spec.baseline_role),
-        "beta": {
-            "changepoints": list(spec.beta.changepoints),
-            "values": list(spec.beta.values),
+        "baseline": {**model_params(spec.baseline), "role": spec.baseline_role},
+        "beta": _fields_doc(spec.beta),
+        "covariate": {
+            "kind": _name_of(spec.covariate, _COVARIATES),
+            **_fields_doc(spec.covariate),
         },
-        "covariate": cov,
-        "censoring_family": cfam,
+        "censoring_family": _name_of(spec.censoring, _CENSORING),
         "target_censoring": config.target_censoring,
-        "n": config.n,
-        "reps": config.reps,
-        "seed": config.seed,
-        "families_to_fit": list(config.families_to_fit),
-        "label": config.label,
+        **{key: _plain(getattr(config, key)) for key in _KEYS},
+    }
+
+
+def _study_record(r: SimStudyResult) -> dict:
+    """One study's entry in the JSON sidecar, which the CSV's columns read too."""
+    return {
+        "config": _config_echo(r.config),
+        "censoring_param": r.censoring_param,
+        "realized_censoring": r.realized_censoring,
+        "n_failed": r.n_failed,
+        "estimators": {
+            name: {"mean": r.means[name], "sd": r.sds[name]} for name in r.means
+        },
+        "expected_beta_family": r.reference_family,
+        "expected_beta_mc": r.reference_mc,
+        "seed": r.seed,
     }
 
 
 def results_to_json(results: list[SimStudyResult]) -> dict:
     """JSON sidecar document for a list of study results."""
-    rows = []
-    for r in results:
-        rows.append(
-            {
-                "config": _config_echo(r.config),
-                "censoring_param": r.censoring_param,
-                "realized_censoring": r.realized_censoring,
-                "n_failed": r.n_failed,
-                "estimators": {
-                    name: {"mean": r.means[name], "sd": r.sds[name]}
-                    for name in r.means
-                },
-                "expected_beta_family": r.reference_family,
-                "expected_beta_mc": r.reference_mc,
-                "seed": r.seed,
-            }
-        )
-    return {"schema": 1, "studies": rows}
+    return {"schema": 1, "studies": [_study_record(r) for r in results]}
+
+
+def _estimator_names(results: list[SimStudyResult]) -> list[str]:
+    """Every estimator that some study fitted, in first-seen order."""
+    return list(dict.fromkeys(name for r in results for name in r.means))
+
+
+# the CSV's columns before and after the estimators' mean/sd pairs, each a key
+# of the study's record or of its config echo
+_CSV_LEAD = ("label", "censoring_family", "target_censoring", "realized_censoring")
+_CSV_TAIL = ("expected_beta_family", "expected_beta_mc", "n", "reps", "seed")
 
 
 def write_results_csv(results: list[SimStudyResult], path) -> None:
-    """Wide CSV, one row per censoring level, mean/sd columns per estimator."""
+    """Wide CSV, one row per censoring level, mean/sd columns per estimator.
+
+    A study that did not fit an estimator leaves its two cells empty.
+    """
     if not results:
         raise ConfigError("no results to write")
-    names = list(results[0].means)
-    header = ["label", "censoring_family", "target_censoring", "realized_censoring"]
-    for name in names:
-        header += [f"{name}_mean", f"{name}_sd"]
-    header += ["expected_beta_family", "expected_beta_mc", "n", "reps", "seed"]
+    pairs = (f"{n}_{x}" for n in _estimator_names(results) for x in ("mean", "sd"))
+    header = [*_CSV_LEAD, *pairs, *_CSV_TAIL]
     lines = [",".join(header)]
     for r in results:
-        echo = _config_echo(r.config)
-        row = [
-            r.config.label,
-            echo["censoring_family"],
-            repr(r.config.target_censoring),
-            repr(r.realized_censoring),
-        ]
-        for name in names:
-            row += [repr(r.means[name]), repr(r.sds[name])]
-        row += [
-            repr(r.reference_family),
-            repr(r.reference_mc),
-            str(r.config.n),
-            str(r.config.reps),
-            str(r.seed),
-        ]
-        lines.append(",".join(row))
+        record = _study_record(r)
+        cells = {**record["config"], **record}
+        for name, est in record["estimators"].items():
+            cells[f"{name}_mean"], cells[f"{name}_sd"] = est["mean"], est["sd"]
+        row = (cells.get(column, "") for column in header)
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

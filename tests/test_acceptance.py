@@ -35,7 +35,6 @@ from margfit import (
     UniformCensoring,
     are_table,
     beta_star_oracle,
-    iterative_marginal_fit,
     kaplan_meier,
     random_weight_fit,
     relative_efficiency,
@@ -251,7 +250,7 @@ def test_criterion_1_clinical_fit(leukemia, report):
     t0 = time.perf_counter()
     pl = solve_score(leukemia, Constant())
     efron = solve_score(leukemia, Constant(), ties="efron")
-    par = iterative_marginal_fit(leukemia, "exponential")
+    par = solve_score(leukemia, Parametric("exponential"))
     elapsed = time.perf_counter() - t0
     for name, fit in (("breslow", pl), ("efron", efron)):
         if not 1.49 <= fit.beta[0] <= 1.63:

@@ -223,6 +223,32 @@ class TestSimulate:
         doc = json.loads((d1 / "demo_results.json").read_text())
         assert doc["studies"][0]["seed"] == 77
 
+    def test_studies_fitting_different_estimators(self, tmp_path, capsys):
+        # each study's default parametric family is its baseline's
+        weibull = {"family": "weibull", "shape": 1.3, "scale": 0.6, "role": "marginal"}
+        cfg = tmp_path / "mixed.json"
+        cfg.write_text(
+            json.dumps([self.CONFIG, dict(self.CONFIG, label="wb", baseline=weibull)])
+        )
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert "par:exponential   par:weibull" in capsys.readouterr().out
+        header, exp_row, wb_row = (
+            line.split(",")
+            for line in (tmp_path / "mixed_results.csv").read_text().splitlines()
+        )
+        doc = json.loads((tmp_path / "mixed_results.json").read_text())
+        fitted = [study["estimators"] for study in doc["studies"]]
+        assert [list(f) for f in fitted] == [
+            ["km", "par:exponential", "pl"],
+            ["km", "par:weibull", "pl"],
+        ]
+        for row, estimators in zip((exp_row, wb_row), fitted):
+            cells = dict(zip(header, row))
+            for name in ("pl", "km", "par:exponential", "par:weibull"):
+                want = estimators.get(name, {"mean": "", "sd": ""})
+                got = {x: cells[f"{name}_{x}"] for x in ("mean", "sd")}
+                assert got == {x: str(v) for x, v in want.items()}
+
 
 class TestResample:
     def test_weights_run_with_output(self, leukemia_csv, tmp_path, capsys):

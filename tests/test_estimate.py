@@ -18,7 +18,6 @@ from margfit import (
     SurvivalDataset,
     event_weights,
     fit_exponential,
-    iterative_marginal_fit,
     kaplan_meier,
     log_partial_likelihood,
     random_weight_fit,
@@ -163,7 +162,7 @@ class TestSolver:
         assert res.std_errors[0] == pytest.approx(se, abs=2e-6)
 
     def test_leukemia_parametric_fit(self, leukemia):
-        res = iterative_marginal_fit(leukemia, "exponential")
+        res = solve_score(leukemia, Parametric("exponential"))
         assert res.beta[0] == pytest.approx(1.5245968, abs=2e-6)
         assert res.std_errors[0] == pytest.approx(0.4191970, abs=2e-6)
         assert res.theta["rate"] == pytest.approx(30 / 541)
@@ -258,7 +257,7 @@ class TestSolver:
             )
 
     def test_result_serialization(self, leukemia):
-        res = iterative_marginal_fit(leukemia, "exponential")
+        res = solve_score(leukemia, Parametric("exponential"))
         d = res.to_dict()
         assert d["scheme"] == "parametric:exponential"
         assert d["theta_hat"]["family"] == "exponential"
@@ -269,21 +268,23 @@ class TestSolver:
 
 
 class TestIterativeMarginalFit:
+    """The plug-in fit: a family-named marginal, fitted once, fixes the weights."""
+
     def test_weibull_and_pwexp_families(self, leukemia):
-        wei = iterative_marginal_fit(leukemia, "weibull")
+        wei = solve_score(leukemia, Parametric("weibull"))
         assert wei.theta["family"] == "weibull"
         assert wei.beta[0] == pytest.approx(1.5193283, abs=1e-5)
-        pwe = iterative_marginal_fit(leukemia, "pwexp", cuts=(10.0,))
+        pwe = solve_score(leukemia, Parametric("pwexp:10"))
         assert pwe.theta["cuts"] == [10.0]
         assert len(pwe.theta["rates"]) == 2
 
     def test_pwexp_without_cuts_is_exponential(self, leukemia):
-        res = iterative_marginal_fit(leukemia, "pwexp")
+        res = solve_score(leukemia, Parametric("pwexp"))
         assert res.theta["family"] == "exponential"
 
     def test_unknown_family(self, leukemia):
         with pytest.raises(ConfigError):
-            iterative_marginal_fit(leukemia, "gamma")
+            solve_score(leukemia, Parametric("gamma"))
 
 
 def _public_variances(data):

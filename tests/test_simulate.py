@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -40,6 +44,7 @@ from margfit import (
 )
 from margfit.simulate import (
     _BLOCK_ROWS,
+    _KEYS,
     _config_echo,
     _draw_survival_times,
     _log_sum_exp_rows,
@@ -199,6 +204,31 @@ class TestMarginalRole:
         z = d.covariates[:, 0]
         early = d.time < 0.1
         assert z[early].mean() > z[~early].mean() + 0.01
+
+    @pytest.mark.parametrize("cov", [Uniform01(), Bernoulli(0.4)], ids=["u01", "bern"])
+    @pytest.mark.parametrize(
+        "changepoints, values",
+        [((400.0,), (1.0, 0.0)), ((400.0, 500.0), (1.0, 0.0, 2.0))],
+        ids=["one", "two"],
+    )
+    def test_segments_past_an_underflowed_survival_carry_no_mass(
+        self, cov, changepoints, values
+    ):
+        # Exponential(2) survival is 0.0 in double precision from t = 400 on
+        censoring = ExponentialCensoring(rate=1.0)
+        flat = replace(PH, covariate=cov, censoring=censoring)
+        spec = replace(flat, beta=BetaFunction(changepoints, values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = (generate_dataset(s, 2000, 4) for s in (spec, flat))
+            oracles = [
+                (beta_star_oracle(spec, w), beta_star_oracle(flat, w))
+                for w in ("failure", "risk")
+            ]
+        for field in ("time", "status", "covariates"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        for limit, flat_limit in oracles:
+            assert limit == pytest.approx(flat_limit, abs=1e-12)
 
 
 def _scipy_marginal_draw(spec, z, rng):
@@ -684,6 +714,69 @@ class TestOracles:
             beta_star_oracle(PH, weighting="both")
 
 
+def _integral(low, high):
+    """An integer that a document may write as a JSON integer or float."""
+    return st.integers(low, high).flatmap(lambda k: st.sampled_from([k, float(k)]))
+
+
+def _pieces(values):
+    """Ascending positive cut points and one more value than cuts."""
+    cuts = st.lists(st.floats(0.01, 50.0), max_size=3, unique=True).map(sorted)
+    return cuts.flatmap(
+        lambda c: st.tuples(
+            st.just(c), st.lists(values, min_size=len(c) + 1, max_size=len(c) + 1)
+        )
+    )
+
+
+@st.composite
+def _design_documents(draw):
+    """Valid study documents over every baseline, covariate and censoring law,
+    with the optional keys sometimes left out."""
+    positive = st.floats(0.05, 20.0)
+    family = draw(st.sampled_from(["exponential", "weibull", "pwexp"]))
+    if family == "exponential":
+        baseline = {"rate": draw(positive)}
+    elif family == "weibull":
+        baseline = {"shape": draw(positive), "scale": draw(positive)}
+    else:
+        cuts, rates = draw(_pieces(positive))
+        baseline = {"cuts": cuts, "rates": rates}
+    changepoints, values = draw(_pieces(st.floats(-3.0, 3.0)))
+    beta = {"changepoints": changepoints, "values": values}
+    if not changepoints and draw(st.booleans()):
+        beta = {"constant": values[0]}
+    covariate = draw(st.sampled_from([{"kind": "uniform01"}, {"kind": "bernoulli"}]))
+    if covariate["kind"] == "bernoulli":
+        covariate["p"] = draw(st.floats(0.01, 0.99))
+    censoring = draw(st.sampled_from(["none", "uniform", "exponential"]))
+    levels = st.floats(0.0, 0.0 if censoring == "none" else 0.95)
+    doc = {
+        "baseline": {
+            "family": family,
+            **baseline,
+            "role": draw(st.sampled_from(["hazard", "marginal"])),
+        },
+        "beta": beta,
+        "covariate": covariate,
+        "censoring_family": censoring,
+        "target_censoring": draw(st.lists(levels, min_size=1, max_size=3)),
+        "n": draw(_integral(2, 10**6)),
+        "reps": draw(_integral(1, 10**4)),
+        "seed": draw(_integral(0, 2**32)),
+        "families_to_fit": draw(
+            st.lists(st.sampled_from(["exponential", "weibull", "pwexp", "pwexp:1.5"]))
+        ),
+        "label": draw(st.text(max_size=8)),
+    }
+    if len(doc["target_censoring"]) == 1 and draw(st.booleans()):
+        (doc["target_censoring"],) = doc["target_censoring"]
+    for key in ("covariate", "families_to_fit", "label"):
+        if draw(st.booleans()):
+            del doc[key]  # each has a default
+    return doc
+
+
 class TestConfigFiles:
     DOC = {
         "label": "demo",
@@ -768,6 +861,11 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             study_configs_from_dict(doc)
 
+    @pytest.mark.parametrize("key", list(_KEYS))
+    def test_a_boolean_at_a_scalar_key_names_it(self, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            study_configs_from_dict(dict(self.DOC, **{key: True}))
+
     @pytest.mark.parametrize(
         "patch, key",
         [
@@ -806,6 +904,13 @@ class TestConfigFiles:
             configs += study_configs_from_dict(dict(self.DOC, **patch))
         for cfg in configs:
             assert study_configs_from_dict(_config_echo(cfg)) == [cfg]
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_design_documents())
+    def test_any_valid_document_round_trips_through_json(self, doc):
+        for cfg in study_configs_from_dict(doc):
+            echo = json.loads(json.dumps(_config_echo(cfg)))
+            assert study_configs_from_dict(echo) == [cfg]
 
     def test_bundled_designs_parse(self):
         from importlib import resources
