@@ -17,10 +17,10 @@ at t. Three weight choices give the three estimators:
 
 Scores, Jacobians, variances and the log partial likelihood evaluate
 through one prepared state, ``_Kernel``, built once per (data, scheme,
-ties, event multipliers); only the sums of ``dataset._risk_set_sums``
-depend on beta. Efron ties (Efron 1977) are Breslow at adjusted sums: the
-l-th of d_k failures tied at a time sees S_r - (l/d_k) D_r, D_r the tie
-group's own sums.
+ties); event multipliers rescale its score terms without a rebuild, and
+only the sums of ``dataset._risk_set_sums`` depend on beta. Efron ties
+(Efron 1977) are Breslow at adjusted sums: the l-th of d_k failures tied
+at a time sees S_r - (l/d_k) D_r, D_r the tie group's own sums.
 
 Solving is Newton-Raphson with step halving; variances are Andersen-Gill
 (information inverse) for the constant weights and the robust sandwich
@@ -29,6 +29,7 @@ A^{-1} B A^{-1} for weighted schemes, both under the fit's tie rule.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Union
@@ -201,6 +202,8 @@ class _Kernel:
 
     ``weights`` is the scheme's W at each failure, ``score_weights`` W times
     the event multipliers; under Efron, ``frac`` is each failure's l/d_k.
+    ``reweighted`` swaps the multipliers and keeps the rest, so resampling
+    draws share one kernel.
     """
 
     def __init__(self, data, scheme, ties="breslow", event_multipliers=None):
@@ -211,28 +214,43 @@ class _Kernel:
             raise ConfigError("the Efron tie correction applies to constant weights only")
         # every check runs before the marginal fit, whose failure would hide it
         self.scheme = _fit_marginal(data, scheme)
+        self.theta = model_params(self.scheme.model) if self.scheme is not scheme else None
         self.data = data
+        self.ties = ties
         self.ev = np.flatnonzero(data.status == 1)
         self.z = data.covariates[self.ev]
         self.first = np.searchsorted(data.time, data.time[self.ev], side="left")
         self.weights = event_weights(data, self.scheme)[self.ev]
-        mult = np.ones(data.n) if event_multipliers is None else event_multipliers
-        self.score_weights = self.weights * np.asarray(mult, dtype=float)[self.ev]
         self.frac = None
         if ties == "efron":
             _, self.starts, sizes = np.unique(
                 data.time[self.ev], return_index=True, return_counts=True
             )
             self.group = np.repeat(np.arange(sizes.size), sizes)
-            shared = self.score_weights[self.starts][self.group]
-            if not np.allclose(self.score_weights, shared):
-                raise ConfigError(
-                    "event multipliers must be shared within tied event times"
-                )
-            self.score_weights = shared
             rank = np.arange(self.ev.size) - self.starts[self.group]
             self.frac = rank / sizes[self.group]
             self.zz = self.z[:, :, None] * self.z[:, None, :]
+        self.score_weights = self._score_weights(event_multipliers)
+
+    def _score_weights(self, event_multipliers):
+        if event_multipliers is None:
+            w = self.weights
+        else:
+            w = self.weights * np.asarray(event_multipliers, dtype=float)[self.ev]
+        if self.frac is not None:
+            shared = w[self.starts][self.group]
+            if not np.allclose(w, shared):
+                raise ConfigError(
+                    "event multipliers must be shared within tied event times"
+                )
+            w = shared
+        return w
+
+    def reweighted(self, event_multipliers) -> "_Kernel":
+        """This kernel with its score terms scaled by ``event_multipliers``."""
+        kernel = copy.copy(self)
+        kernel.score_weights = self._score_weights(event_multipliers)
+        return kernel
 
     def moments(self, beta):
         """S0, the tilted mean E and variance V of each failure's risk set."""
@@ -256,29 +274,27 @@ class _Kernel:
         return s0, e, v
 
     def score(self, beta):
-        """(U, J): the weighted score and its Jacobian at beta."""
+        """(U, J, V): the weighted score, its Jacobian and the risk-set V at beta."""
         _, e, v = self.moments(beta)
         w = self.score_weights
         U = (w[:, None] * (self.z - e)).sum(axis=0)
         J = -(w[:, None, None] * v).sum(axis=0)
-        return U, J
+        return U, J, v
 
     def log_likelihood(self, beta) -> float:
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         s0, _, _ = self.moments(beta)
         return float((self.z @ beta).sum() - np.log(s0 / self.data.n).sum())
 
-    def andersen_gill(self, beta) -> np.ndarray:
-        """Information inverse, (sum_events V)^{-1}, under the kernel's ties."""
-        _, _, v = self.moments(beta)
+    def andersen_gill(self, v) -> np.ndarray:
+        """Information inverse, (sum_events V)^{-1}, from ``moments``' V."""
         try:
             return np.linalg.inv(v.sum(axis=0))
         except np.linalg.LinAlgError:
             raise FitError("singular information matrix") from None
 
-    def sandwich(self, beta) -> np.ndarray:
-        """A^{-1} B A^{-1} with the scheme's weights, under the kernel's ties."""
-        _, _, v = self.moments(beta)
+    def sandwich(self, v) -> np.ndarray:
+        """A^{-1} B A^{-1} with the scheme's weights, from ``moments``' V."""
         w = self.weights
         a = (w[:, None, None] * v).sum(axis=0)
         b = ((w**2)[:, None, None] * v).sum(axis=0)
@@ -336,7 +352,8 @@ def variance_andersen_gill(
     With I = n^{-1} sum delta_i V(beta, X_i), returns I^{-1}/n, i.e. the
     variance on the coefficient scale.
     """
-    return _Kernel(data, Constant(), ties).andersen_gill(beta)
+    kernel = _Kernel(data, Constant(), ties)
+    return kernel.andersen_gill(kernel.moments(beta)[2])
 
 
 def variance_sandwich(
@@ -348,7 +365,8 @@ def variance_sandwich(
     ties. Invariant to rescaling the weights; equals the Andersen-Gill
     variance when W = 1.
     """
-    return _Kernel(data, scheme).sandwich(beta)
+    kernel = _Kernel(data, scheme)
+    return kernel.sandwich(kernel.moments(beta)[2])
 
 
 def solve_score(
@@ -381,7 +399,10 @@ def solve_score(
     The beta-free state is built once: a Kaplan-Meier curve or a
     family-named parametric marginal is fitted to ``data`` once, before
     the first Newton step, and serves every step and the variance; a
-    fitted family's parameters are recorded in ``theta``.
+    fitted family's parameters are recorded in ``theta``. This Newton loop
+    is the package's only one: random-weight resampling runs it on each
+    draw over one shared beta-free state, with only the multipliers
+    changed.
 
     Raises
     ------
@@ -398,10 +419,15 @@ def solve_score(
     ).copy()
     if beta.shape != (data.d,):
         raise DataError(f"init must have length {data.d}")
-    kernel = _Kernel(data, scheme, ties, event_multipliers)
-    theta = model_params(kernel.scheme.model) if kernel.scheme is not scheme else None
+    return _fit(_Kernel(data, scheme, ties, event_multipliers), beta, variance)
 
-    U, J = kernel.score(beta)
+
+def _newton(kernel: _Kernel, beta: np.ndarray):
+    """(beta, iterations, |U|, V) at the root of ``kernel``'s score from ``beta``.
+
+    V, the risk-set variances at the root, lets the variance skip a pass.
+    """
+    U, J, v = kernel.score(beta)
     norm = float(np.abs(U).max())
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
@@ -417,40 +443,44 @@ def solve_score(
         scale = 1.0
         for _ in range(21):
             cand = beta + scale * step
-            U_new, J_new = kernel.score(cand)
+            U_new, J_new, v_new = kernel.score(cand)
             new_norm = float(np.abs(U_new).max())
             if np.isfinite(new_norm) and new_norm < norm:
                 break
             scale *= 0.5
         else:
             raise ConvergenceError("step halving failed to reduce the score")
-        beta, U, J, norm = cand, U_new, J_new, new_norm
-    converged = norm < _TOL
-    if not converged:
+        beta, U, J, v, norm = cand, U_new, J_new, v_new, new_norm
+    if not norm < _TOL:
         raise ConvergenceError(
             f"no convergence after {_MAX_ITER} iterations (|U| = {norm:.3g})"
         )
+    return beta, iterations, norm, v
 
+
+def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> FitResult:
+    """``solve_score`` on a prepared kernel, from ``beta``."""
+    beta, iterations, norm, v = _newton(kernel, beta)
+    d = kernel.data.d
     if variance == "none":
-        var = np.full((data.d, data.d), np.nan)
+        var = np.full((d, d), np.nan)
     elif variance == "andersen-gill" or (
-        variance == "auto" and isinstance(scheme, Constant)
+        variance == "auto" and isinstance(kernel.scheme, Constant)
     ):
-        var = kernel.andersen_gill(beta)
+        var = kernel.andersen_gill(v)
     else:
-        var = kernel.sandwich(beta)
+        var = kernel.sandwich(v)
     se = np.sqrt(np.clip(np.diag(var), 0.0, None))
     return FitResult(
         beta=beta,
         variance=var,
         std_errors=se,
         iterations=iterations,
-        converged=bool(converged),
+        converged=True,
         final_score_norm=norm,
         scheme=kernel.scheme.describe(),
-        ties=ties,
-        n=data.n,
-        n_events=data.n_events,
-        theta=theta,
+        ties=kernel.ties,
+        n=kernel.data.n,
+        n_events=kernel.data.n_events,
+        theta=kernel.theta,
     )
-

@@ -3,27 +3,26 @@
 The random-weight scheme perturbs the estimating equation itself: one unit
 exponential e_i per failure, normalized to e_i / sum e, multiplies that
 failure's score term while the marginal weights W stay fixed at their
-original-data values (tied failures draw independent weights). The
-nonparametric bootstrap instead resamples subjects and repeats the point
-estimate's own steps on each replicate: a parametric marginal given by
-family name is refit, a supplied marginal model is kept as given.
+original-data values (tied failures draw independent weights). So the
+beta-free state (the Kaplan-Meier curve or fitted marginal, the weights
+and the risk-set index) is built once per run, from the original data, and
+serves the point fit and every draw; a draw changes only the multipliers.
+The nonparametric bootstrap instead resamples subjects and repeats the
+point estimate's own steps on each replicate: a parametric marginal given
+by family name is refit, a supplied marginal model is kept as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._parallel import parallel_map
 from .dataset import SurvivalDataset
 from .errors import ConfigError, DataError, FitError
-from .estimate import (
-    FitResult,
-    WeightScheme,
-    _fit_marginal,
-    solve_score,
-)
+from .estimate import FitResult, WeightScheme, _fit, _Kernel, _newton, solve_score
 
 __all__ = [
     "ResampleResult",
@@ -96,18 +95,21 @@ def random_weight_fit(
     independent weights, so the Efron tie rule (which needs a shared
     multiplier within a tie group) is not available here.
     """
-    data.require_events()
+    kernel = _Kernel(data, scheme, ties)
     if not hasattr(rng, "exponential"):
         rng = np.random.default_rng(rng)
+    return _random_weight_draw(kernel, rng)
+
+
+def _random_weight_draw(kernel, rng):
+    """Solve ``kernel``'s score with one draw of event multipliers from ``rng``."""
+    data = kernel.data
     e = np.asarray(rng.exponential(size=data.n_events), dtype=float)
-    mult = _event_multipliers(data, e)
-    res = solve_score(
-        data, scheme, ties=ties, variance="none", event_multipliers=mult
-    )
-    return res.beta
+    reweighted = kernel.reweighted(_event_multipliers(data, e))
+    return _newton(reweighted, np.zeros(data.d))[0]
 
 
-def _bootstrap_fit(data, scheme, rng, *, ties):
+def _bootstrap_fit(data, scheme, ties, rng):
     """Solve ``scheme`` on one bootstrap replicate of ``data``."""
     idx = rng.integers(0, data.n, size=data.n)
     rep = SurvivalDataset(
@@ -120,25 +122,25 @@ def _bootstrap_fit(data, scheme, rng, *, ties):
 
 def _draw_block(payload):
     """Rows (b, beta or None, error or None) for draws b in ``indices``."""
-    draw, data, scheme, ties, seed, indices = payload
+    draw, seed, indices = payload
     out = []
     for b in indices:
         rng = np.random.default_rng([seed, b])
         try:
-            out.append((b, draw(data, scheme, rng, ties=ties), None))
+            out.append((b, draw(rng), None))
         except (FitError, DataError) as exc:
             out.append((b, None, str(exc)))
     return out
 
 
-def _run_draws(
-    draw, data, scheme, draw_scheme, n_draws, seed, ties, jobs, method, abort_over
-):
+def _require_draws(n_draws: int) -> None:
     if n_draws < 2:
         raise ConfigError("need at least 2 draws")
-    point = solve_score(data, scheme, ties=ties)
-    payload = (draw, data, draw_scheme, ties, seed)
-    rows = parallel_map(_draw_block, payload, n_draws, jobs)
+
+
+def _run_draws(draw, point, n_draws, seed, jobs, method, abort_over):
+    """Collect ``draw(default_rng([seed, b]))`` for b < n_draws around ``point``."""
+    rows = parallel_map(_draw_block, (draw, seed), n_draws, jobs)
     draws = [beta for _, beta, err in rows if err is None]
     failures = tuple((b, err) for b, _, err in rows if err is not None)
     if abort_over is not None and len(failures) > abort_over * n_draws:
@@ -172,18 +174,19 @@ def resample_distribution(
     """Random-weight resampling distribution with per-draw substreams.
 
     Draw b uses ``default_rng([seed, b])``, so results are independent of
-    ``jobs`` and scheduling. A family-named parametric marginal is fitted
-    once, to ``data``, and stays fixed across draws. More than 5% failed
-    draws aborts.
+    ``jobs`` and scheduling. The beta-free state is built once, from
+    ``data``, and serves the point fit and every draw (with ``jobs > 1``
+    each worker block receives a pickled copy); a family-named parametric
+    marginal is thus fitted once and stays fixed across draws. More than 5%
+    failed draws aborts.
     """
+    _require_draws(n_draws)
+    kernel = _Kernel(data, scheme, ties)
     return _run_draws(
-        random_weight_fit,
-        data,
-        scheme,
-        _fit_marginal(data, scheme),
+        partial(_random_weight_draw, kernel),
+        _fit(kernel, np.zeros(data.d)),
         n_draws,
         seed,
-        ties,
         jobs,
         "random-weight",
         abort_over=0.05,
@@ -207,14 +210,12 @@ def bootstrap(
     than aborting, since heavy censoring can make occasional empty
     replicates expected behavior.
     """
+    _require_draws(n_draws)
     return _run_draws(
-        _bootstrap_fit,
-        data,
-        scheme,
-        scheme,
+        partial(_bootstrap_fit, data, scheme, ties),
+        solve_score(data, scheme, ties=ties),
         n_draws,
         seed,
-        ties,
         jobs,
         "bootstrap",
         abort_over=None,

@@ -25,6 +25,7 @@ population oracle is deterministic quadrature on the sampler's segment tables.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -918,13 +919,13 @@ def write_results_csv(results: list[SimStudyResult], path) -> None:
         raise ConfigError("no results to write")
     pairs = (f"{n}_{x}" for n in _estimator_names(results) for x in ("mean", "sd"))
     header = [*_CSV_LEAD, *pairs, *_CSV_TAIL]
-    lines = [",".join(header)]
-    for r in results:
-        record = _study_record(r)
-        cells = {**record["config"], **record}
-        for name, est in record["estimators"].items():
-            cells[f"{name}_mean"], cells[f"{name}_sd"] = est["mean"], est["sd"]
-        row = (cells.get(column, "") for column in header)
-        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for r in results:
+            record = _study_record(r)
+            cells = {**record["config"], **record}
+            for name, est in record["estimators"].items():
+                cells[f"{name}_mean"], cells[f"{name}_sd"] = est["mean"], est["sd"]
+            row = (cells.get(column, "") for column in header)
+            writer.writerow(v if isinstance(v, str) else repr(v) for v in row)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -248,6 +249,20 @@ class TestSimulate:
                 want = estimators.get(name, {"mean": "", "sd": ""})
                 got = {x: cells[f"{name}_{x}"] for x in ("mean", "sd")}
                 assert got == {x: str(v) for x, v in want.items()}
+
+
+    def test_labels_with_commas_and_quotes_keep_their_columns(self, tmp_path):
+        labels = ["a,b", 'say "hi"']
+        cfg = tmp_path / "quoted.json"
+        cfg.write_text(json.dumps([dict(self.CONFIG, label=x) for x in labels]))
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "quoted_results.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        # DictReader files surplus cells under None and fills missing ones with None
+        assert all(None not in row and None not in row.values() for row in rows)
+        assert [len(row) for row in rows] == [len(reader.fieldnames)] * 2
+        assert [row["label"] for row in rows] == labels
 
 
 class TestResample:

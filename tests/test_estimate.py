@@ -321,6 +321,32 @@ class TestVariances:
             res_k.variance, variance_sandwich(leukemia, KaplanMeier(), res_k.beta)
         )
 
+    @pytest.mark.parametrize(
+        "scheme, ties",
+        [(Constant(), "breslow"), (Constant(), "efron"), (KaplanMeier(), "breslow")],
+    )
+    def test_variance_costs_no_risk_set_pass(self, leukemia, monkeypatch, scheme, ties):
+        # the variance reads the moments of Newton's last evaluation
+        risk_set_sums = estimate_module._risk_set_sums
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return risk_set_sums(*args)
+
+        monkeypatch.setattr(estimate_module, "_risk_set_sums", counted)
+        passes = {}
+        for variance in ("none", "auto"):
+            calls.clear()
+            fit = solve_score(leukemia, scheme, ties=ties, variance=variance)
+            passes[variance] = len(calls)
+        assert passes["auto"] == passes["none"]
+        if isinstance(scheme, Constant):
+            public = variance_andersen_gill(leukemia, fit.beta, ties=ties)
+        else:
+            public = variance_sandwich(leukemia, scheme, fit.beta)
+        assert np.array_equal(fit.variance, public)
+
     def test_sandwich_invariant_under_weight_scaling(self, censored_sample):
         km = kaplan_meier(censored_sample)
         # a curve equal to km/2 everywhere: add a jump to 1/2 before any data

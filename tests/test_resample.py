@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import margfit.estimate
 from margfit import (
     ConfigError,
     Constant,
@@ -14,8 +18,11 @@ from margfit import (
     KaplanMeier,
     Parametric,
     SurvivalDataset,
+    UniformCensoring,
     bootstrap,
     fit_exponential,
+    generate_dataset,
+    load_study_config,
     random_weight_fit,
     resample_distribution,
     solve_score,
@@ -141,6 +148,75 @@ class TestResampleDistribution:
         assert doc["n_draws"] == 1000 and doc["n_failed"] == 0
         assert doc["se"][0] == pytest.approx(float(pl_draws.se[0]))
         assert doc["point"]["beta"][0] == pytest.approx(1.5091914, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def changepoint_km_data():
+    """1,500 rows of table2's changepoint-3-0 design, about half censored."""
+    path = Path(margfit.__file__).parent / "data" / "table2.json"
+    cfg = next(c for c in load_study_config(path) if c.label == "changepoint-3-0")
+    spec = replace(cfg.spec, censoring=UniformCensoring(0.8))
+    return generate_dataset(spec, 1500, np.random.default_rng(20260819))
+
+
+def one_draw_at_a_time(data, scheme, n_draws, seed, ties="breslow"):
+    return np.vstack(
+        [
+            random_weight_fit(data, scheme, np.random.default_rng([seed, b]), ties=ties)
+            for b in range(n_draws)
+        ]
+    )
+
+
+class TestSharedKernel:
+    """One beta-free state serves the point fit and every random-weight draw."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("dataset", ["leukemia", "changepoint_km_data"])
+    def test_draws_equal_one_draw_at_a_time(self, request, dataset, jobs):
+        data = request.getfixturevalue(dataset)
+        supplied = Parametric(Exponential(rate=0.5))
+        schemes = [
+            (Constant(), Constant()),
+            (KaplanMeier(), KaplanMeier()),
+            # a family name is fitted once, to the original data
+            (Parametric("exponential"), Parametric(fit_exponential(data))),
+            (supplied, supplied),
+        ]
+        for scheme, per_draw in schemes:
+            res = resample_distribution(data, scheme, n_draws=12, seed=4, jobs=jobs)
+            assert res.n_failed == 0
+            assert np.array_equal(res.draws, one_draw_at_a_time(data, per_draw, 12, 4))
+            point = solve_score(data, scheme)
+            assert np.array_equal(res.point.beta, point.beta)
+            assert res.point.to_dict() == point.to_dict()
+
+    def test_kaplan_meier_is_built_once_per_run(self, leukemia, monkeypatch):
+        calls = []
+        kaplan_meier = margfit.estimate.kaplan_meier
+
+        def counted(data):
+            calls.append(data)
+            return kaplan_meier(data)
+
+        monkeypatch.setattr(margfit.estimate, "kaplan_meier", counted)
+        counts = []
+        for n_draws in (10, 100):
+            calls.clear()
+            resample_distribution(leukemia, KaplanMeier(), n_draws=n_draws, seed=1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_efron_needs_untied_failures(self, leukemia, censored_sample):
+        # leukemia's tied failures draw independent multipliers
+        with pytest.raises(ConfigError, match="shared within tied"):
+            resample_distribution(leukemia, Constant(), n_draws=5, ties="efron")
+        res = resample_distribution(
+            censored_sample, Constant(), n_draws=8, seed=6, ties="efron"
+        )
+        want = one_draw_at_a_time(censored_sample, Constant(), 8, 6, ties="efron")
+        assert np.array_equal(res.draws, want)
+        assert res.point.ties == "efron"
 
 
 class TestBootstrap:
