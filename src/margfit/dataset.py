@@ -8,8 +8,9 @@ variance ``V(beta, t)`` are computed here; they are the building blocks of
 every estimator in :mod:`margfit.estimate`.
 
 ``_risk_set_sums`` is the package's only risk-set kernel over a sample:
-every estimator uses its sums. (The population oracle in
-:mod:`margfit.simulate` integrates over the design's laws instead.)
+every estimator uses its sums, for one beta or for a batch of them. (The
+population oracle in :mod:`margfit.simulate` integrates over the design's
+laws instead.)
 """
 
 from __future__ import annotations
@@ -114,15 +115,21 @@ class RiskSetStats:
 def _risk_set_sums(z: np.ndarray, w: np.ndarray, at):
     """Reverse cumulative sums of w, w z and w z z' at rows ``at``.
 
-    ``z`` (n, d) holds time-sorted covariates and ``w`` (n,) their tilts
-    exp(beta'Z); row k of each sum runs over rows ``at[k]``, ..., n - 1,
-    which is a risk set when ``at[k]`` is the first row at its time. The
-    sums are unnormalized. Returns ``(s0, s1, s2)``.
+    ``z`` (n, d) holds time-sorted covariates and ``w`` (..., n) their tilts
+    exp(beta'Z), one row of tilts per beta along any leading batch axes; row
+    k of each sum runs over rows ``at[k]``, ..., n - 1, which is a risk set
+    when ``at[k]`` is the first row at its time. The sums are unnormalized
+    and C-ordered, of shapes (..., m), (..., m, d) and (..., m, d, d) for m
+    rows in ``at``. Returns ``(s0, s1, s2)``. Each batch row is summed in the
+    order it would be alone, so its sums keep their bits in any batch.
     """
-    s0 = np.cumsum(w[::-1])[::-1][at]
-    s1 = np.cumsum((w[:, None] * z)[::-1], axis=0)[::-1][at]
+    rev = w.shape[-1] - 1 - np.asarray(at)
+    w = w[..., ::-1, None]
+    z = z[::-1]
+    s0 = w[..., 0].cumsum(axis=-1).take(rev, axis=-1)
+    s1 = (w * z).cumsum(axis=-2).take(rev, axis=-2)
     zz = z[:, :, None] * z[:, None, :]
-    s2 = np.cumsum((w[:, None, None] * zz)[::-1], axis=0)[::-1][at]
+    s2 = (w[..., None] * zz).cumsum(axis=-3).take(rev, axis=-3)
     return s0, s1, s2
 
 

@@ -18,13 +18,17 @@ at t. Three weight choices give the three estimators:
 Scores, Jacobians, variances and the log partial likelihood evaluate
 through one prepared state, ``_Kernel``, built once per (data, scheme,
 ties); event multipliers rescale its score terms without a rebuild, and
-only the sums of ``dataset._risk_set_sums`` depend on beta. Efron ties
-(Efron 1977) are Breslow at adjusted sums: the l-th of d_k failures tied
-at a time sees S_r - (l/d_k) D_r, D_r the tie group's own sums.
+only the sums of ``dataset._risk_set_sums`` depend on beta. A kernel holds
+B rows of multipliers, one score each, and evaluates them at B betas in one
+pass over the risk sets. Efron ties (Efron 1977) are Breslow at adjusted
+sums: the l-th of d_k failures tied at a time sees S_r - (l/d_k) D_r, D_r
+the tie group's own sums.
 
-Solving is Newton-Raphson with step halving; variances are Andersen-Gill
-(information inverse) for the constant weights and the robust sandwich
-A^{-1} B A^{-1} for weighted schemes, both under the fit's tie rule.
+Solving is Newton-Raphson with step halving, in one loop, ``_newton``,
+that iterates B scores together (B = 1 for a fit); variances are
+Andersen-Gill (information inverse) for the constant weights and the
+robust sandwich A^{-1} B A^{-1} for weighted schemes, both under the fit's
+tie rule.
 """
 
 from __future__ import annotations
@@ -198,12 +202,13 @@ def _fit_marginal(data: SurvivalDataset, scheme: WeightScheme) -> WeightScheme:
 
 
 class _Kernel:
-    """The beta-free state of one weighted score, evaluated at any beta.
+    """The beta-free state of B weighted scores, evaluated at any beta.
 
-    ``weights`` is the scheme's W at each failure, ``score_weights`` W times
-    the event multipliers; under Efron, ``frac`` is each failure's l/d_k.
-    ``reweighted`` swaps the multipliers and keeps the rest, so resampling
-    draws share one kernel.
+    ``weights`` (m,) is the scheme's W at each of the m failures and
+    ``score_weights`` (B, m) W times each of B rows of event multipliers
+    (B = 1 without multipliers); under Efron, ``frac`` is each failure's
+    l/d_k. ``reweighted`` swaps the multipliers and keeps the rest, so
+    resampling draws share one kernel.
     """
 
     def __init__(self, data, scheme, ties="breslow", event_multipliers=None):
@@ -212,6 +217,8 @@ class _Kernel:
             raise ConfigError(f"ties must be 'breslow' or 'efron', got {ties!r}")
         if ties == "efron" and not isinstance(scheme, Constant):
             raise ConfigError("the Efron tie correction applies to constant weights only")
+        if event_multipliers is not None and np.shape(event_multipliers) != (data.n,):
+            raise DataError(f"event_multipliers must have length {data.n}")
         # every check runs before the marginal fit, whose failure would hide it
         self.scheme = _fit_marginal(data, scheme)
         self.theta = model_params(self.scheme.model) if self.scheme is not scheme else None
@@ -233,12 +240,14 @@ class _Kernel:
         self.score_weights = self._score_weights(event_multipliers)
 
     def _score_weights(self, event_multipliers):
+        """W times the multipliers, (B, m) for multipliers (B, n) or (n,)."""
         if event_multipliers is None:
-            w = self.weights
+            w = self.weights[None]
         else:
-            w = self.weights * np.asarray(event_multipliers, dtype=float)[self.ev]
+            mult = np.asarray(event_multipliers, dtype=float)
+            w = np.atleast_2d(self.weights * mult[..., self.ev])
         if self.frac is not None:
-            shared = w[self.starts][self.group]
+            shared = w[:, self.starts].take(self.group, axis=1)
             if not np.allclose(w, shared):
                 raise ConfigError(
                     "event multipliers must be shared within tied event times"
@@ -253,48 +262,60 @@ class _Kernel:
         return kernel
 
     def moments(self, beta):
-        """S0, the tilted mean E and variance V of each failure's risk set."""
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        if beta.shape != (self.data.d,):
-            raise DataError(f"beta must have length {self.data.d}")
+        """S0, the tilted mean E and variance V of each failure's risk set.
+
+        ``beta`` is (k, d), one row per beta; the results carry k first.
+        """
         z = self.data.covariates
-        w = np.exp(z @ beta)
+        # a stacked matmul runs the matrix-vector product a single beta gets
+        # once per row (beta @ z.T would round differently); with one
+        # covariate each entry is one rounded product, and the outer product
+        # gives those bits without a BLAS call per row
+        if z.shape[1] == 1:
+            w = np.exp(beta * z[:, 0])
+        else:
+            w = np.exp((z @ beta[:, :, None])[..., 0])
         s0, s1, s2 = _risk_set_sums(z, w, self.first)
         if self.frac is not None:
-            f, we = self.frac, w[self.ev]
+            f, we = self.frac, w.take(self.ev, axis=1)
 
             def tied(x):  # D_r: the sum of x over each failure's tie group
-                return np.add.reduceat(x, self.starts, axis=0)[self.group]
+                return np.add.reduceat(x, self.starts, axis=1).take(self.group, axis=1)
 
             s0 = s0 - f * tied(we)
-            s1 = s1 - f[:, None] * tied(we[:, None] * self.z)
-            s2 = s2 - f[:, None, None] * tied(we[:, None, None] * self.zz)
-        e = s1 / s0[:, None]
-        v = s2 / s0[:, None, None] - e[:, :, None] * e[:, None, :]
+            s1 = s1 - f[:, None] * tied(we[..., None] * self.z)
+            s2 = s2 - f[:, None, None] * tied(we[..., None, None] * self.zz)
+        e = s1 / s0[..., None]
+        v = s2 / s0[..., None, None] - e[..., :, None] * e[..., None, :]
         return s0, e, v
 
-    def score(self, beta):
-        """(U, J, V): the weighted score, its Jacobian and the risk-set V at beta."""
+    def score(self, beta, rows=slice(None)):
+        """(U, J, V): the weighted scores, their Jacobians and the risk-set V.
+
+        Row k of ``beta`` (k, d) goes with score-weight row ``rows[k]``; a
+        single row of ``beta`` serves every selected row. U is (B, d), J
+        (B, d, d) and V (k, m, d, d).
+        """
         _, e, v = self.moments(beta)
-        w = self.score_weights
-        U = (w[:, None] * (self.z - e)).sum(axis=0)
-        J = -(w[:, None, None] * v).sum(axis=0)
+        w = self.score_weights[rows]
+        # C order keeps each row's event sum as it is for that row alone
+        U = np.ascontiguousarray(w[..., None] * (self.z - e)).sum(axis=1)
+        J = -np.ascontiguousarray(w[..., None, None] * v).sum(axis=1)
         return U, J, v
 
     def log_likelihood(self, beta) -> float:
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        s0, _, _ = self.moments(beta)
+        s0 = self.moments(beta[None])[0][0]
         return float((self.z @ beta).sum() - np.log(s0 / self.data.n).sum())
 
     def andersen_gill(self, v) -> np.ndarray:
-        """Information inverse, (sum_events V)^{-1}, from ``moments``' V."""
+        """Information inverse, (sum_events V)^{-1}, from one row of ``moments``' V."""
         try:
             return np.linalg.inv(v.sum(axis=0))
         except np.linalg.LinAlgError:
             raise FitError("singular information matrix") from None
 
     def sandwich(self, v) -> np.ndarray:
-        """A^{-1} B A^{-1} with the scheme's weights, from ``moments``' V."""
+        """A^{-1} B A^{-1} with the scheme's weights, from one row of ``moments``' V."""
         w = self.weights
         a = (w[:, None, None] * v).sum(axis=0)
         b = ((w**2)[:, None, None] * v).sum(axis=0)
@@ -303,6 +324,14 @@ class _Kernel:
         except np.linalg.LinAlgError:
             raise FitError("singular sandwich A matrix") from None
         return a_inv @ b @ a_inv
+
+
+def _beta(beta, d: int) -> np.ndarray:
+    """``beta`` as a float vector of length ``d``."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    if beta.shape != (d,):
+        raise DataError(f"beta must have length {d}")
+    return beta
 
 
 def weighted_score(
@@ -318,7 +347,8 @@ def weighted_score(
     ``event_multipliers`` (the resampling hook) scale the terms; under
     ties='efron' they must be shared within tied event times.
     """
-    return _Kernel(data, scheme, ties, event_multipliers).score(beta)[0]
+    kernel = _Kernel(data, scheme, ties, event_multipliers)
+    return kernel.score(_beta(beta, data.d)[None])[0][0]
 
 
 def score_jacobian(
@@ -330,7 +360,8 @@ def score_jacobian(
     event_multipliers: np.ndarray | None = None,
 ) -> np.ndarray:
     """dU_W/dbeta = -sum delta_i W(X_i) V(beta, X_i); negative semidefinite."""
-    return _Kernel(data, scheme, ties, event_multipliers).score(beta)[1]
+    kernel = _Kernel(data, scheme, ties, event_multipliers)
+    return kernel.score(_beta(beta, data.d)[None])[1][0]
 
 
 def log_partial_likelihood(
@@ -341,7 +372,7 @@ def log_partial_likelihood(
     The Breslow form; with ties='efron' each tied failure's S0 is the
     Efron-adjusted sum. Its gradient is the constant-weight score.
     """
-    return _Kernel(data, Constant(), ties).log_likelihood(beta)
+    return _Kernel(data, Constant(), ties).log_likelihood(_beta(beta, data.d))
 
 
 def variance_andersen_gill(
@@ -353,7 +384,7 @@ def variance_andersen_gill(
     variance on the coefficient scale.
     """
     kernel = _Kernel(data, Constant(), ties)
-    return kernel.andersen_gill(kernel.moments(beta)[2])
+    return kernel.andersen_gill(kernel.moments(_beta(beta, data.d)[None])[2][0])
 
 
 def variance_sandwich(
@@ -366,7 +397,7 @@ def variance_sandwich(
     variance when W = 1.
     """
     kernel = _Kernel(data, scheme)
-    return kernel.sandwich(kernel.moments(beta)[2])
+    return kernel.sandwich(kernel.moments(_beta(beta, data.d)[None])[2][0])
 
 
 def solve_score(
@@ -400,9 +431,10 @@ def solve_score(
     family-named parametric marginal is fitted to ``data`` once, before
     the first Newton step, and serves every step and the variance; a
     fitted family's parameters are recorded in ``theta``. This Newton loop
-    is the package's only one: random-weight resampling runs it on each
-    draw over one shared beta-free state, with only the multipliers
-    changed.
+    is the package's only one, and it takes a batch of scores: a fit is a
+    batch of one, and random-weight resampling solves blocks of draws in
+    one batch over a shared beta-free state, each draw's multipliers one
+    row, each draw with the root and the failure it would have alone.
 
     Raises
     ------
@@ -423,44 +455,101 @@ def solve_score(
 
 
 def _newton(kernel: _Kernel, beta: np.ndarray):
-    """(beta, iterations, |U|, V) at the root of ``kernel``'s score from ``beta``.
+    """Roots of ``kernel``'s B scores by Newton-Raphson, every row from ``beta``.
 
-    V, the risk-set variances at the root, lets the variance skip a pass.
+    The rows are solved together, each with its own steps, step halvings,
+    iteration count and stopping point; a row's arithmetic is what it would
+    be alone. Returns (beta (B, d), iterations (B,), |U| (B,), V, errors): V
+    (B, m, d, d) holds the risk-set variances at each root, which lets the
+    variance skip a pass, and ``errors[b]`` is None or the ``FitError`` that
+    stopped row b (whose other entries are then NaN).
     """
-    U, J, v = kernel.score(beta)
-    norm = float(np.abs(U).max())
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        if norm < _TOL:
-            iterations -= 1
+    U, J, v = kernel.score(beta[None])
+    size, d = U.shape
+    root, norms = np.full((size, d), np.nan), np.full(size, np.nan)
+    iterations = np.zeros(size, dtype=int)
+    vs = np.full((size,) + v.shape[1:], np.nan)
+    errors = [None] * size
+    # the state of the rows still iterating; ``live`` maps them to output rows
+    live = np.arange(size)
+    beta, v = np.repeat(beta[None], size, axis=0), np.repeat(v, size, axis=0)
+    norm = np.abs(U).max(axis=1)
+    for it in range(_MAX_ITER + 1):
+        done = norm < _TOL
+        if np.count_nonzero(done):
+            out = live[done]
+            root[out], norms[out], vs[out] = beta[done], norm[done], v[done]
+            iterations[out] = it
+            if done.all():
+                break
+            live, beta, U, J, v, norm = (x[~done] for x in (live, beta, U, J, v, norm))
+        if it == _MAX_ITER:
+            for r, n in zip(live, norm):
+                errors[r] = ConvergenceError(
+                    f"no convergence after {_MAX_ITER} iterations (|U| = {n:.3g})"
+                )
             break
         try:
-            step = np.linalg.solve(J, -U)
+            step = np.linalg.solve(J, -U[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            raise FitError(
-                "singular Jacobian: separation or degenerate covariates"
-            ) from None
-        scale = 1.0
-        for _ in range(21):
-            cand = beta + scale * step
-            U_new, J_new, v_new = kernel.score(cand)
-            new_norm = float(np.abs(U_new).max())
-            if np.isfinite(new_norm) and new_norm < norm:
+            # one singular J fails the whole stack; only its own row may fail
+            step, solved = _solve_rows(J, U)
+            for r in live[~solved]:
+                errors[r] = FitError(
+                    "singular Jacobian: separation or degenerate covariates"
+                )
+            if not solved.any():
                 break
+            live, beta, U, J, v, norm, step = (
+                x[solved] for x in (live, beta, U, J, v, norm, step)
+            )
+        # a row whose |U| does not fall halves its step, up to 20 times; the
+        # rows still halving have all been halved alike, so they share a scale
+        scale = 1.0
+        beta_new = beta + scale * step
+        U_new, J_new, v_new = kernel.score(beta_new, live)
+        norm_new = np.abs(U_new).max(axis=1)
+        ok = np.isfinite(norm_new) & (norm_new < norm)
+        for _ in range(20):
+            if np.count_nonzero(ok) == live.size:
+                break
+            redo = np.flatnonzero(~ok)
             scale *= 0.5
-        else:
-            raise ConvergenceError("step halving failed to reduce the score")
-        beta, U, J, v, norm = cand, U_new, J_new, v_new, new_norm
-    if not norm < _TOL:
-        raise ConvergenceError(
-            f"no convergence after {_MAX_ITER} iterations (|U| = {norm:.3g})"
-        )
-    return beta, iterations, norm, v
+            b = beta[redo] + scale * step[redo]
+            u, j, vb = kernel.score(b, live[redo])
+            n = np.abs(u).max(axis=1)
+            took = np.isfinite(n) & (n < norm[redo])
+            r = redo[took]
+            beta_new[r], U_new[r], J_new[r] = b[took], u[took], j[took]
+            v_new[r], norm_new[r], ok[r] = vb[took], n[took], True
+        beta, U, J, v, norm = beta_new, U_new, J_new, v_new, norm_new
+        if np.count_nonzero(ok) < live.size:
+            for r in live[~ok]:
+                errors[r] = ConvergenceError("step halving failed to reduce the score")
+            if not ok.any():
+                break
+            live, beta, U, J, v, norm = (x[ok] for x in (live, beta, U, J, v, norm))
+    return root, iterations, norms, vs, errors
+
+
+def _solve_rows(J, U):
+    """(step, solved): Newton steps one row at a time; unsolved where J is singular."""
+    step = np.full(U.shape, np.nan)
+    solved = np.ones(len(U), dtype=bool)
+    for r in range(len(U)):
+        try:
+            step[r] = np.linalg.solve(J[r], -U[r])
+        except np.linalg.LinAlgError:
+            solved[r] = False
+    return step, solved
 
 
 def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> FitResult:
-    """``solve_score`` on a prepared kernel, from ``beta``."""
-    beta, iterations, norm, v = _newton(kernel, beta)
+    """``solve_score`` from ``beta`` on a prepared kernel with one score."""
+    beta, iterations, norm, v, errors = _newton(kernel, beta)
+    if errors[0] is not None:
+        raise errors[0]
+    beta, v = beta[0], v[0]
     d = kernel.data.d
     if variance == "none":
         var = np.full((d, d), np.nan)
@@ -475,9 +564,9 @@ def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> FitResult
         beta=beta,
         variance=var,
         std_errors=se,
-        iterations=iterations,
+        iterations=int(iterations[0]),
         converged=True,
-        final_score_norm=norm,
+        final_score_norm=float(norm[0]),
         scheme=kernel.scheme.describe(),
         ties=kernel.ties,
         n=kernel.data.n,

@@ -7,13 +7,17 @@ original-data values (tied failures draw independent weights). So the
 beta-free state (the Kaplan-Meier curve or fitted marginal, the weights
 and the risk-set index) is built once per run, from the original data, and
 serves the point fit and every draw; a draw changes only the multipliers.
-The nonparametric bootstrap instead resamples subjects and repeats the
-point estimate's own steps on each replicate: a parametric marginal given
-by family name is refit, a supplied marginal model is kept as given.
+Draws are solved in blocks of ``_BLOCK_DRAWS``: the block's multipliers
+stack into one (draws x failures) array and one batched Newton solves them
+together, each draw with the bits it would get alone. The nonparametric
+bootstrap instead resamples subjects and repeats the point estimate's own
+steps on each replicate: a parametric marginal given by family name is
+refit, a supplied marginal model is kept as given.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -30,6 +34,12 @@ __all__ = [
     "resample_distribution",
     "bootstrap",
 ]
+
+# random-weight draws solved together in one batched Newton. The block
+# bounds the (draws x subjects) arrays, so memory does not grow with
+# n_draws: at n = 1500 a block of 16 peaks near 1.3 MB, while 64 needs
+# 4.9 MB and ran no faster on a 2-core host
+_BLOCK_DRAWS = 16
 
 
 @dataclass(frozen=True)
@@ -98,15 +108,29 @@ def random_weight_fit(
     kernel = _Kernel(data, scheme, ties)
     if not hasattr(rng, "exponential"):
         rng = np.random.default_rng(rng)
-    return _random_weight_draw(kernel, rng)
+    beta, errors = _random_weight_draws(kernel, [rng])
+    if errors[0] is not None:
+        raise errors[0]
+    return beta[0]
 
 
-def _random_weight_draw(kernel, rng):
-    """Solve ``kernel``'s score with one draw of event multipliers from ``rng``."""
+def _random_weight_draws(kernel, rngs):
+    """(beta (B, d), errors): ``kernel``'s score solved under one draw per rng.
+
+    The draws' multipliers stack into one batch that ``_newton`` solves
+    together; row b's root and error are what a solve of draw b alone gives.
+    """
     data = kernel.data
-    e = np.asarray(rng.exponential(size=data.n_events), dtype=float)
-    reweighted = kernel.reweighted(_event_multipliers(data, e))
-    return _newton(reweighted, np.zeros(data.d))[0]
+    mult = np.vstack(
+        [
+            _event_multipliers(
+                data, np.asarray(rng.exponential(size=data.n_events), dtype=float)
+            )
+            for rng in rngs
+        ]
+    )
+    beta, _, _, _, errors = _newton(kernel.reweighted(mult), np.zeros(data.d))
+    return beta, errors
 
 
 def _bootstrap_fit(data, scheme, ties, rng):
@@ -120,8 +144,8 @@ def _bootstrap_fit(data, scheme, ties, rng):
     return solve_score(rep, scheme, ties=ties, variance="none").beta
 
 
-def _draw_block(payload):
-    """Rows (b, beta or None, error or None) for draws b in ``indices``."""
+def _bootstrap_block(payload):
+    """Rows (b, beta or None, error or None) for bootstrap draws ``indices``."""
     draw, seed, indices = payload
     out = []
     for b in indices:
@@ -133,14 +157,33 @@ def _draw_block(payload):
     return out
 
 
-def _require_draws(n_draws: int) -> None:
+def _random_weight_block(payload):
+    """Rows (b, beta or None, error or None) for random-weight draws ``indices``."""
+    kernel, seed, indices = payload
+    out = []
+    for start in range(0, len(indices), _BLOCK_DRAWS):
+        block = indices[start : start + _BLOCK_DRAWS]
+        rngs = [np.random.default_rng([seed, b]) for b in block]
+        beta, errors = _random_weight_draws(kernel, rngs)
+        for b, row, err in zip(block, beta, errors):
+            out.append((b, None, str(err)) if err is not None else (b, row, None))
+    return out
+
+
+def _require_draws(n_draws, seed) -> None:
+    """Refuse a draw count or seed that ``default_rng([seed, b])`` cannot take."""
+    for name, value in (("n_draws", n_draws), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n_draws < 2:
         raise ConfigError("need at least 2 draws")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
-def _run_draws(draw, point, n_draws, seed, jobs, method, abort_over):
-    """Collect ``draw(default_rng([seed, b]))`` for b < n_draws around ``point``."""
-    rows = parallel_map(_draw_block, (draw, seed), n_draws, jobs)
+def _run_draws(block, first, point, n_draws, seed, jobs, method, abort_over):
+    """Collect the rows of ``block((first, seed, indices))`` for draws b < n_draws."""
+    rows = parallel_map(block, (first, seed), n_draws, jobs)
     draws = [beta for _, beta, err in rows if err is None]
     failures = tuple((b, err) for b, _, err in rows if err is not None)
     if abort_over is not None and len(failures) > abort_over * n_draws:
@@ -176,14 +219,18 @@ def resample_distribution(
     Draw b uses ``default_rng([seed, b])``, so results are independent of
     ``jobs`` and scheduling. The beta-free state is built once, from
     ``data``, and serves the point fit and every draw (with ``jobs > 1``
-    each worker block receives a pickled copy); a family-named parametric
-    marginal is thus fitted once and stays fixed across draws. More than 5%
-    failed draws aborts.
+    each worker's range of draws receives a pickled copy); a family-named
+    parametric marginal is thus fitted once and stays fixed across draws.
+    Each range is solved in blocks of 16 draws, one batched Newton per
+    block; a draw's root and failure message do not depend on its block.
+    ``n_draws`` (at least 2) and ``seed`` (nonnegative) must be integers.
+    More than 5% failed draws aborts.
     """
-    _require_draws(n_draws)
+    _require_draws(n_draws, seed)
     kernel = _Kernel(data, scheme, ties)
     return _run_draws(
-        partial(_random_weight_draw, kernel),
+        _random_weight_block,
+        kernel,
         _fit(kernel, np.zeros(data.d)),
         n_draws,
         seed,
@@ -210,8 +257,9 @@ def bootstrap(
     than aborting, since heavy censoring can make occasional empty
     replicates expected behavior.
     """
-    _require_draws(n_draws)
+    _require_draws(n_draws, seed)
     return _run_draws(
+        _bootstrap_block,
         partial(_bootstrap_fit, data, scheme, ties),
         solve_score(data, scheme, ties=ties),
         n_draws,

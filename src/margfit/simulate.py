@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Union
@@ -467,6 +468,10 @@ class StudyConfig:
             raise ConfigError("need n >= 2")
         if self.reps < 1:
             raise ConfigError("need reps >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError("need seed >= 0")
         if not 0.0 <= self.target_censoring < 1.0:
             raise ConfigError("target_censoring must be in [0, 1)")
         fams = tuple(self.families_to_fit)

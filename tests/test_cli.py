@@ -285,6 +285,12 @@ class TestResample:
         assert main(["resample", leukemia_csv, "-B", "4"]) == 0
         assert "seed:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["weights", "bootstrap"])
+    def test_negative_seed_is_a_usage_error(self, leukemia_csv, capsys, method):
+        argv = ["resample", leukemia_csv, "--method", method, "-B", "10", "--seed", "-3"]
+        assert main(argv) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
     def test_bootstrap_method(self, leukemia_csv, capsys):
         assert (
             main(

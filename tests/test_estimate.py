@@ -248,6 +248,11 @@ class TestSolver:
         ref = solve_score(leukemia, Constant(), variance="none")
         assert res.converged and abs(res.beta[0] - ref.beta[0]) > 1e-4
 
+    @pytest.mark.parametrize("shape", [(41,), (2, 42)])
+    def test_event_multipliers_need_one_per_subject(self, leukemia, shape):
+        with pytest.raises(DataError, match="length 42"):
+            solve_score(leukemia, Constant(), event_multipliers=np.ones(shape))
+
     def test_efron_multipliers_must_be_shared_within_tie_group(self, leukemia):
         mult = np.ones(leukemia.n)
         mult[0] = 2.0  # breaks the shared value at the first tied event time

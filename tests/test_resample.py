@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from margfit import (
     resample_distribution,
     solve_score,
 )
+from margfit.estimate import _Kernel
+from margfit.resample import _BLOCK_DRAWS, _random_weight_block
 
 
 def replicates(data, n_draws, seed):
@@ -136,6 +139,31 @@ class TestResampleDistribution:
         with pytest.raises(ConfigError, match="at least 2"):
             resample_distribution(leukemia, Constant(), n_draws=1, seed=0)
 
+    @pytest.mark.parametrize("method", [resample_distribution, bootstrap])
+    @pytest.mark.parametrize(
+        "n_draws, seed, match",
+        [
+            (2.5, 0, "n_draws must be an integer"),
+            (True, 0, "n_draws must be an integer"),
+            (10, -3, "seed must be nonnegative"),
+            (10, "7", "seed must be an integer"),
+            (10, 7.0, "seed must be an integer"),
+            (10, False, "seed must be an integer"),
+        ],
+    )
+    def test_draw_count_and_seed_are_checked(
+        self, leukemia, method, n_draws, seed, match
+    ):
+        with pytest.raises(ConfigError, match=match):
+            method(leukemia, Constant(), n_draws=n_draws, seed=seed)
+
+    def test_numpy_integers_are_integers(self, leukemia):
+        res = resample_distribution(
+            leukemia, Constant(), n_draws=np.int64(3), seed=np.uint32(7)
+        )
+        want = resample_distribution(leukemia, Constant(), n_draws=3, seed=7)
+        assert np.array_equal(res.draws, want.draws)
+
     def test_export_and_json(self, leukemia, pl_draws, tmp_path):
         path = tmp_path / "draws.csv"
         pl_draws.export_csv(path)
@@ -157,6 +185,18 @@ def changepoint_km_data():
     cfg = next(c for c in load_study_config(path) if c.label == "changepoint-3-0")
     spec = replace(cfg.spec, censoring=UniformCensoring(0.8))
     return generate_dataset(spec, 1500, np.random.default_rng(20260819))
+
+
+@pytest.fixture(scope="module")
+def two_covariate_data():
+    """600 subjects, a normal and a binary covariate, untied times, ~35% censored."""
+    rng = np.random.default_rng(23)
+    z = np.column_stack([rng.normal(size=600), rng.integers(0, 2, size=600)])
+    t = rng.exponential(scale=np.exp(-(z @ [0.5, -0.8])))
+    c = rng.exponential(scale=2.0, size=600)
+    return SurvivalDataset(
+        time=np.minimum(t, c), status=(t <= c).astype(int), covariates=z
+    )
 
 
 def one_draw_at_a_time(data, scheme, n_draws, seed, ties="breslow"):
@@ -190,6 +230,107 @@ class TestSharedKernel:
             point = solve_score(data, scheme)
             assert np.array_equal(res.point.beta, point.beta)
             assert res.point.to_dict() == point.to_dict()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "dataset, scheme, ties",
+        [
+            ("changepoint_km_data", KaplanMeier(), "breslow"),
+            ("two_covariate_data", Constant(), "breslow"),
+            ("two_covariate_data", KaplanMeier(), "breslow"),
+            ("two_covariate_data", Constant(), "efron"),  # no tied failures
+        ],
+    )
+    def test_blocks_of_draws_equal_one_draw_at_a_time(
+        self, request, dataset, scheme, ties, jobs
+    ):
+        # two full blocks and a partial one; with jobs=2 the workers' ranges
+        # cut the blocks elsewhere
+        data = request.getfixturevalue(dataset)
+        n_draws = 2 * _BLOCK_DRAWS + 5
+        res = resample_distribution(
+            data, scheme, n_draws=n_draws, seed=8, ties=ties, jobs=jobs
+        )
+        assert res.n_failed == 0
+        want = one_draw_at_a_time(data, scheme, n_draws, 8, ties=ties)
+        assert np.array_equal(res.draws, want)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_singular_draw_fails_alone_in_its_block(
+        self, two_covariate_data, monkeypatch, jobs
+    ):
+        # z2 is zeroed after t0, so only the failures up to t0 see it vary: a
+        # draw without weight on them has an exactly singular Jacobian
+        data = two_covariate_data
+        early = data.time <= np.median(data.time)
+        data = SurvivalDataset(
+            time=data.time,
+            status=data.status,
+            covariates=data.covariates * np.column_stack([np.ones(data.n), early]),
+        )
+        n_draws, seed, bad = 2 * _BLOCK_DRAWS + 5, 3, _BLOCK_DRAWS + 2
+        e_bad = np.random.default_rng([seed, bad]).exponential(size=data.n_events)
+        event_multipliers = margfit.resample._event_multipliers
+
+        def singular_draw(data, e):
+            mult = event_multipliers(data, e)
+            if np.array_equal(e, e_bad):
+                mult[early] = 0.0
+            return mult
+
+        monkeypatch.setattr(margfit.resample, "_event_multipliers", singular_draw)
+        res = resample_distribution(
+            data, Constant(), n_draws=n_draws, seed=seed, jobs=jobs
+        )
+        want, failures = [], []
+        for b in range(n_draws):
+            try:
+                rng = np.random.default_rng([seed, b])
+                want.append(random_weight_fit(data, Constant(), rng))
+            except FitError as exc:
+                failures.append((b, str(exc)))
+        singular = "singular Jacobian: separation or degenerate covariates"
+        assert failures == [(bad, singular)]
+        assert res.failures == tuple(failures)
+        assert np.array_equal(res.draws, np.vstack(want))
+
+    def test_rounding_failures_fall_on_the_same_draws(self, leukemia):
+        # at this covariate scale the score's rounding noise is near the 1e-9
+        # stop: some draws cannot halve |U| below it, the rest converge
+        data = SurvivalDataset(
+            time=leukemia.time,
+            status=leukemia.status,
+            covariates=leukemia.covariates * 1e7,
+        )
+        n_draws = 2 * _BLOCK_DRAWS + 5
+        rows = _random_weight_block((_Kernel(data, Constant()), 5, range(n_draws)))
+        failed = 0
+        for b, beta, err in rows:
+            try:
+                rng = np.random.default_rng([5, b])
+                want = random_weight_fit(data, Constant(), rng)
+            except FitError as exc:
+                assert (beta, err) == (None, str(exc))
+                failed += 1
+            else:
+                assert err is None and np.array_equal(beta, want)
+        assert 0 < failed < n_draws
+
+    def test_memory_does_not_grow_with_the_draws(self, changepoint_km_data):
+        # NumPy reports its buffers to tracemalloc; one batch of all 1000
+        # draws would hold (1000 x 1500) arrays, about 12 MB each
+        peaks = {}
+        for n_draws in (_BLOCK_DRAWS, 1000):
+            tracemalloc.start()
+            try:
+                resample_distribution(
+                    changepoint_km_data, KaplanMeier(), n_draws=n_draws, seed=1
+                )
+                peaks[n_draws] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] < 2 * peaks[_BLOCK_DRAWS]
+        assert peaks[1000] < 32 * 2**20
 
     def test_kaplan_meier_is_built_once_per_run(self, leukemia, monkeypatch):
         calls = []

@@ -503,6 +503,9 @@ class TestRunStudy:
             StudyConfig(spec=PH, n=1, reps=10, seed=0)
         with pytest.raises(ConfigError):
             StudyConfig(spec=PH, n=10, reps=0, seed=0)
+        for seed in (-5, 1.5, "7", True):
+            with pytest.raises(ConfigError, match="seed"):
+                StudyConfig(spec=PH, n=10, reps=10, seed=seed)
         with pytest.raises(ConfigError):
             StudyConfig(spec=PH, n=10, reps=10, seed=0, target_censoring=1.0)
         with pytest.raises(ConfigError):
@@ -846,6 +849,7 @@ class TestConfigFiles:
             {"baseline": {"family": "exponential", "rate": -1}},
             {"n": 100.7},
             {"seed": 1.5},
+            {"seed": -5},  # default_rng refuses it
             {"reps": True},
             {"n": "100"},
             {"seed": float("inf")},
