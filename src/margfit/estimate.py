@@ -16,19 +16,24 @@ at t. Three weight choices give the three estimators:
   fitted to the data the score is solved on.
 
 Scores, Jacobians, variances and the log partial likelihood evaluate
-through one prepared state, ``_Kernel``, built once per (data, scheme,
-ties); event multipliers rescale its score terms without a rebuild, and
-only the sums of ``dataset._risk_set_sums`` depend on beta. A kernel holds
-B rows of multipliers, one score each, and evaluates them at B betas in one
-pass over the risk sets. Efron ties (Efron 1977) are Breslow at adjusted
-sums: the l-th of d_k failures tied at a time sees S_r - (l/d_k) D_r, D_r
-the tie group's own sums.
+through one prepared state, ``_Kernel``, built once per (data, ties): the
+event rows, each failure's risk-set start and at-risk count and the Efron
+tie layout, shared by the weights of S schemes (S = 1 for a public call,
+one per estimator in a study replication). Event multipliers rescale its
+score terms without a rebuild, and only the sums of
+``dataset._risk_set_sums`` depend on beta. A kernel holds B rows of score
+weights (its schemes, or one scheme's draws of multipliers) and evaluates
+them at B betas in one pass over the risk sets. Efron ties (Efron 1977)
+are Breslow at adjusted sums: the l-th of d_k failures tied at a time sees
+S_r - (l/d_k) D_r, D_r the tie group's own sums.
 
 Solving is Newton-Raphson with step halving, in one loop, ``_newton``,
-that iterates B scores together (B = 1 for a fit); variances are
-Andersen-Gill (information inverse) for the constant weights and the
-robust sandwich A^{-1} B A^{-1} for weighted schemes, both under the fit's
-tie rule.
+that iterates B scores together, each row as it would be alone; ``_fit``
+solves a kernel's schemes in one such call and returns each scheme's
+result or error, and ``solve_score`` is its one-scheme case. Variances
+are Andersen-Gill (information inverse) for the constant weights and the
+robust sandwich A^{-1} B A^{-1} with a scheme's own weights for weighted
+schemes, both under the fit's tie rule.
 """
 
 from __future__ import annotations
@@ -180,18 +185,21 @@ def event_weights(data: SurvivalDataset, scheme: WeightScheme) -> np.ndarray:
     for step models, so the weight at an event time uses the survival value
     just before that event.
     """
-    if isinstance(scheme, Constant):
-        return np.ones(data.n)
     first = np.searchsorted(data.time, data.time, side="left")
-    at_risk = (data.n - first).astype(float)
+    return _weights(data, _fit_marginal(data, scheme), data.time, data.n - first)
+
+
+def _weights(data, scheme, times, at_risk) -> np.ndarray:
+    """W at ``times``, whose risk sets hold ``at_risk`` subjects; marginal fitted."""
+    if isinstance(scheme, Constant):
+        return np.ones(times.size)
     if isinstance(scheme, KaplanMeier):
-        surv = kaplan_meier(data)(data.time)
+        surv = kaplan_meier(data)(times)
     elif isinstance(scheme, Parametric):
-        model = _fit_marginal(data, scheme).model
-        surv = np.asarray(model.survival(data.time), dtype=float)
+        surv = np.asarray(scheme.model.survival(times), dtype=float)
     else:
         raise ConfigError(f"unknown weight scheme {scheme!r}")
-    return surv / at_risk
+    return surv / at_risk.astype(float)
 
 
 def _fit_marginal(data: SurvivalDataset, scheme: WeightScheme) -> WeightScheme:
@@ -202,32 +210,34 @@ def _fit_marginal(data: SurvivalDataset, scheme: WeightScheme) -> WeightScheme:
 
 
 class _Kernel:
-    """The beta-free state of B weighted scores, evaluated at any beta.
+    """The beta-free state of a dataset's weighted scores, evaluated at any beta.
 
-    ``weights`` (m,) is the scheme's W at each of the m failures and
-    ``score_weights`` (B, m) W times each of B rows of event multipliers
-    (B = 1 without multipliers); under Efron, ``frac`` is each failure's
-    l/d_k. ``reweighted`` swaps the multipliers and keeps the rest, so
-    resampling draws share one kernel.
+    One state serves S weight schemes: the event rows ``ev``, each
+    failure's risk-set start ``first`` and at-risk count, and under Efron
+    each failure's l/d_k (``frac``) and tie group. ``weights`` (S', m) holds
+    W at the m failures, one row per scheme; a scheme whose marginal family
+    cannot be fitted has no row, and ``errors[s]`` holds what the fit
+    raised. ``live`` maps the rows to their schemes. ``score_weights``
+    (B, m) is W times each of B rows of event multipliers: without
+    multipliers or with one vector of them B = S'; a (B, n) array needs a
+    single scheme. ``reweighted`` swaps the multipliers and keeps the rest,
+    so resampling draws share one kernel.
     """
 
-    def __init__(self, data, scheme, ties="breslow", event_multipliers=None):
+    def __init__(self, data, schemes, ties="breslow", event_multipliers=None):
         data.require_events()
         if ties not in ("breslow", "efron"):
             raise ConfigError(f"ties must be 'breslow' or 'efron', got {ties!r}")
-        if ties == "efron" and not isinstance(scheme, Constant):
+        if ties == "efron" and not all(isinstance(s, Constant) for s in schemes):
             raise ConfigError("the Efron tie correction applies to constant weights only")
         if event_multipliers is not None and np.shape(event_multipliers) != (data.n,):
             raise DataError(f"event_multipliers must have length {data.n}")
-        # every check runs before the marginal fit, whose failure would hide it
-        self.scheme = _fit_marginal(data, scheme)
-        self.theta = model_params(self.scheme.model) if self.scheme is not scheme else None
         self.data = data
         self.ties = ties
         self.ev = np.flatnonzero(data.status == 1)
         self.z = data.covariates[self.ev]
         self.first = np.searchsorted(data.time, data.time[self.ev], side="left")
-        self.weights = event_weights(data, self.scheme)[self.ev]
+        at_risk = data.n - self.first
         self.frac = None
         if ties == "efron":
             _, self.starts, sizes = np.unique(
@@ -237,12 +247,36 @@ class _Kernel:
             rank = np.arange(self.ev.size) - self.starts[self.group]
             self.frac = rank / sizes[self.group]
             self.zz = self.z[:, :, None] * self.z[:, None, :]
+        self.schemes, self.thetas, self.errors, weights = [], [], [], []
+        # every check runs before the marginal fits, whose failure would hide it
+        for scheme in schemes:
+            try:
+                fitted = _fit_marginal(data, scheme)
+            except (FitError, DataError) as exc:
+                self.schemes.append(scheme)
+                self.thetas.append(None)
+                self.errors.append(exc)
+                continue
+            self.schemes.append(fitted)
+            self.thetas.append(model_params(fitted.model) if fitted is not scheme else None)
+            self.errors.append(None)
+            weights.append(_weights(data, fitted, data.time[self.ev], at_risk))
+        self.live = [s for s, err in enumerate(self.errors) if err is None]
+        self.weights = np.array(weights).reshape(len(weights), self.ev.size)
         self.score_weights = self._score_weights(event_multipliers)
 
+    @classmethod
+    def single(cls, data, scheme, ties="breslow", event_multipliers=None) -> "_Kernel":
+        """The kernel of ``scheme`` alone; raises what its scheme raised."""
+        kernel = cls(data, [scheme], ties, event_multipliers)
+        if kernel.errors[0] is not None:
+            raise kernel.errors[0]
+        return kernel
+
     def _score_weights(self, event_multipliers):
-        """W times the multipliers, (B, m) for multipliers (B, n) or (n,)."""
+        """W times the multipliers: (S', m) for none or (n,), (B, m) for (B, n)."""
         if event_multipliers is None:
-            w = self.weights[None]
+            w = self.weights
         else:
             mult = np.asarray(event_multipliers, dtype=float)
             w = np.atleast_2d(self.weights * mult[..., self.ev])
@@ -314,9 +348,9 @@ class _Kernel:
         except np.linalg.LinAlgError:
             raise FitError("singular information matrix") from None
 
-    def sandwich(self, v) -> np.ndarray:
-        """A^{-1} B A^{-1} with the scheme's weights, from one row of ``moments``' V."""
-        w = self.weights
+    def sandwich(self, v, row=0) -> np.ndarray:
+        """A^{-1} B A^{-1} with the weights of scheme row ``row``, from its V."""
+        w = self.weights[row]
         a = (w[:, None, None] * v).sum(axis=0)
         b = ((w**2)[:, None, None] * v).sum(axis=0)
         try:
@@ -347,7 +381,7 @@ def weighted_score(
     ``event_multipliers`` (the resampling hook) scale the terms; under
     ties='efron' they must be shared within tied event times.
     """
-    kernel = _Kernel(data, scheme, ties, event_multipliers)
+    kernel = _Kernel.single(data, scheme, ties, event_multipliers)
     return kernel.score(_beta(beta, data.d)[None])[0][0]
 
 
@@ -360,7 +394,7 @@ def score_jacobian(
     event_multipliers: np.ndarray | None = None,
 ) -> np.ndarray:
     """dU_W/dbeta = -sum delta_i W(X_i) V(beta, X_i); negative semidefinite."""
-    kernel = _Kernel(data, scheme, ties, event_multipliers)
+    kernel = _Kernel.single(data, scheme, ties, event_multipliers)
     return kernel.score(_beta(beta, data.d)[None])[1][0]
 
 
@@ -372,7 +406,7 @@ def log_partial_likelihood(
     The Breslow form; with ties='efron' each tied failure's S0 is the
     Efron-adjusted sum. Its gradient is the constant-weight score.
     """
-    return _Kernel(data, Constant(), ties).log_likelihood(_beta(beta, data.d))
+    return _Kernel.single(data, Constant(), ties).log_likelihood(_beta(beta, data.d))
 
 
 def variance_andersen_gill(
@@ -383,7 +417,7 @@ def variance_andersen_gill(
     With I = n^{-1} sum delta_i V(beta, X_i), returns I^{-1}/n, i.e. the
     variance on the coefficient scale.
     """
-    kernel = _Kernel(data, Constant(), ties)
+    kernel = _Kernel.single(data, Constant(), ties)
     return kernel.andersen_gill(kernel.moments(_beta(beta, data.d)[None])[2][0])
 
 
@@ -396,7 +430,7 @@ def variance_sandwich(
     ties. Invariant to rescaling the weights; equals the Andersen-Gill
     variance when W = 1.
     """
-    kernel = _Kernel(data, scheme)
+    kernel = _Kernel.single(data, scheme)
     return kernel.sandwich(kernel.moments(_beta(beta, data.d)[None])[2][0])
 
 
@@ -431,10 +465,12 @@ def solve_score(
     family-named parametric marginal is fitted to ``data`` once, before
     the first Newton step, and serves every step and the variance; a
     fitted family's parameters are recorded in ``theta``. This Newton loop
-    is the package's only one, and it takes a batch of scores: a fit is a
-    batch of one, and random-weight resampling solves blocks of draws in
-    one batch over a shared beta-free state, each draw's multipliers one
-    row, each draw with the root and the failure it would have alone.
+    is the package's only one, and it takes a batch of scores over one
+    shared beta-free state: a fit is a batch of one, a study replication
+    solves its estimators as one batch (one scheme per row) and
+    random-weight resampling solves blocks of draws (one draw's
+    multipliers per row). Each row gets the root, variance and failure it
+    would have alone.
 
     Raises
     ------
@@ -451,7 +487,7 @@ def solve_score(
     ).copy()
     if beta.shape != (data.d,):
         raise DataError(f"init must have length {data.d}")
-    return _fit(_Kernel(data, scheme, ties, event_multipliers), beta, variance)
+    return _solved(_Kernel.single(data, scheme, ties, event_multipliers), beta, variance)
 
 
 def _newton(kernel: _Kernel, beta: np.ndarray):
@@ -544,32 +580,56 @@ def _solve_rows(J, U):
     return step, solved
 
 
-def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> FitResult:
-    """``solve_score`` from ``beta`` on a prepared kernel with one score."""
-    beta, iterations, norm, v, errors = _newton(kernel, beta)
-    if errors[0] is not None:
-        raise errors[0]
-    beta, v = beta[0], v[0]
+def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> list:
+    """Fit every scheme of ``kernel`` from ``beta`` in one batched Newton.
+
+    Returns one entry per scheme: its ``FitResult``, or the ``FitError`` or
+    ``DataError`` that solving it alone raises (its marginal fit's, its
+    Newton row's or its variance's). Under ``variance='auto'`` the constant
+    scheme takes the Andersen-Gill variance and a weighted one the sandwich
+    with its own weights. Needs one score row per row of weights.
+    """
+    out = list(kernel.errors)
+    if not kernel.live:
+        return out
+    roots, iterations, norms, vs, errors = _newton(kernel, beta)
     d = kernel.data.d
-    if variance == "none":
-        var = np.full((d, d), np.nan)
-    elif variance == "andersen-gill" or (
-        variance == "auto" and isinstance(kernel.scheme, Constant)
-    ):
-        var = kernel.andersen_gill(v)
-    else:
-        var = kernel.sandwich(v)
-    se = np.sqrt(np.clip(np.diag(var), 0.0, None))
-    return FitResult(
-        beta=beta,
-        variance=var,
-        std_errors=se,
-        iterations=int(iterations[0]),
-        converged=True,
-        final_score_norm=float(norm[0]),
-        scheme=kernel.scheme.describe(),
-        ties=kernel.ties,
-        n=kernel.data.n,
-        n_events=kernel.data.n_events,
-        theta=kernel.theta,
-    )
+    for row, s in enumerate(kernel.live):
+        scheme = kernel.schemes[s]
+        if errors[row] is not None:
+            out[s] = errors[row]
+            continue
+        try:
+            if variance == "none":
+                var = np.full((d, d), np.nan)
+            elif variance == "andersen-gill" or (
+                variance == "auto" and isinstance(scheme, Constant)
+            ):
+                var = kernel.andersen_gill(vs[row])
+            else:
+                var = kernel.sandwich(vs[row], row)
+        except FitError as exc:
+            out[s] = exc
+            continue
+        out[s] = FitResult(
+            beta=roots[row],
+            variance=var,
+            std_errors=np.sqrt(np.clip(np.diag(var), 0.0, None)),
+            iterations=int(iterations[row]),
+            converged=True,
+            final_score_norm=float(norms[row]),
+            scheme=scheme.describe(),
+            ties=kernel.ties,
+            n=kernel.data.n,
+            n_events=kernel.data.n_events,
+            theta=kernel.thetas[s],
+        )
+    return out
+
+
+def _solved(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> FitResult:
+    """The fit of a one-scheme ``kernel``; raises the error it ends with."""
+    (fit,) = _fit(kernel, beta, variance)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit

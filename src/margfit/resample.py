@@ -26,7 +26,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .dataset import SurvivalDataset
 from .errors import ConfigError, DataError, FitError
-from .estimate import FitResult, WeightScheme, _fit, _Kernel, _newton, solve_score
+from .estimate import FitResult, WeightScheme, _Kernel, _newton, _solved, solve_score
 
 __all__ = [
     "ResampleResult",
@@ -105,7 +105,7 @@ def random_weight_fit(
     independent weights, so the Efron tie rule (which needs a shared
     multiplier within a tie group) is not available here.
     """
-    kernel = _Kernel(data, scheme, ties)
+    kernel = _Kernel.single(data, scheme, ties)
     if not hasattr(rng, "exponential"):
         rng = np.random.default_rng(rng)
     beta, errors = _random_weight_draws(kernel, [rng])
@@ -227,11 +227,11 @@ def resample_distribution(
     More than 5% failed draws aborts.
     """
     _require_draws(n_draws, seed)
-    kernel = _Kernel(data, scheme, ties)
+    kernel = _Kernel.single(data, scheme, ties)
     return _run_draws(
         _random_weight_block,
         kernel,
-        _fit(kernel, np.zeros(data.d)),
+        _solved(kernel, np.zeros(data.d)),
         n_draws,
         seed,
         jobs,

@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 from ._parallel import parallel_map
 from .dataset import SurvivalDataset
 from .errors import ConfigError, DataError, FitError
-from .estimate import _parse_scheme, solve_score
+from .estimate import FitResult, _fit, _Kernel, _parse_scheme
 from .marginal import (
     _FAMILIES,
     Exponential,
@@ -464,12 +464,15 @@ class StudyConfig:
     label: str = ""
 
     def __post_init__(self):
+        # a document's 1500.0 reaches here as 1500: its reader converts it
+        for key in ("n", "reps", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.n < 2:
             raise ConfigError("need n >= 2")
         if self.reps < 1:
             raise ConfigError("need reps >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("need seed >= 0")
         if not 0.0 <= self.target_censoring < 1.0:
@@ -507,16 +510,25 @@ def _default_family(baseline) -> str:
 
 
 def _one_rep(spec: GeneratorSpec, names, seed: int, n: int, rep: int):
-    """Fit each estimator, named as a scheme string, to replication ``rep``."""
+    """Fit each estimator, named as a scheme string, to replication ``rep``.
+
+    The estimators are the scheme rows of one kernel, solved by one batched
+    Newton; each gets the estimate or the failure it would get alone.
+    """
     rng = np.random.default_rng([seed, rep])
     data = generate_dataset(spec, n, rng)
+    try:
+        schemes = [_parse_scheme(name) for name in names]
+        fits = _fit(_Kernel(data, schemes), np.zeros(data.d))
+    except (FitError, DataError) as exc:  # no events: every estimator fails
+        fits = [exc] * len(names)
     values = {}
     fails = []
-    for name in names:
-        try:
-            values[name] = float(solve_score(data, _parse_scheme(name)).beta[0])
-        except (FitError, DataError) as exc:
-            fails.append((name, str(exc)))
+    for name, fit in zip(names, fits):
+        if isinstance(fit, FitResult):
+            values[name] = float(fit.beta[0])
+        else:
+            fails.append((name, str(fit)))
     realized = 1.0 - float(np.mean(data.status))
     return rep, values, realized, fails
 
@@ -532,8 +544,11 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     Each replication uses the independent substream ``default_rng([seed,
     rep])``, so results are bitwise identical for any ``jobs`` value and any
     scheduling order (estimates are stored by replication index before
-    aggregation). A replication in which any estimator fails is dropped from
-    all aggregates; more than 1% failures aborts the study.
+    aggregation). A replication's estimators share one beta-free state and
+    are solved by one batched Newton, each with the estimate or failure it
+    would get solved alone; a marginal that cannot be fitted fails only its
+    own estimator. A replication in which any estimator fails is dropped
+    from all aggregates; more than 1% failures aborts the study.
     """
     spec = config.spec
     if config.target_censoring > 0.0:

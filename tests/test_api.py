@@ -84,3 +84,67 @@ def test_acceptance_gate_uses_no_private_name():
             if isinstance(root, ast.Name) and root.id in aliases:
                 private.append(f"{root.id}...{node.attr}")
     assert private == []
+
+
+# calls that evaluate or solve the weighted score; a loop around one of them
+# is a Newton loop over the relative-risk score (the Weibull shape's Newton
+# and the oracle's quadrature nodes solve other equations, with other calls)
+_SCORE_CALLS = {
+    "score",
+    "moments",
+    "weighted_score",
+    "score_jacobian",
+    "solve_score",
+    "_newton",
+    "_fit",
+    "_solved",
+}
+_LOOPS = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def _score_loops(tree):
+    """(function, call) for each score call inside a loop, by innermost function."""
+    found = []
+
+    def visit(node, func, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, False)
+                continue
+            if isinstance(child, ast.Lambda):
+                visit(child, func, False)
+                continue
+            if in_loop and isinstance(child, ast.Call):
+                callee = child.func
+                name = getattr(callee, "attr", None) or getattr(callee, "id", None)
+                if name in _SCORE_CALLS:
+                    found.append((func, name))
+            visit(child, func, in_loop or isinstance(child, _LOOPS))
+
+    visit(tree, "<module>", False)
+    return found
+
+
+def test_only_newton_iterates_the_score():
+    """``estimate._newton`` is the package's one Newton loop: every batch of
+    scores (a study replication's estimators, a block of random-weight draws)
+    is one call of it, so no caller forks a second loop over solves."""
+    loops = []
+    for path in sorted(Path(margfit.__file__).parent.glob("*.py")):
+        for func, call in _score_loops(ast.parse(path.read_text())):
+            if (path.stem, func) != ("estimate", "_newton"):
+                loops.append(f"{path.stem}.{func} calls {call} in a loop")
+    assert loops == []
+
+
+def test_the_newton_guard_sees_a_loop_of_solves():
+    source = "def fits(data, schemes):\n    return [solve_score(data, s) for s in schemes]"
+    assert _score_loops(ast.parse(source)) == [("fits", "solve_score")]

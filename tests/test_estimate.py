@@ -272,6 +272,53 @@ class TestSolver:
         assert isinstance(res.to_json(), str)
 
 
+class TestSchemeRows:
+    """One kernel holds several schemes, fitted as rows of one batched Newton;
+    each row ends as its scheme does when solved alone, bit for bit."""
+
+    # pwexp:1000 cannot be fitted to either dataset (zero exposure)
+    ROWS = [
+        Constant(),
+        KaplanMeier(),
+        Parametric("exponential"),
+        Parametric("weibull"),
+        Parametric("pwexp:1000"),
+        Parametric("pwexp:10"),
+    ]
+
+    def assert_rows_alone(self, data, schemes, ties="breslow", variance="auto"):
+        kernel = estimate_module._Kernel(data, schemes, ties)
+        fits = estimate_module._fit(kernel, np.zeros(data.d), variance)
+        assert len(fits) == len(schemes)
+        for scheme, fit in zip(schemes, fits):
+            try:
+                alone = solve_score(data, scheme, ties=ties, variance=variance)
+            except (DataError, FitError) as exc:
+                assert (type(fit), str(fit)) == (type(exc), str(exc))
+                continue
+            assert fit.to_json() == alone.to_json()
+            for a, b in zip((fit.beta, fit.variance), (alone.beta, alone.variance)):
+                assert a.tobytes() == b.tobytes()
+        return fits
+
+    @pytest.mark.parametrize("variance", ["auto", "andersen-gill", "sandwich", "none"])
+    def test_each_row_is_its_scheme_alone(self, leukemia, variance):
+        fits = self.assert_rows_alone(leukemia, self.ROWS, variance=variance)
+        assert isinstance(fits[4], FitError) and "zero exposure" in str(fits[4])
+        self.assert_rows_alone(random_data(8, d=2), self.ROWS, variance=variance)
+
+    def test_efron_takes_constant_rows_only(self, leukemia):
+        self.assert_rows_alone(leukemia, [Constant(), Constant()], ties="efron")
+        # refused before any marginal is fitted (pwexp:1000 cannot be)
+        with pytest.raises(ConfigError, match="constant weights"):
+            estimate_module._Kernel(leukemia, self.ROWS[::-1], ties="efron")
+
+    def test_no_events_fail_every_row(self):
+        d = make([1, 2], [0, 0], [[0.0], [1.0]])
+        with pytest.raises(DataError, match="no events"):
+            estimate_module._Kernel(d, self.ROWS)
+
+
 class TestIterativeMarginalFit:
     """The plug-in fit: a family-named marginal, fitted once, fixes the weights."""
 

@@ -303,7 +303,7 @@ class TestSharedKernel:
             covariates=leukemia.covariates * 1e7,
         )
         n_draws = 2 * _BLOCK_DRAWS + 5
-        rows = _random_weight_block((_Kernel(data, Constant()), 5, range(n_draws)))
+        rows = _random_weight_block((_Kernel.single(data, Constant()), 5, range(n_draws)))
         failed = 0
         for b, beta, err in rows:
             try:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +18,21 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import expit, logsumexp
 
+import margfit
+import margfit.estimate as estimate_module
 from margfit import (
     Bernoulli,
     BetaFunction,
     ConfigError,
+    Constant,
+    DataError,
     Exponential,
     ExponentialCensoring,
     FitError,
     GeneratorSpec,
+    KaplanMeier,
     NoCensoring,
+    Parametric,
     PiecewiseExponential,
     StudyConfig,
     Uniform01,
@@ -39,15 +47,18 @@ from margfit import (
     load_study_config,
     results_to_json,
     run_study,
+    solve_score,
     study_configs_from_dict,
     write_results_csv,
 )
 from margfit.simulate import (
     _BLOCK_ROWS,
+    _CALIBRATION_STREAM,
     _KEYS,
     _config_echo,
     _draw_survival_times,
     _log_sum_exp_rows,
+    _rep_block,
     _segment_tables,
 )
 
@@ -506,10 +517,159 @@ class TestRunStudy:
         for seed in (-5, 1.5, "7", True):
             with pytest.raises(ConfigError, match="seed"):
                 StudyConfig(spec=PH, n=10, reps=10, seed=seed)
+        # built in code, a size must be an integer itself (a document's 1500.0
+        # is converted by its reader); True is not a size of 1
+        for bad in (50.5, 2.5, True, "7"):
+            with pytest.raises(ConfigError, match="n must be an integer"):
+                StudyConfig(spec=PH, n=bad, reps=10, seed=0)
+            with pytest.raises(ConfigError, match="reps must be an integer"):
+                StudyConfig(spec=PH, n=10, reps=bad, seed=0)
+        assert StudyConfig(spec=PH, n=np.int64(10), reps=np.int32(3), seed=0).n == 10
         with pytest.raises(ConfigError):
             StudyConfig(spec=PH, n=10, reps=10, seed=0, target_censoring=1.0)
         with pytest.raises(ConfigError):
             StudyConfig(spec=PH, n=10, reps=10, seed=0, families_to_fit=("gamma",))
+
+
+def _solved_one_at_a_time(config, spec):
+    """The study's replications with each estimator solved alone by ``solve_score``.
+
+    Rows (rep, values, realized censoring, failures) as the study runner's
+    workers return them; ``spec`` carries the calibrated censoring.
+    """
+    schemes = {"pl": Constant(), "km": KaplanMeier()}
+    schemes.update({f"par:{f}": Parametric(f) for f in config.families_to_fit})
+    rows = []
+    for rep in range(config.reps):
+        data = generate_dataset(spec, config.n, np.random.default_rng([config.seed, rep]))
+        values, fails = {}, []
+        for name, scheme in schemes.items():
+            try:
+                values[name] = float(solve_score(data, scheme).beta[0])
+            except (FitError, DataError) as exc:
+                fails.append((name, str(exc)))
+        rows.append((rep, values, 1.0 - float(np.mean(data.status)), fails))
+    return rows
+
+
+def _calibrated(config):
+    """``config``'s generator with the censoring parameter its study calibrates."""
+    if config.target_censoring == 0.0:
+        return replace(config.spec, censoring=NoCensoring())
+    param = calibrate_censoring(
+        config.spec,
+        config.target_censoring,
+        rng=np.random.default_rng([config.seed, _CALIBRATION_STREAM]),
+    )
+    return replace(config.spec, censoring=type(config.spec.censoring)(param))
+
+
+def _changepoint_3_0(target):
+    path = Path(margfit.__file__).parent / "data" / "table2.json"
+    return next(
+        c
+        for c in load_study_config(path)
+        if c.label == "changepoint-3-0" and c.target_censoring == target
+    )
+
+
+class TestBatchedEstimators:
+    """A replication's estimators are the rows of one batched Newton: each
+    must get, bit for bit, the estimate or the failure it gets alone."""
+
+    def assert_study_matches(self, config, res):
+        rows = _solved_one_at_a_time(config, _calibrated(config))
+        failures = tuple(
+            (rep, name, msg) for rep, _, _, fails in rows for name, msg in fails
+        )
+        assert res.failures == failures
+        for name, est in res.estimates.items():
+            alone = np.array([values.get(name, np.nan) for _, values, _, _ in rows])
+            assert est.tobytes() == alone.tobytes(), name
+        ok = np.ones(config.reps, dtype=bool)
+        ok[[rep for rep, _, _ in failures]] = False
+        realized = np.array([frac for _, _, frac, _ in rows])
+        assert res.realized_censoring == float(np.mean(realized[ok]))
+        return rows
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_changepoint_design(self, jobs):
+        config = replace(_changepoint_3_0(0.5), n=300, reps=12)
+        self.assert_study_matches(config, run_study(config, jobs=jobs))
+
+    def test_failed_replication_of_a_tiny_bernoulli_study(self):
+        spec = GeneratorSpec(
+            baseline=Exponential(rate=1.0),
+            beta=BetaFunction.constant(0.5),
+            covariate=Bernoulli(0.5),
+        )
+        config = StudyConfig(spec=spec, n=10, reps=400, seed=5)
+        rows = self.assert_study_matches(config, run_study(config))
+        # all ten covariates of rep 9 are equal: every estimator fails there
+        assert [name for name, _ in rows[9][3]] == ["pl", "km", "par:exponential"]
+
+    def test_a_failing_marginal_fails_its_row_alone(self):
+        # with about five events in twelve subjects the Weibull fit sometimes
+        # lacks two distinct event times, and the cut at 0.5 often leaves an
+        # interval without events; the other estimators stand. So many
+        # failures abort the study, so its replications are compared as the
+        # study's workers return them, and the abort message as well
+        spec = GeneratorSpec(
+            baseline=Weibull(shape=6.0, scale=0.55),
+            beta=BetaFunction.constant(0.5),
+            covariate=Uniform01(),
+            censoring=UniformCensoring(1.0),
+        )
+        families = ("exponential", "weibull", "pwexp:0.5")
+        config = StudyConfig(
+            spec=spec,
+            n=12,
+            reps=400,
+            seed=7,
+            target_censoring=0.5,
+            families_to_fit=families,
+        )
+        spec = _calibrated(config)
+        names = ["pl", "km", *(f"par:{f}" for f in families)]
+        rows = _solved_one_at_a_time(config, spec)
+        reps = range(config.reps)
+        assert _rep_block((spec, names, config.seed, config.n, reps)) == rows
+        others = {"pl", "km", "par:exponential"}
+        weibull_alone = [
+            rep
+            for rep, values, _, fails in rows
+            if "par:weibull" in dict(fails) and others <= set(values)
+        ]
+        assert weibull_alone
+        failures = [(rep, name, msg) for rep, _, _, fails in rows for name, msg in fails]
+        failed = len({rep for rep, _, _ in failures})
+        rep, name, msg = failures[0]
+        want = f"{failed}/400 replications failed (> 1%): rep {rep} [{name}]: {msg}"
+        with pytest.raises(FitError) as err:
+            run_study(config)
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize(
+        "families", [("exponential",), ("exponential", "weibull", "pwexp:0.3")]
+    )
+    def test_one_kernel_and_one_newton_per_replication(self, monkeypatch, families):
+        counts = Counter()
+        build, newton = estimate_module._Kernel.__init__, estimate_module._newton
+
+        def counted_build(self, *args, **kwargs):
+            counts["kernels"] += 1
+            build(self, *args, **kwargs)
+
+        def counted_newton(*args, **kwargs):
+            counts["newtons"] += 1
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(estimate_module._Kernel, "__init__", counted_build)
+        monkeypatch.setattr(estimate_module, "_newton", counted_newton)
+        config = StudyConfig(spec=PH, n=200, reps=4, seed=3, families_to_fit=families)
+        res = run_study(config, jobs=1)
+        assert res.n_failed == 0 and len(res.estimates) == 2 + len(families)
+        assert counts == {"kernels": 4, "newtons": 4}
 
 
 def _quad_limit(design, k):
@@ -707,7 +867,8 @@ class TestOracles:
             raise AssertionError("the oracle must not sample or fit")
 
         samplers = ("_as_rng", "_draw_survival_times", "generate_dataset")
-        for name in (*samplers, "solve_score"):
+        # the study runner's fit entry: one kernel per replication, one fit
+        for name in (*samplers, "_Kernel", "_fit"):
             monkeypatch.setattr(f"margfit.simulate.{name}", forbidden)
         beta_star_oracle(MARGINAL_DESIGN, weighting="risk")
         beta_star_oracle(HAZARD_DESIGN)
