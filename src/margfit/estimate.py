@@ -540,10 +540,13 @@ def _newton(kernel: _Kernel, beta: np.ndarray):
                 x[solved] for x in (live, beta, U, J, v, norm, step)
             )
         # a row whose |U| does not fall halves its step, up to 20 times; the
-        # rows still halving have all been halved alike, so they share a scale
+        # rows still halving have all been halved alike, so they share a scale.
+        # A trial beta may overflow exp(beta z); its |U| is then not finite,
+        # which rejects it, so the trials' floating-point warnings are silenced
         scale = 1.0
         beta_new = beta + scale * step
-        U_new, J_new, v_new = kernel.score(beta_new, live)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            U_new, J_new, v_new = kernel.score(beta_new, live)
         norm_new = np.abs(U_new).max(axis=1)
         ok = np.isfinite(norm_new) & (norm_new < norm)
         for _ in range(20):
@@ -552,7 +555,8 @@ def _newton(kernel: _Kernel, beta: np.ndarray):
             redo = np.flatnonzero(~ok)
             scale *= 0.5
             b = beta[redo] + scale * step[redo]
-            u, j, vb = kernel.score(b, live[redo])
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                u, j, vb = kernel.score(b, live[redo])
             n = np.abs(u).max(axis=1)
             took = np.isfinite(n) & (n < norm[redo])
             r = redo[took]

@@ -9,6 +9,7 @@ which is the convention the weighted estimators require.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -235,7 +236,8 @@ def fit_weibull(data: SurvivalDataset) -> Weibull:
     Raises
     ------
     FitError
-        Fewer than two distinct event times, or degenerate data.
+        Fewer than two distinct event times, or degenerate data, such as a
+        shape at which the profile score's sums of t**shape underflow.
     ConvergenceError
         No convergence after 100 iterations.
     """
@@ -262,8 +264,18 @@ def fit_weibull(data: SurvivalDataset) -> Weibull:
         s = float(tk.sum())
         s1 = float((tk * logt).sum())
         s2 = float((tk * logt * logt).sum())
+        try:
+            # not s * s: the product and libm's pow round apart on rare values
+            ss = s**2
+        except OverflowError:
+            ss = math.inf
+        if not 0.0 < ss < math.inf:
+            raise FitError(
+                "degenerate Weibull profile likelihood: the sums of t**shape "
+                f"leave the float range at shape {k:.6g}"
+            )
         g = 1.0 / k + ev_logt / m - s1 / s
-        dg = -1.0 / k**2 - (s2 * s - s1 * s1) / s**2
+        dg = -1.0 / k**2 - (s2 * s - s1 * s1) / ss
         return g, dg
 
     for _ in range(_WEIBULL_MAX_ITER):

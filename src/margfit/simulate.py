@@ -15,12 +15,17 @@ Sampling is exact in both roles: conditional on z, draw V ~ Exp(1), locate
 the coefficient segment whose cumulative-hazard interval contains V, and
 invert segment-wise (closed form for the hazard role; via the marginal
 mixture g_k(M) = E_Z[exp(-H_k(Z) - M e^{b_k Z})] for the marginal role).
-The marginal role evaluates log g_k over the covariate law's atoms in row
-blocks of a fixed size, so memory does not grow with the draw, and with the
-arithmetic of SciPy's ``logsumexp``, so its bits are SciPy's.
+The marginal role evaluates log g_k over the covariate law's atoms in blocks
+of a fixed number of subjects, so memory does not grow with the draw. A
+block holds the atoms on its leading axis, so each step of the log-sum-exp
+is one elementwise pass over the block's subjects; its arithmetic is that of
+SciPy's ``logsumexp``, with the sum over atoms added in the order NumPy's
+row sum takes, so its bits are SciPy's.
 
-Calibration and the reference E[beta(T)] are Monte Carlo draws; the
-population oracle is deterministic quadrature on the sampler's segment tables.
+Calibration bisects over one Monte Carlo draw and checks its parameter by
+the exact censored fraction; the reference E[beta(T)] is a Monte Carlo draw;
+the population oracle is deterministic quadrature on the sampler's segment
+tables.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ _N_MC = 200_000
 # Gauss-Legendre nodes per smooth piece of the population oracles' integral
 _PIECE_NODES = 64
 # subjects per block of the marginal-role inversion; a block's temporaries
-# hold one double per subject and covariate atom (4 MB for 64 atoms)
+# hold one double per covariate atom and subject (4 MB for 64 atoms)
 _BLOCK_ROWS = 8192
 
 
@@ -312,42 +317,73 @@ def _draw_survival_times(
     T = np.empty(n)
     for k in np.unique(idx):
         rows = np.flatnonzero(idx == k)
-        c = logwq - H[k]
-        ez = np.exp(bvals[k] * zq)
+        c = (logwq - H[k])[:, None]
+        ez = np.exp(bvals[k] * zq)[:, None]
         for start in range(0, rows.size, _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS]
-            expo = np.multiply.outer(M[block], ez)
+            expo = ez * M[block]
             np.subtract(c, expo, out=expo)
-            logg = _log_sum_exp_rows(expo)
+            logg = _log_sum_exp_atoms(expo)
             T[block] = spec.baseline.inverse_cumulative_hazard(np.minimum(-logg, 1e12))
     return T
 
 
-def _log_sum_exp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of a C-contiguous 2-D array, overwriting ``a``.
+def _log_sum_exp_atoms(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)) of a 2-D array with the atoms on axis 0,
+    overwriting ``a``.
 
-    The arithmetic of ``scipy.special.logsumexp(a, axis=1)`` (SciPy 1.17),
-    hence its bits: each row's maxima are taken out of the shifted sum, which
-    is divided by their count. A row whose maximum is not finite gets SciPy's
-    fallback, the direct log of the sum of exponentials.
+    The arithmetic of ``scipy.special.logsumexp(b, axis=1)`` (SciPy 1.17)
+    for ``b`` the C-ordered transpose of ``a``, hence its bits: each column's
+    maxima are taken out of the shifted sum,
+    which is divided by their count, and the sum runs in the order of NumPy's
+    row sum (``_sum_atoms``). A column whose maximum is not finite gets
+    SciPy's fallback, the direct log of the sum of exponentials, which is
+    that maximum (NaN, +inf or -inf) itself.
     """
-    amax = a.max(axis=1, keepdims=True)
-    bad = ~np.isfinite(amax[:, 0])
+    amax = a.max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fallback = np.log(np.exp(a[bad]).sum(axis=1))
         top = a == amax
-        m = top.sum(axis=1, keepdims=True, dtype=float)
+        m = np.count_nonzero(top, axis=0).astype(float)
         np.subtract(a, amax, out=a)
         np.exp(a, out=a)
-        a[top] = 0.0
-        s = a.sum(axis=1, keepdims=True)
+        np.copyto(a, 0.0, where=top)
+        s = _sum_atoms(a)
         np.divide(s, m, out=s, where=s != 0)
         out = np.log1p(s)
         out += np.log(m)
         out += amax
-    out = out[:, 0]
-    out[bad] = fallback
+    bad = ~np.isfinite(amax)
+    out[bad] = amax[bad]
     return out
+
+
+def _sum_atoms(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of ``a`` (q, n), added in the order NumPy's pairwise
+    sum takes for a contiguous row of q values.
+
+    Below 8 values it adds them in sequence to 0; up to 128 it keeps 8 lanes,
+    lane j adding values j, j + 8, ..., folds them as ((r0 + r1) + (r2 + r3))
+    + ((r4 + r5) + (r6 + r7)) and adds the rest in sequence; above 128 it
+    halves at a multiple of 8 and adds the two halves' sums.
+    """
+    q = a.shape[0]
+    if q < 8:
+        s = np.zeros(a.shape[1:])
+        for row in a:
+            s += row
+        return s
+    if q <= 128:
+        tail = q - q % 8
+        r = a[:8].copy()
+        for i in range(8, tail, 8):
+            r += a[i : i + 8]
+        s = (r[0] + r[1]) + (r[2] + r[3])
+        s += (r[4] + r[5]) + (r[6] + r[7])
+        for row in a[tail:]:
+            s += row
+        return s
+    half = q // 2 - q // 2 % 8
+    return _sum_atoms(a[:half]) + _sum_atoms(a[half:])
 
 
 def draw_survival_time(spec: GeneratorSpec, z: float, rng) -> float:
@@ -389,8 +425,9 @@ def calibrate_censoring(
     uniform family, rate for the exponential) over a Monte Carlo estimate of
     P(censored) built from one shared draw of (z, T, u) — common random
     numbers, so the estimated fraction is exactly monotone in the parameter.
-    A fresh validation draw must land within +-0.5% of the target. Both
-    draws are of a fixed 200,000 subjects.
+    The draw is of a fixed 200,000 subjects. The exact censored fraction at
+    the bisected parameter, 1 - P(C >= T) by the failure-law quadrature of
+    ``beta_star_oracle``, must lie within +-0.5% of the target.
 
     Returns None for a zero target (the no-censoring sentinel).
     """
@@ -439,10 +476,8 @@ def calibrate_censoring(
             break
     param = 0.5 * (lo + hi)
 
-    z2 = spec.covariate.draw(rng, _N_MC)
-    t2 = _draw_survival_times(spec, z2, rng)
-    c2 = type(spec.censoring)(param).quantile(rng.random(_N_MC))
-    achieved = float(np.mean(t2 > c2))
+    law = type(spec.censoring)(param)
+    achieved = 1.0 - float(_failure_law_nodes(spec, law)[0].sum())
     if abs(achieved - target_fraction) > 0.005:
         raise FitError(
             f"calibration check failed: achieved {achieved:.4f} "
@@ -663,7 +698,7 @@ def _failure_law_nodes(spec: GeneratorSpec, law):
         spec.baseline, beta, spec.covariate, spec.baseline_role
     )
     # 1 - u = E_Z[S(t|Z)] at each segment's start and end
-    top = np.exp(_log_sum_exp_rows(logwq - H))
+    top = np.exp(_log_sum_exp_atoms((logwq - H).T))
     bottom = np.append(top[1:], 0.0)
     x, gw = np.polynomial.legendre.leggauss(_PIECE_NODES)
     s = 0.5 * (x + 1.0)

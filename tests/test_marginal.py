@@ -194,6 +194,16 @@ class TestWeibullFit:
         with pytest.raises(FitError, match="two distinct"):
             fit_weibull(make([3, 3, 3, 5], [1, 1, 1, 0]))
 
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_degenerate_profile_is_a_fit_error(self, scale):
+        # two close event times drive the shape up until the profile score's
+        # sums of t**shape underflow (times below 1) or their square
+        # overflows (the same record times 10); a study fails that
+        # replication alone
+        t = scale * np.array([0.2809, 0.3768, 0.3787])
+        with pytest.raises(FitError, match="degenerate Weibull profile likelihood"):
+            fit_weibull(make(t, [0, 1, 1]))
+
 
 class TestPiecewiseFit:
     def test_occurrence_exposure_by_hand(self):

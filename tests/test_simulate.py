@@ -6,7 +6,7 @@ import json
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from scipy.special import expit, logsumexp
 
 import margfit
 import margfit.estimate as estimate_module
+import margfit.simulate as simulate_module
 from margfit import (
     Bernoulli,
     BetaFunction,
@@ -57,10 +58,30 @@ from margfit.simulate import (
     _KEYS,
     _config_echo,
     _draw_survival_times,
-    _log_sum_exp_rows,
+    _log_sum_exp_atoms,
     _rep_block,
     _segment_tables,
+    _sum_atoms,
 )
+
+# the censoring parameter each censored cell of the bundled tables calibrates,
+# recorded from the sampler and the bisection as they stand
+CALIBRATED = {
+    ("table1.json", "ph-beta-1.0", "0.5"): 0.7935411315120291,
+    ("table1.json", "ph-beta-0.5", "0.5"): 0.7944723925029393,
+    ("table2.json", "changepoint-1-0", "0.17"): 2.9190236222639214,
+    ("table2.json", "changepoint-1-0", "0.32"): 1.4780612484901212,
+    ("table2.json", "changepoint-1-0", "0.5"): 0.7943211291858461,
+    ("table2.json", "changepoint-3-0", "0.17"): 2.9234588965482544,
+    ("table2.json", "changepoint-3-0", "0.32"): 1.4792690041358583,
+    ("table2.json", "changepoint-3-0", "0.5"): 0.7953949214715976,
+    ("table3.json", "changepoint-1-0", "0.17"): 0.41166654908738565,
+    ("table3.json", "changepoint-1-0", "0.32"): 0.9466761971416418,
+    ("table3.json", "changepoint-1-0", "0.5"): 2.002701771707507,
+    ("table3.json", "changepoint-3-0", "0.17"): 0.41167981702892575,
+    ("table3.json", "changepoint-3-0", "0.32"): 0.9443320586287882,
+    ("table3.json", "changepoint-3-0", "0.5"): 2.005392089689849,
+}
 
 # the change-point design studied throughout: beta(t) = 1 on [0, 0.2), 0 after,
 # with the failure time's marginal law pinned to Exponential(2)
@@ -270,7 +291,7 @@ def _scipy_marginal_draw(spec, z, rng):
 
 
 class TestMarginalSampler:
-    """Row blocks and the NumPy log-sum-exp keep the SciPy sampler's bits."""
+    """Atom-major blocks and the NumPy log-sum-exp keep the SciPy sampler's bits."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -301,23 +322,45 @@ class TestMarginalSampler:
             early = int((want < 0.2).sum())
             assert 0 < early and n - early > _BLOCK_ROWS
 
-    def test_log_sum_exp_rows_matches_scipy_bitwise(self):
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("q", [1, 2, 5, 8, 13, 64, 200])
+    def test_log_sum_exp_atoms_matches_scipy_bitwise(self, q):
+        rng = np.random.default_rng(q)
+        a = rng.normal(size=(q, 300)) * rng.choice([1e-3, 1.0, 30.0], size=300)
         *_, logwq, _ = _segment_tables(
             CHANGEPOINT.baseline, CHANGEPOINT.beta, Uniform01(), "marginal"
         )
-        a = rng.normal(size=(200, 64)) * rng.choice([1e-3, 1.0, 30.0], size=(200, 1))
-        a[:50] = logwq - rng.random((50, 1))  # symmetric log-weights: tied maxima
-        a[50] = np.linspace(-800.0, 5.0, 64)  # spread above 700
-        a[51] = -np.inf
-        a[52, 7] = np.nan
-        a[53, 9] = np.inf
-        assert np.all((a[:50] == a[:50].max(axis=1, keepdims=True)).sum(axis=1) == 2)
+        if q == logwq.size:
+            # the sampler's symmetric Uniform01 log-weights: tied maxima
+            a[:, 7:57] = logwq[:, None] - rng.random(50)
+            tied = a[:, 7:57]
+            assert np.all(np.count_nonzero(tied == tied.max(axis=0), axis=0) == 2)
+        a[:, 0] = -np.inf
+        a[q // 2, 1] = np.nan
+        a[q - 1, 2] = np.inf
+        a[:, 3] = 0.5  # every atom at the maximum
+        a[[0, q - 1], 4] = a[:, 4].max() + 1.0  # two tied maxima (one if q = 1)
+        a[:, 5] = np.linspace(-800.0, 5.0, q)  # spread above 700
+        a[:, 6] = np.linspace(1.0, 1.0 + 1e-15, q)  # shifted terms near 1
+        # the sampler's SciPy reference holds its subjects in C-ordered rows,
+        # and NumPy's sum order depends on the layout
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            want = logsumexp(a, axis=1)
-        got = _log_sum_exp_rows(a.copy())
+            want = logsumexp(np.ascontiguousarray(a.T), axis=1)
+        got = _log_sum_exp_atoms(a.copy())
         assert np.array_equal(got, want, equal_nan=True)
-        assert got[51] == -np.inf and np.isnan(got[52]) and got[53] == np.inf
+        assert got[0] == -np.inf and np.isnan(got[1]) and got[2] == np.inf
+
+    def test_numpy_row_sum_order_is_the_lane_emulation(self):
+        # _sum_atoms adds columns in the order NumPy's pairwise sum adds a
+        # contiguous row; spread magnitudes make any other order round apart
+        rng = np.random.default_rng(4)
+        for q in (1, 2, 5, 7, 8, 9, 13, 64, 127, 128, 129, 200, 300):
+            a = rng.lognormal(sigma=10.0, size=(q, 500))
+            rows = np.ascontiguousarray(a.T).sum(axis=1)
+            assert np.array_equal(_sum_atoms(a), rows), (
+                f"q = {q}: NumPy {np.__version__}'s contiguous row sum no longer "
+                "adds in the order _sum_atoms emulates (8 lanes, then the tail; "
+                "halving above 128), on which the marginal sampler's SciPy bits rest"
+            )
 
     def test_reference_draw_memory_is_bounded(self):
         # NumPy reports its buffers to tracemalloc; a whole-array (200k, 64)
@@ -408,6 +451,52 @@ class TestCensoring:
         )
         with pytest.raises(ConfigError):
             calibrate_censoring(spec, 1.0, rng=np.random.default_rng(1))
+
+    def test_calibration_makes_one_draw(self, monkeypatch):
+        draws = Counter()
+        draw = simulate_module._draw_survival_times
+
+        def counted(*args):
+            draws["calls"] += 1
+            return draw(*args)
+
+        monkeypatch.setattr(simulate_module, "_draw_survival_times", counted)
+        spec = replace(CHANGEPOINT, censoring=UniformCensoring(upper=1.0))
+        calibrate_censoring(spec, 0.5, rng=np.random.default_rng(1))
+        assert draws == {"calls": 1}
+
+    @pytest.mark.parametrize("cell", sorted(CALIBRATED), ids="-".join)
+    def test_bundled_cells_calibrate_to_recorded_parameters(self, cell):
+        table, label, target = cell
+        config = next(
+            c
+            for c in load_study_config(Path(margfit.__file__).parent / "data" / table)
+            if c.label == label and c.target_censoring == float(target)
+        )
+        (param,) = astuple(_calibrated(config).censoring)
+        assert param == CALIBRATED[cell]
+
+    @pytest.mark.parametrize("miss, fails", [(0.004, False), (0.006, True)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_calibration_check_is_the_exact_fraction(
+        self, monkeypatch, miss, fails, sign
+    ):
+        # the quadrature's failure weights, rescaled so that the exact
+        # censored fraction misses the target by ``miss``
+        nodes = simulate_module._failure_law_nodes
+
+        def missing(spec, law):
+            w, *rest = nodes(spec, law)
+            return (w * ((0.5 - sign * miss) / w.sum()), *rest)
+
+        spec = replace(CHANGEPOINT, censoring=UniformCensoring(upper=1.0))
+        want = calibrate_censoring(spec, 0.5, rng=np.random.default_rng(1))
+        monkeypatch.setattr(simulate_module, "_failure_law_nodes", missing)
+        if fails:
+            with pytest.raises(FitError, match="calibration check failed"):
+                calibrate_censoring(spec, 0.5, rng=np.random.default_rng(1))
+        else:
+            assert calibrate_censoring(spec, 0.5, rng=np.random.default_rng(1)) == want
 
 
 class TestReferences:
@@ -573,6 +662,22 @@ def _changepoint_3_0(target):
     )
 
 
+# three subjects at 30% uniform censoring: few events, often separated
+TINY_WEIBULL = StudyConfig(
+    spec=GeneratorSpec(
+        baseline=Exponential(rate=1.4),
+        beta=BetaFunction.constant(0.5),
+        covariate=Uniform01(),
+        censoring=UniformCensoring(1.0),
+    ),
+    n=3,
+    reps=400,
+    seed=7,
+    target_censoring=0.3,
+    families_to_fit=("weibull",),
+)
+
+
 class TestBatchedEstimators:
     """A replication's estimators are the rows of one batched Newton: each
     must get, bit for bit, the estimate or the failure it gets alone."""
@@ -648,6 +753,45 @@ class TestBatchedEstimators:
         with pytest.raises(FitError) as err:
             run_study(config)
         assert str(err.value) == want
+
+    def test_underflowing_weibull_fit_fails_its_replication(self):
+        # rep 384 has two close event times; the Weibull profile's sums of
+        # t**shape underflow, which fails its estimator, not the study
+        spec = _calibrated(TINY_WEIBULL)
+        rows = _rep_block((spec, ["pl", "km", "par:weibull"], 7, 3, [384]))
+        [(_, values, _, fails)] = rows
+        assert set(values) == {"pl", "km"}
+        [(name, msg)] = fails
+        assert name == "par:weibull"
+        assert msg.startswith("degenerate Weibull profile likelihood")
+        with pytest.raises(FitError, match=r"replications failed \(> 1%\)"):
+            run_study(TINY_WEIBULL)
+
+    @pytest.mark.parametrize("design", ["tiny-weibull", "changepoint-3-0"])
+    def test_tiny_separated_designs_raise_no_warnings(self, design):
+        # Newton's trial steps on separated data overflow exp(beta z), and
+        # the step halving rejects them; the replications must run under
+        # error::RuntimeWarning and give what they give with warnings ignored
+        if design == "tiny-weibull":
+            config = TINY_WEIBULL
+        else:
+            config = replace(
+                _changepoint_3_0(0.5),
+                n=12,
+                reps=300,
+                seed=7,
+                families_to_fit=("exponential", "weibull", "pwexp:0.5"),
+            )
+        spec = _calibrated(config)
+        names = ["pl", "km", *(f"par:{f}" for f in config.families_to_fit)]
+        payload = (spec, names, config.seed, config.n, range(config.reps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            strict = _rep_block(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            quiet = _rep_block(payload)
+        assert repr(strict) == repr(quiet)
 
     @pytest.mark.parametrize(
         "families", [("exponential",), ("exponential", "weibull", "pwexp:0.3")]
