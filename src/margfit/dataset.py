@@ -228,7 +228,7 @@ def _parse_csv(fh, name: str) -> SurvivalDataset:
 def save_csv(data: SurvivalDataset, path) -> None:
     """Write a dataset in the same CSV format ``load_csv`` reads."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time", "status"] + [f"z{k+1}" for k in range(data.d)])
         for i in range(data.n):
             writer.writerow(

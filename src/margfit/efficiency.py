@@ -31,7 +31,6 @@ from .errors import ConfigError, FitError
 __all__ = [
     "AREConfig",
     "AREResult",
-    "a_function",
     "sigma_integrals",
     "relative_efficiency",
     "censoring_fraction",
@@ -80,18 +79,10 @@ class AREResult:
 
 
 def _log_a(beta: float, p: float, t: np.ndarray) -> np.ndarray:
+    """log A(beta, t), evaluated in log space (no overflow for large t)."""
     la = np.log1p(-p) - t
     lb = np.log(p) + beta - t * np.exp(beta)
     return la + lb - np.logaddexp(la, lb)
-
-
-def a_function(beta: float, p: float, t) -> np.ndarray:
-    """A(beta, t), evaluated stably in log space (no overflow for large t)."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError("p must be in (0, 1)")
-    t = np.asarray(t, dtype=float)
-    out = np.exp(_log_a(beta, p, t))
-    return out if out.ndim else float(out)
 
 
 def _log_censor_sf(t: np.ndarray, sigma: float) -> np.ndarray:

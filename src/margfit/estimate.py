@@ -19,27 +19,28 @@ Scores, Jacobians, variances and the log partial likelihood evaluate
 through one prepared state, ``_Kernel``, built once per (data, ties): the
 event rows, each failure's risk-set start and at-risk count and the Efron
 tie layout, shared by the weights of S schemes (S = 1 for a public call,
-one per estimator in a study replication). Event multipliers rescale its
-score terms without a rebuild, and only the sums of
+one per estimator in a study replication). Only the sums of
 ``dataset._risk_set_sums`` depend on beta. A kernel holds B rows of score
-weights (its schemes, or one scheme's draws of multipliers) and evaluates
-them at B betas in one pass over the risk sets. Efron ties (Efron 1977)
+weights (its schemes, or, once ``_Kernel.reweighted`` has scaled one
+scheme's terms by resampling multipliers, its draws) and evaluates them at
+B betas in one pass over the risk sets. Efron ties (Efron 1977)
 are Breslow at adjusted sums: the l-th of d_k failures tied at a time sees
 S_r - (l/d_k) D_r, D_r the tie group's own sums.
 
 Solving is Newton-Raphson with step halving, in one loop, ``_newton``,
 that iterates B scores together, each row as it would be alone; ``_fit``
 solves a kernel's schemes in one such call and returns each scheme's
-result or error, and ``solve_score`` is its one-scheme case. Variances
-are Andersen-Gill (information inverse) for the constant weights and the
-robust sandwich A^{-1} B A^{-1} with a scheme's own weights for weighted
-schemes, both under the fit's tie rule.
+result or error, and ``solve_score`` is its one-scheme case, started at
+zero. A fit's variance is Andersen-Gill (information inverse, under the
+fit's tie rule) for the constant weights and the robust sandwich
+A^{-1} B A^{-1} with a scheme's own weights for weighted schemes; the
+standalone ``variance_andersen_gill`` and ``variance_sandwich`` give them
+at any beta.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -173,9 +174,6 @@ class FitResult:
             out["theta_hat"] = self.theta
         return out
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
 
 def event_weights(data: SurvivalDataset, scheme: WeightScheme) -> np.ndarray:
     """Per-subject weight W(X_i), meaningful at event rows.
@@ -218,20 +216,17 @@ class _Kernel:
     W at the m failures, one row per scheme; a scheme whose marginal family
     cannot be fitted has no row, and ``errors[s]`` holds what the fit
     raised. ``live`` maps the rows to their schemes. ``score_weights``
-    (B, m) is W times each of B rows of event multipliers: without
-    multipliers or with one vector of them B = S'; a (B, n) array needs a
-    single scheme. ``reweighted`` swaps the multipliers and keeps the rest,
-    so resampling draws share one kernel.
+    (B, m) holds the rows the scores use: ``weights`` itself, or, in a copy
+    made by ``reweighted``, one scheme's W times each of B rows of event
+    multipliers, so resampling draws share one kernel.
     """
 
-    def __init__(self, data, schemes, ties="breslow", event_multipliers=None):
+    def __init__(self, data, schemes, ties="breslow"):
         data.require_events()
         if ties not in ("breslow", "efron"):
             raise ConfigError(f"ties must be 'breslow' or 'efron', got {ties!r}")
         if ties == "efron" and not all(isinstance(s, Constant) for s in schemes):
             raise ConfigError("the Efron tie correction applies to constant weights only")
-        if event_multipliers is not None and np.shape(event_multipliers) != (data.n,):
-            raise DataError(f"event_multipliers must have length {data.n}")
         self.data = data
         self.ties = ties
         self.ev = np.flatnonzero(data.status == 1)
@@ -263,36 +258,30 @@ class _Kernel:
             weights.append(_weights(data, fitted, data.time[self.ev], at_risk))
         self.live = [s for s, err in enumerate(self.errors) if err is None]
         self.weights = np.array(weights).reshape(len(weights), self.ev.size)
-        self.score_weights = self._score_weights(event_multipliers)
+        self.score_weights = self.weights
 
     @classmethod
-    def single(cls, data, scheme, ties="breslow", event_multipliers=None) -> "_Kernel":
+    def single(cls, data, scheme, ties="breslow") -> "_Kernel":
         """The kernel of ``scheme`` alone; raises what its scheme raised."""
-        kernel = cls(data, [scheme], ties, event_multipliers)
+        kernel = cls(data, [scheme], ties)
         if kernel.errors[0] is not None:
             raise kernel.errors[0]
         return kernel
 
-    def _score_weights(self, event_multipliers):
-        """W times the multipliers: (S', m) for none or (n,), (B, m) for (B, n)."""
-        if event_multipliers is None:
-            w = self.weights
-        else:
-            mult = np.asarray(event_multipliers, dtype=float)
-            w = np.atleast_2d(self.weights * mult[..., self.ev])
-        if self.frac is not None:
-            shared = w[:, self.starts].take(self.group, axis=1)
-            if not np.allclose(w, shared):
-                raise ConfigError(
-                    "event multipliers must be shared within tied event times"
-                )
-            w = shared
-        return w
-
     def reweighted(self, event_multipliers) -> "_Kernel":
-        """This kernel with its score terms scaled by ``event_multipliers``."""
+        """This one-scheme kernel with its score terms scaled, once per row.
+
+        ``event_multipliers`` is (B, n), one row of per-subject multipliers
+        per draw. Under Efron ties each row must be equal within every tie
+        group, exactly.
+        """
+        w = self.weights * np.asarray(event_multipliers, dtype=float)[:, self.ev]
+        if self.frac is not None and not np.array_equal(
+            w, w[:, self.starts].take(self.group, axis=1)
+        ):
+            raise ConfigError("event multipliers must be shared within tied event times")
         kernel = copy.copy(self)
-        kernel.score_weights = self._score_weights(event_multipliers)
+        kernel.score_weights = w
         return kernel
 
     def moments(self, beta):
@@ -374,14 +363,9 @@ def weighted_score(
     beta,
     *,
     ties: str = "breslow",
-    event_multipliers: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The weighted score U_W(beta) = sum delta_i W(X_i){Z_i - E(beta, X_i)}.
-
-    ``event_multipliers`` (the resampling hook) scale the terms; under
-    ties='efron' they must be shared within tied event times.
-    """
-    kernel = _Kernel.single(data, scheme, ties, event_multipliers)
+    """The weighted score U_W(beta) = sum delta_i W(X_i){Z_i - E(beta, X_i)}."""
+    kernel = _Kernel.single(data, scheme, ties)
     return kernel.score(_beta(beta, data.d)[None])[0][0]
 
 
@@ -391,10 +375,9 @@ def score_jacobian(
     beta,
     *,
     ties: str = "breslow",
-    event_multipliers: np.ndarray | None = None,
 ) -> np.ndarray:
     """dU_W/dbeta = -sum delta_i W(X_i) V(beta, X_i); negative semidefinite."""
-    kernel = _Kernel.single(data, scheme, ties, event_multipliers)
+    kernel = _Kernel.single(data, scheme, ties)
     return kernel.score(_beta(beta, data.d)[None])[1][0]
 
 
@@ -437,25 +420,23 @@ def variance_sandwich(
 def solve_score(
     data: SurvivalDataset,
     scheme: WeightScheme,
-    init=None,
     *,
     ties: str = "breslow",
     variance: str = "auto",
-    event_multipliers: np.ndarray | None = None,
 ) -> FitResult:
-    """Solve U_W(beta) = 0 by Newton-Raphson with step halving.
+    """Solve U_W(beta) = 0 by Newton-Raphson with step halving from zero.
 
     Parameters
     ----------
     data : SurvivalDataset
     scheme : WeightScheme
-    init : array-like, optional
-        Starting value (default zero vector).
     ties : {'breslow', 'efron'}
         Efron is available for the constant scheme only.
-    variance : {'auto', 'andersen-gill', 'sandwich', 'none'}
-        'auto' pairs constant weights with Andersen-Gill and weighted
-        schemes with the sandwich. Both follow ``ties``.
+    variance : {'auto', 'none'}
+        'auto' gives constant weights the Andersen-Gill variance under
+        ``ties`` and weighted schemes the sandwich; 'none' skips the
+        variance (NaN). ``variance_andersen_gill`` and ``variance_sandwich``
+        evaluate either at any beta.
 
     Newton stops once the max-norm of the score is below 1e-9; the budget
     is 50 iterations, each allowing up to 20 step halvings. Both are fixed.
@@ -480,14 +461,9 @@ def solve_score(
     ConvergenceError
         No convergence within 50 iterations.
     """
-    if variance not in ("auto", "andersen-gill", "sandwich", "none"):
+    if variance not in ("auto", "none"):
         raise ConfigError(f"unknown variance rule {variance!r}")
-    beta = np.zeros(data.d) if init is None else np.atleast_1d(
-        np.asarray(init, dtype=float)
-    ).copy()
-    if beta.shape != (data.d,):
-        raise DataError(f"init must have length {data.d}")
-    return _solved(_Kernel.single(data, scheme, ties, event_multipliers), beta, variance)
+    return _solved(_Kernel.single(data, scheme, ties), np.zeros(data.d), variance)
 
 
 def _newton(kernel: _Kernel, beta: np.ndarray):
@@ -591,7 +567,8 @@ def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> list:
     ``DataError`` that solving it alone raises (its marginal fit's, its
     Newton row's or its variance's). Under ``variance='auto'`` the constant
     scheme takes the Andersen-Gill variance and a weighted one the sandwich
-    with its own weights. Needs one score row per row of weights.
+    with its own weights; ``'none'`` leaves it NaN. Needs one score row per
+    row of weights.
     """
     out = list(kernel.errors)
     if not kernel.live:
@@ -606,9 +583,7 @@ def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> list:
         try:
             if variance == "none":
                 var = np.full((d, d), np.nan)
-            elif variance == "andersen-gill" or (
-                variance == "auto" and isinstance(scheme, Constant)
-            ):
+            elif isinstance(scheme, Constant):
                 var = kernel.andersen_gill(vs[row])
             else:
                 var = kernel.sandwich(vs[row], row)

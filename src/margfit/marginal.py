@@ -419,7 +419,7 @@ def save_curve(step: StepSurvival, path) -> None:
     """Write a step curve as ``time,survival`` CSV (round-trips through
     :func:`load_external_curve`)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time", "survival"])
         writer.writerow([0.0, 1.0])
         for t, v in zip(step.jump_times, step.values):

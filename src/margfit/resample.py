@@ -54,16 +54,6 @@ class ResampleResult:
     failures: tuple
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n_draws": int(self.draws.shape[0]),
-            "n_failed": self.n_failed,
-            "se": [float(s) for s in self.se],
-            "point": self.point.to_dict(),
-            "seed": self.seed,
-        }
-
     def export_csv(self, path) -> None:
         """One column per coefficient, one row per successful draw."""
         d = self.draws.shape[1]

@@ -67,7 +67,6 @@ __all__ = [
     "GeneratorSpec",
     "StudyConfig",
     "SimStudyResult",
-    "draw_survival_time",
     "generate_dataset",
     "calibrate_censoring",
     "run_study",
@@ -384,13 +383,6 @@ def _sum_atoms(a: np.ndarray) -> np.ndarray:
         return s
     half = q // 2 - q // 2 % 8
     return _sum_atoms(a[:half]) + _sum_atoms(a[half:])
-
-
-def draw_survival_time(spec: GeneratorSpec, z: float, rng) -> float:
-    """One survival time T for a subject with covariate z."""
-    if not np.isfinite(z):
-        raise ConfigError("covariate value must be finite")
-    return float(_draw_survival_times(spec, np.array([float(z)]), _as_rng(rng))[0])
 
 
 def generate_dataset(spec: GeneratorSpec, n: int, rng) -> SurvivalDataset:

@@ -11,6 +11,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -55,6 +56,38 @@ def test_every_declared_name_resolves_on_the_package():
             assert getattr(margfit, attr) is getattr(module, attr), attr
     declared = {attr for name in MODULES for attr in _module(name).__all__}
     assert set(margfit.__all__) == declared | {"__version__"}
+
+
+def _referenced_names(path: Path) -> set:
+    """The names a Python file's code refers to: names, attributes, imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_every_public_name_has_a_user():
+    """A public name is used by another module's code, by the benchmark's
+    code, or documented in the README; API that only the tests use goes."""
+    src = Path(margfit.__file__).parent
+    repo = Path(__file__).resolve().parents[1]
+    used = {path.stem: _referenced_names(path) for path in src.glob("*.py")}
+    bench = set().union(*map(_referenced_names, (repo / "perfbench").glob("*.py")))
+    readme = (repo / "README.md").read_text()
+    unused = [
+        attr
+        for name in MODULES
+        for attr in _module(name).__all__
+        if not any(attr in names for stem, names in used.items() if stem != name)
+        and attr not in bench
+        and not re.search(rf"\b{attr}\b", readme)
+    ]
+    assert unused == []
 
 
 def _private(dotted: str) -> bool:

@@ -18,6 +18,7 @@ from margfit import (
     StudyConfig,
     SurvivalDataset,
     kaplan_meier,
+    load_csv,
     load_external_curve,
     save_csv,
 )
@@ -318,6 +319,27 @@ class TestKmExport:
     def test_km_curve_round_trips(self, leukemia, leukemia_csv, tmp_path, capsys):
         prefix = str(tmp_path / "leuk")
         assert main(["km-export", leukemia_csv, "--out-prefix", prefix]) == 0
+        curve = load_external_curve(f"{prefix}_km.csv")
+        km = kaplan_meier(leukemia)
+        assert np.array_equal(curve.step.jump_times, km.jump_times)
+        assert np.array_equal(curve.step.values, km.values)
+
+    def test_written_files_end_lines_in_lf(self, leukemia, tmp_path):
+        # a saved dataset and the exported curves end lines in "\n" alone, as
+        # the study, draws and grid CSVs do, and still read back exactly
+        data_path = tmp_path / "leuk.csv"
+        save_csv(leukemia, data_path)
+        prefix = str(tmp_path / "leuk")
+        args = ["km-export", str(data_path), "--family", "exponential"]
+        assert main(args + ["--out-prefix", prefix]) == 0
+        paths = sorted(tmp_path.iterdir())
+        names = ["leuk.csv", "leuk_exponential.csv", "leuk_km.csv"]
+        assert [p.name for p in paths] == names
+        for path in paths:
+            assert b"\r" not in path.read_bytes(), path.name
+        back = load_csv(data_path)
+        for attr in ("time", "status", "covariates"):
+            assert np.array_equal(getattr(back, attr), getattr(leukemia, attr))
         curve = load_external_curve(f"{prefix}_km.csv")
         km = kaplan_meier(leukemia)
         assert np.array_equal(curve.step.jump_times, km.jump_times)
