@@ -182,6 +182,14 @@ class TestSolver:
     def test_newton_is_fast(self, leukemia):
         assert solve_score(leukemia, Constant()).iterations <= 8
 
+    def test_warm_start(self, leukemia):
+        # Newton started at a root stops there without a step
+        ref = solve_score(leukemia, Constant())
+        kernel = estimate_module._Kernel.single(leukemia, Constant())
+        beta, iterations, _, _, errors = estimate_module._newton(kernel, ref.beta)
+        assert errors == [None] and iterations[0] == 0
+        assert np.array_equal(beta[0], ref.beta)
+
     def test_no_censoring_collapse(self, uncensored_sample):
         pl = solve_score(uncensored_sample, Constant())
         km = solve_score(uncensored_sample, KaplanMeier())
@@ -294,12 +302,16 @@ class TestSchemeRows:
     ]
 
     def assert_rows_alone(self, data, schemes, ties="breslow", variance="auto"):
+        # a rule solve_score does not take is checked on the roots of 'none'
+        rule = variance if variance in ("auto", "none") else "none"
         kernel = estimate_module._Kernel(data, schemes, ties)
-        fits = estimate_module._fit(kernel, np.zeros(data.d), variance)
+        fits = estimate_module._fit(kernel, np.zeros(data.d), rule)
         assert len(fits) == len(schemes)
+        if rule != variance:
+            self.assert_variances_alone(kernel, fits, variance)
         for scheme, fit in zip(schemes, fits):
             try:
-                alone = solve_score(data, scheme, ties=ties, variance=variance)
+                alone = solve_score(data, scheme, ties=ties, variance=rule)
             except (DataError, FitError) as exc:
                 assert (type(fit), str(fit)) == (type(exc), str(exc))
                 continue
@@ -310,7 +322,24 @@ class TestSchemeRows:
                 assert a.tobytes() == b.tobytes()
         return fits
 
-    @pytest.mark.parametrize("variance", ["auto", "none"])
+    @staticmethod
+    def assert_variances_alone(kernel, fits, variance):
+        """Each row's ``variance`` from the shared kernel at its root is the
+        standalone function's for its scheme alone, bit for bit."""
+        for row, s in enumerate(kernel.live):
+            if isinstance(fits[s], Exception):
+                continue
+            beta = fits[s].beta
+            v = kernel.moments(beta[None])[2][0]
+            if variance == "andersen-gill":
+                shared = kernel.andersen_gill(v)
+                alone = variance_andersen_gill(kernel.data, beta)
+            else:
+                shared = kernel.sandwich(v, row)
+                alone = variance_sandwich(kernel.data, kernel.schemes[s], beta)
+            assert shared.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("variance", ["auto", "andersen-gill", "sandwich", "none"])
     def test_each_row_is_its_scheme_alone(self, leukemia, variance):
         fits = self.assert_rows_alone(leukemia, self.ROWS, variance=variance)
         assert isinstance(fits[4], FitError) and "zero exposure" in str(fits[4])
