@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_csv
+from .dataset import _write_table, load_csv
 from .efficiency import are_table
 from .errors import ConfigError, ConvergenceError, DataError, FitError
 from .estimate import FitResult, _parse_scheme, solve_score
@@ -158,7 +158,7 @@ def cmd_are(args) -> int:
         ps=_parse_floats(args.p, "--p"),
         sigma_role=args.sigma_role,
     )
-    lines = ["beta0,t_c,p,ratio,censoring_percent,sigma0,sigma1,sigma2,sigma_role"]
+    rows = []
     print("beta0   t_c    p      ratio   censoring")
     for r in results:
         c = r.config
@@ -166,13 +166,13 @@ def cmd_are(args) -> int:
             f"{c.beta0:<7g} {c.t_c:<6g} {c.p:<6g} {r.ratio:.3f}   "
             f"{100 * r.censoring_fraction:.0f}%"
         )
-        lines.append(
-            f"{c.beta0!r},{c.t_c!r},{c.p!r},{r.ratio!r},"
-            f"{100 * r.censoring_fraction!r},{r.sigma0!r},{r.sigma1!r},"
-            f"{r.sigma2!r},{c.sigma_role}"
+        rows.append(
+            [c.beta0, c.t_c, c.p, r.ratio, 100 * r.censoring_fraction, r.sigma0]
+            + [r.sigma1, r.sigma2, c.sigma_role]
         )
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = "beta0,t_c,p,ratio,censoring_percent,sigma0,sigma1,sigma2,sigma_role"
+        _write_table(args.out, header.split(","), rows)
         print(f"wrote {args.out}")
     return 0
 

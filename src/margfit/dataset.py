@@ -16,7 +16,6 @@ laws instead.)
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -166,75 +165,88 @@ def risk_set_stats(data: SurvivalDataset, beta: np.ndarray, t: float) -> RiskSet
     return RiskSetStats(s0=float(s0), s1=s1, s2=s2, e=e, v=v, n_at_risk=m)
 
 
-def load_csv(path) -> SurvivalDataset:
-    """Read a dataset from CSV with header ``time,status,z1,...,zd``.
+def _read_table(path, header_rule):
+    """The data rows of the CSV table at ``path``, as floats.
 
-    Errors report the offending line number. Decimal point is ``.``;
-    no thousands separators.
+    The first row, stripped, must equal ``header_rule(width)`` for its own
+    width. Blank lines are skipped; every other row must have the header's
+    width and hold numbers. Errors name the file and the line. Returns
+    (line numbers, rows as an (m, width) array).
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
-        return _parse_csv(fh, str(path))
-
-
-def _parse_csv(fh, name: str) -> SurvivalDataset:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{name}: empty file") from None
-    header = [h.strip() for h in header]
-    if len(header) < 3 or header[0] != "time" or header[1] != "status":
-        raise DataError(
-            f"{name}: header must be 'time,status,z1,...,zd', got {header!r}"
-        )
-    expected_z = [f"z{k}" for k in range(1, len(header) - 1)]
-    if header[2:] != expected_z:
-        raise DataError(
-            f"{name}: covariate columns must be named {','.join(expected_z)}"
-        )
-    d = len(header) - 2
-    times: list[float] = []
-    status: list[int] = []
-    covs: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != d + 2:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        expected = header_rule(len(header))
+        if header != expected:
             raise DataError(
-                f"{name}: line {lineno}: expected {d + 2} fields, got {len(row)}"
+                f"{path}: header must be {','.join(expected)!r}, got {header!r}"
             )
-        try:
-            t = float(row[0])
-            s = float(row[1])
-            zrow = [float(x) for x in row[2:]]
-        except ValueError as exc:
-            raise DataError(f"{name}: line {lineno}: {exc}") from None
+        lines, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} "
+                    f"fields, got {len(row)}"
+                )
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+            lines.append(reader.line_num)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return lines, np.array(rows)
+
+
+def _write_table(path, header, rows) -> None:
+    """Write ``rows`` under ``header`` as CSV, with LF line ends everywhere.
+
+    A string cell is written as it is and any other by ``repr``, so a float
+    reads back to the same bits. Pass NumPy values as ``.tolist()``: the
+    repr of a NumPy 2 scalar is ``np.float64(...)``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(c if isinstance(c, str) else repr(c) for c in row)
+
+
+def _dataset_header(width: int) -> list[str]:
+    """The dataset header of ``width`` columns: time, status, z1, ..., with
+    at least one covariate."""
+    return ["time", "status", *(f"z{k}" for k in range(1, max(width, 3) - 1))]
+
+
+def load_csv(path) -> SurvivalDataset:
+    """Read a dataset from CSV with header ``time,status,z1,...,zd``.
+
+    Errors name the file and the offending line. Decimal point is ``.``;
+    no thousands separators.
+    """
+    lines, rows = _read_table(path, _dataset_header)
+    for lineno, (t, s) in zip(lines, rows[:, :2].tolist()):
         if t < 0:
-            raise DataError(f"{name}: negative time at line {lineno}")
+            raise DataError(f"{path}: negative time at line {lineno}")
         if s not in (0.0, 1.0):
-            raise DataError(f"{name}: status outside {{0,1}} at line {lineno}")
-        times.append(t)
-        status.append(int(s))
-        covs.append(zrow)
-    if not times:
-        raise DataError(f"{name}: no data rows")
-    return SurvivalDataset(np.array(times), np.array(status), np.array(covs))
+            raise DataError(f"{path}: status outside {{0,1}} at line {lineno}")
+    return SurvivalDataset(rows[:, 0], rows[:, 1], rows[:, 2:])
 
 
 def save_csv(data: SurvivalDataset, path) -> None:
-    """Write a dataset in the same CSV format ``load_csv`` reads."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "status"] + [f"z{k+1}" for k in range(data.d)])
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(data.time[i])), int(data.status[i])]
-                + [repr(float(v)) for v in data.covariates[i]]
-            )
+    """Write a dataset in the CSV table format ``load_csv`` reads.
+
+    The header is ``time,status,z1,...,zd``; times and covariates are
+    written by ``repr``, so ``load_csv`` reads back the same bits.
+    """
+    rows = zip(data.time.tolist(), data.status.tolist(), data.covariates.tolist())
+    _write_table(path, _dataset_header(data.d + 2), ([t, s, *z] for t, s, z in rows))
 
 
 def freireich() -> SurvivalDataset:
@@ -244,5 +256,5 @@ def freireich() -> SurvivalDataset:
     codes the placebo group, so a positive coefficient means a higher
     relapse hazard on placebo. 30 events, 12 censored.
     """
-    text = resources.files("margfit.data").joinpath("freireich.csv").read_text()
-    return _parse_csv(io.StringIO(text), "freireich.csv")
+    with resources.as_file(resources.files("margfit.data") / "freireich.csv") as path:
+        return load_csv(path)

@@ -27,15 +27,14 @@ B betas in one pass over the risk sets. Efron ties (Efron 1977)
 are Breslow at adjusted sums: the l-th of d_k failures tied at a time sees
 S_r - (l/d_k) D_r, D_r the tie group's own sums.
 
-Solving is Newton-Raphson with step halving, in one loop, ``_newton``,
-that iterates B scores together, each row as it would be alone; ``_fit``
-solves a kernel's schemes in one such call and returns each scheme's
-result or error, and ``solve_score`` is its one-scheme case, started at
-zero. A fit's variance is Andersen-Gill (information inverse, under the
-fit's tie rule) for the constant weights and the robust sandwich
-A^{-1} B A^{-1} with a scheme's own weights for weighted schemes; the
-standalone ``variance_andersen_gill`` and ``variance_sandwich`` give them
-at any beta.
+Solving is Newton-Raphson with step halving from zero, in one loop,
+``_newton``, that iterates B scores together, each row as it would be
+alone; ``_fit`` solves a kernel's schemes in one such call and returns
+each scheme's result or error, and ``solve_score`` is its one-scheme case.
+A fit's variance is Andersen-Gill (information inverse, under the fit's
+tie rule) for the constant weights and the robust sandwich A^{-1} B A^{-1}
+with a scheme's own weights for weighted schemes; the standalone
+``variance_andersen_gill`` and ``variance_sandwich`` give them at any beta.
 """
 
 from __future__ import annotations
@@ -463,11 +462,11 @@ def solve_score(
     """
     if variance not in ("auto", "none"):
         raise ConfigError(f"unknown variance rule {variance!r}")
-    return _solved(_Kernel.single(data, scheme, ties), np.zeros(data.d), variance)
+    return _solved(_Kernel.single(data, scheme, ties), variance)
 
 
-def _newton(kernel: _Kernel, beta: np.ndarray):
-    """Roots of ``kernel``'s B scores by Newton-Raphson, every row from ``beta``.
+def _newton(kernel: _Kernel):
+    """Roots of ``kernel``'s B scores by Newton-Raphson, every row from zero.
 
     The rows are solved together, each with its own steps, step halvings,
     iteration count and stopping point; a row's arithmetic is what it would
@@ -476,7 +475,8 @@ def _newton(kernel: _Kernel, beta: np.ndarray):
     variance skip a pass, and ``errors[b]`` is None or the ``FitError`` that
     stopped row b (whose other entries are then NaN).
     """
-    U, J, v = kernel.score(beta[None])
+    beta = np.zeros((1, kernel.data.d))
+    U, J, v = kernel.score(beta)
     size, d = U.shape
     root, norms = np.full((size, d), np.nan), np.full(size, np.nan)
     iterations = np.zeros(size, dtype=int)
@@ -484,7 +484,7 @@ def _newton(kernel: _Kernel, beta: np.ndarray):
     errors = [None] * size
     # the state of the rows still iterating; ``live`` maps them to output rows
     live = np.arange(size)
-    beta, v = np.repeat(beta[None], size, axis=0), np.repeat(v, size, axis=0)
+    beta, v = np.repeat(beta, size, axis=0), np.repeat(v, size, axis=0)
     norm = np.abs(U).max(axis=1)
     for it in range(_MAX_ITER + 1):
         done = norm < _TOL
@@ -560,8 +560,8 @@ def _solve_rows(J, U):
     return step, solved
 
 
-def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> list:
-    """Fit every scheme of ``kernel`` from ``beta`` in one batched Newton.
+def _fit(kernel: _Kernel, variance: str = "auto") -> list:
+    """Fit every scheme of ``kernel`` in one batched Newton from zero.
 
     Returns one entry per scheme: its ``FitResult``, or the ``FitError`` or
     ``DataError`` that solving it alone raises (its marginal fit's, its
@@ -573,7 +573,7 @@ def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> list:
     out = list(kernel.errors)
     if not kernel.live:
         return out
-    roots, iterations, norms, vs, errors = _newton(kernel, beta)
+    roots, iterations, norms, vs, errors = _newton(kernel)
     d = kernel.data.d
     for row, s in enumerate(kernel.live):
         scheme = kernel.schemes[s]
@@ -606,9 +606,9 @@ def _fit(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> list:
     return out
 
 
-def _solved(kernel: _Kernel, beta: np.ndarray, variance: str = "auto") -> FitResult:
+def _solved(kernel: _Kernel, variance: str = "auto") -> FitResult:
     """The fit of a one-scheme ``kernel``; raises the error it ends with."""
-    (fit,) = _fit(kernel, beta, variance)
+    (fit,) = _fit(kernel, variance)
     if isinstance(fit, Exception):
         raise fit
     return fit

@@ -8,14 +8,13 @@ which is the convention the weighted estimators require.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, _read_table, _write_table
 from .errors import ConfigError, ConvergenceError, DataError, FitError
 
 # Newton iteration budget of the Weibull shape
@@ -98,10 +97,6 @@ class Exponential:
     def cumulative_hazard(self, t):
         return self.rate * np.asarray(t, dtype=float)
 
-    def inverse_survival(self, s):
-        """Time t with S(t) = s."""
-        return -np.log(np.asarray(s, dtype=float)) / self.rate
-
     def inverse_cumulative_hazard(self, u):
         """Time t with H(t) = u; stable for u too large for the survival scale."""
         return np.asarray(u, dtype=float) / self.rate
@@ -121,9 +116,6 @@ class Weibull:
 
     def cumulative_hazard(self, t):
         return (np.asarray(t, dtype=float) / self.scale) ** self.shape
-
-    def inverse_survival(self, s):
-        return self.scale * (-np.log(np.asarray(s, dtype=float))) ** (1.0 / self.shape)
 
     def inverse_cumulative_hazard(self, u):
         return self.scale * np.asarray(u, dtype=float) ** (1.0 / self.shape)
@@ -162,9 +154,6 @@ class PiecewiseExponential:
 
     def survival(self, t):
         return np.exp(-self.cumulative_hazard(t))
-
-    def inverse_survival(self, s):
-        return self.inverse_cumulative_hazard(-np.log(np.asarray(s, dtype=float)))
 
     def inverse_cumulative_hazard(self, u):
         target = np.asarray(u, dtype=float)
@@ -376,51 +365,30 @@ def model_params(model: Exponential | Weibull | PiecewiseExponential) -> dict:
     return {"family": _name_of(model, _FAMILIES), **_fields_doc(model)}
 
 
+def _curve_header(width: int) -> list[str]:
+    """A curve file's header, whatever its width."""
+    return ["time", "survival"]
+
+
 def load_external_curve(path) -> ExternalCurve:
     """Read a two-column CSV ``time,survival`` as an external step curve.
 
     The curve must start at (0, 1) and be nonincreasing with values in
     [0, 1]. Evaluation is step-wise (left-continuous); no interpolation.
+    Errors name the file, and the line where one line is at fault.
     """
-    times: list[float] = []
-    values: list[float] = []
+    lines, rows = _read_table(path, _curve_header)
+    if rows[0].tolist() != [0.0, 1.0]:
+        raise DataError(f"{path}: line {lines[0]}: first row must be (0, 1)")
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["time", "survival"]:
-            raise DataError(f"{path}: header must be 'time,survival'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 fields")
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-    if not times:
-        raise DataError(f"{path}: no data rows")
-    if times[0] != 0 or values[0] != 1:
-        raise DataError(f"{path}: first row must be (0, 1)")
-    t = np.asarray(times[1:]) if len(times) > 1 else np.empty(0)
-    v = np.asarray(values[1:]) if len(values) > 1 else np.empty(0)
-    try:
-        return ExternalCurve(StepSurvival(t, v))
+        return ExternalCurve(StepSurvival(rows[1:, 0], rows[1:, 1]))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 def save_curve(step: StepSurvival, path) -> None:
-    """Write a step curve as ``time,survival`` CSV (round-trips through
-    :func:`load_external_curve`)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "survival"])
-        writer.writerow([0.0, 1.0])
-        for t, v in zip(step.jump_times, step.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    """Write a step curve in the CSV table format ``load_external_curve``
+    reads: header ``time,survival``, the origin (0, 1), then one row per
+    jump, written by ``repr`` so the curve reads back to the same bits."""
+    rows = zip(step.jump_times.tolist(), step.values.tolist())
+    _write_table(path, _curve_header(2), [(0.0, 1.0), *rows])

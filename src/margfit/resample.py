@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_map
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
 from .estimate import FitResult, WeightScheme, _Kernel, _newton, _solved, solve_score
 
@@ -55,14 +55,11 @@ class ResampleResult:
     seed: int
 
     def export_csv(self, path) -> None:
-        """One column per coefficient, one row per successful draw."""
-        d = self.draws.shape[1]
-        header = ",".join(f"beta{j + 1}" for j in range(d))
-        lines = [header]
-        for row in self.draws:
-            lines.append(",".join(repr(float(x)) for x in row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write the draws as CSV: header ``beta1,...,betad``, then one row
+        per successful draw, each value written by ``repr`` so it reads
+        back to the same bits."""
+        header = [f"beta{j + 1}" for j in range(self.draws.shape[1])]
+        _write_table(path, header, self.draws.tolist())
 
 
 def _event_multipliers(data: SurvivalDataset, e: np.ndarray) -> np.ndarray:
@@ -119,7 +116,7 @@ def _random_weight_draws(kernel, rngs):
             for rng in rngs
         ]
     )
-    beta, _, _, _, errors = _newton(kernel.reweighted(mult), np.zeros(data.d))
+    beta, _, _, _, errors = _newton(kernel.reweighted(mult))
     return beta, errors
 
 
@@ -221,7 +218,7 @@ def resample_distribution(
     return _run_draws(
         _random_weight_block,
         kernel,
-        _solved(kernel, np.zeros(data.d)),
+        _solved(kernel),
         n_draws,
         seed,
         jobs,

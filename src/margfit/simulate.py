@@ -30,7 +30,6 @@ tables.
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -41,7 +40,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._parallel import parallel_map
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
 from .estimate import FitResult, _fit, _Kernel, _parse_scheme
 from .marginal import (
@@ -546,7 +545,7 @@ def _one_rep(spec: GeneratorSpec, names, seed: int, n: int, rep: int):
     data = generate_dataset(spec, n, rng)
     try:
         schemes = [_parse_scheme(name) for name in names]
-        fits = _fit(_Kernel(data, schemes), np.zeros(data.d))
+        fits = _fit(_Kernel(data, schemes))
     except (FitError, DataError) as exc:  # no events: every estimator fails
         fits = [exc] * len(names)
     values = {}
@@ -960,19 +959,21 @@ _CSV_TAIL = ("expected_beta_family", "expected_beta_mc", "n", "reps", "seed")
 def write_results_csv(results: list[SimStudyResult], path) -> None:
     """Wide CSV, one row per censoring level, mean/sd columns per estimator.
 
-    A study that did not fit an estimator leaves its two cells empty.
+    The columns are ``label``, the censoring family and levels, a
+    ``<estimator>_mean`` and ``<estimator>_sd`` pair per estimator, the
+    reference E[beta(T)] values, ``n``, ``reps`` and ``seed``. Numbers are
+    written by ``repr`` and a label holding a comma is quoted. A study that
+    did not fit an estimator leaves its two cells empty.
     """
     if not results:
         raise ConfigError("no results to write")
     pairs = (f"{n}_{x}" for n in _estimator_names(results) for x in ("mean", "sd"))
     header = [*_CSV_LEAD, *pairs, *_CSV_TAIL]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in results:
-            record = _study_record(r)
-            cells = {**record["config"], **record}
-            for name, est in record["estimators"].items():
-                cells[f"{name}_mean"], cells[f"{name}_sd"] = est["mean"], est["sd"]
-            row = (cells.get(column, "") for column in header)
-            writer.writerow(v if isinstance(v, str) else repr(v) for v in row)
+    rows = []
+    for r in results:
+        record = _study_record(r)
+        cells = {**record["config"], **record}
+        for name, est in record["estimators"].items():
+            cells[f"{name}_mean"], cells[f"{name}_sd"] = est["mean"], est["sd"]
+        rows.append([cells.get(column, "") for column in header])
+    _write_table(path, header, rows)

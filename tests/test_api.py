@@ -181,3 +181,31 @@ def test_only_newton_iterates_the_score():
 def test_the_newton_guard_sees_a_loop_of_solves():
     source = "def fits(data, schemes):\n    return [solve_score(data, s) for s in schemes]"
     assert _score_loops(ast.parse(source)) == [("fits", "solve_score")]
+
+
+def _csv_importers(tree) -> int:
+    """How many import statements in ``tree`` import the ``csv`` module."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            count += any(a.name.split(".")[0] == "csv" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            count += (node.module or "").split(".")[0] == "csv"
+    return count
+
+
+def test_only_dataset_imports_csv():
+    """``dataset._read_table`` and ``dataset._write_table`` are the package's
+    one CSV table format, so no other module reads or writes CSV itself."""
+    src = Path(margfit.__file__).parent
+    importers = [
+        path.stem
+        for path in sorted(src.rglob("*.py"))
+        if path.stem != "dataset" and _csv_importers(ast.parse(path.read_text()))
+    ]
+    assert importers == []
+
+
+def test_the_csv_guard_sees_both_import_forms():
+    source = "import csv\nfrom csv import writer\nfrom . import csv_like\n"
+    assert _csv_importers(ast.parse(source)) == 2

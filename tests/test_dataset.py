@@ -165,6 +165,20 @@ class TestCsv:
         with pytest.raises(DataError, match="no data"):
             load_csv(p)
 
+    @pytest.mark.parametrize(
+        "body,match",
+        [
+            ("1,1,0\n-2,0,1\n", "negative time at line 3"),
+            # the blank line is skipped but still counted
+            ("1,1,0\n\n3,2,1\n", r"status outside \{0,1\} at line 4"),
+        ],
+    )
+    def test_bad_value_names_its_line(self, tmp_path, body, match):
+        p = tmp_path / "v.csv"
+        p.write_text("time,status,z1\n" + body)
+        with pytest.raises(DataError, match="v.csv: " + match):
+            load_csv(p)
+
 
 class TestBundledData:
     def test_leukemia_checksums(self, leukemia):

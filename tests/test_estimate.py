@@ -182,14 +182,6 @@ class TestSolver:
     def test_newton_is_fast(self, leukemia):
         assert solve_score(leukemia, Constant()).iterations <= 8
 
-    def test_warm_start(self, leukemia):
-        # Newton started at a root stops there without a step
-        ref = solve_score(leukemia, Constant())
-        kernel = estimate_module._Kernel.single(leukemia, Constant())
-        beta, iterations, _, _, errors = estimate_module._newton(kernel, ref.beta)
-        assert errors == [None] and iterations[0] == 0
-        assert np.array_equal(beta[0], ref.beta)
-
     def test_no_censoring_collapse(self, uncensored_sample):
         pl = solve_score(uncensored_sample, Constant())
         km = solve_score(uncensored_sample, KaplanMeier())
@@ -254,9 +246,7 @@ class TestSolver:
         mult = np.ones(leukemia.n)
         mult[leukemia.status == 1] = e / e.sum()
         kernel = estimate_module._Kernel.single(leukemia, Constant())
-        beta, _, _, _, errors = estimate_module._newton(
-            kernel.reweighted(mult[None]), np.zeros(1)
-        )
+        beta, _, _, _, errors = estimate_module._newton(kernel.reweighted(mult[None]))
         ref = solve_score(leukemia, Constant(), variance="none")
         assert errors == [None] and abs(beta[0, 0] - ref.beta[0]) > 1e-4
 
@@ -305,7 +295,7 @@ class TestSchemeRows:
         # a rule solve_score does not take is checked on the roots of 'none'
         rule = variance if variance in ("auto", "none") else "none"
         kernel = estimate_module._Kernel(data, schemes, ties)
-        fits = estimate_module._fit(kernel, np.zeros(data.d), rule)
+        fits = estimate_module._fit(kernel, rule)
         assert len(fits) == len(schemes)
         if rule != variance:
             self.assert_variances_alone(kernel, fits, variance)

@@ -92,14 +92,12 @@ class TestParametricModels:
         m = Exponential(rate=2.0)
         assert m.survival(0.5) == pytest.approx(np.exp(-1.0))
         assert m.cumulative_hazard(3.0) == pytest.approx(6.0)
-        assert m.inverse_survival(np.exp(-1.0)) == pytest.approx(0.5)
         assert m.inverse_cumulative_hazard(6.0) == pytest.approx(3.0)
 
     def test_weibull_forms(self):
         m = Weibull(shape=2.0, scale=3.0)
         t = np.array([0.5, 1.0, 4.0])
         assert np.allclose(m.survival(t), np.exp(-((t / 3.0) ** 2)))
-        assert m.inverse_survival(m.survival(1.7)) == pytest.approx(1.7)
         assert m.inverse_cumulative_hazard(m.cumulative_hazard(1.7)) == pytest.approx(1.7)
 
     def test_piecewise_exponential_forms(self):
@@ -109,7 +107,6 @@ class TestParametricModels:
         assert m.cumulative_hazard(3.0) == pytest.approx(0.5 + 1.0 + 0.25)
         for u in (0.1, 0.6, 1.4, 2.1):
             assert m.inverse_cumulative_hazard(m.cumulative_hazard(u)) == pytest.approx(u)
-            assert m.inverse_survival(m.survival(u)) == pytest.approx(u)
 
     def test_piecewise_single_segment_matches_exponential(self):
         pw = PiecewiseExponential(cuts=(), rates=(0.7,))
@@ -255,6 +252,19 @@ class TestCurveFiles:
         p = tmp_path / "c.csv"
         p.write_text("t,s\n0,1\n")
         with pytest.raises(DataError, match="header"):
+            load_external_curve(p)
+
+    @pytest.mark.parametrize(
+        "body,match",
+        [
+            ("0,1\n1,0.5,9\n", "line 3: expected 2 fields, got 3"),
+            ("0,1\n1,0.5\nsoon,0.2\n", "line 4: could not convert"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, body, match):
+        p = tmp_path / "c.csv"
+        p.write_text("time,survival\n" + body)
+        with pytest.raises(DataError, match="c.csv: " + match):
             load_external_curve(p)
 
     def test_must_start_at_origin(self, tmp_path):
