@@ -81,15 +81,21 @@ def _print_fit(result: FitResult) -> None:
         print(f"{'z' + str(j + 1):<{width}}  {b:.4f} ({s:.4f})")
 
 
+def _write_json(path, doc) -> None:
+    try:
+        Path(path).write_text(
+            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_fit(args) -> int:
     data = load_csv(args.csv)
     result = solve_score(data, _parse_scheme(args.scheme), ties=args.ties)
     _print_fit(result)
     if args.out:
-        doc = {"schema": 1, **result.to_dict()}
-        Path(args.out).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(args.out, {"schema": 1, **result.to_dict()})
         print(f"wrote {args.out}")
     return 0
 
@@ -116,7 +122,10 @@ def cmd_simulate(args) -> int:
         configs = [replace(c, seed=args.seed) for c in configs]
     jobs = _default_jobs(args.jobs)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {out_dir}: {exc}") from None
     results = []
     for cfg in configs:
         print(
@@ -130,10 +139,7 @@ def cmd_simulate(args) -> int:
     csv_path = out_dir / f"{stem}_results.csv"
     json_path = out_dir / f"{stem}_results.json"
     write_results_csv(results, csv_path)
-    json_path.write_text(
-        json.dumps(results_to_json(results), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(json_path, results_to_json(results))
     names = _estimator_names(results)
     print(f"seed: {results[0].seed}")
     header = "label            censoring  " + "  ".join(f"{n:<16}" for n in names)

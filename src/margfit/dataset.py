@@ -209,13 +209,17 @@ def _write_table(path, header, rows) -> None:
 
     A string cell is written as it is and any other by ``repr``, so a float
     reads back to the same bits. Pass NumPy values as ``.tolist()``: the
-    repr of a NumPy 2 scalar is ``np.float64(...)``.
+    repr of a NumPy 2 scalar is ``np.float64(...)``. A path that cannot be
+    written is a DataError.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(c if isinstance(c, str) else repr(c) for c in row)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(c if isinstance(c, str) else repr(c) for c in row)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _dataset_header(width: int) -> list[str]:

@@ -16,6 +16,9 @@ The reference table's 't_c' is the lognormal parameter; whether it is the
 log-scale standard deviation or variance is ambiguous in print, so both
 readings are implemented (``sigma_role``), defaulting to the one that
 reproduces the printed ratios.
+
+This is the package's only SciPy user, and it imports SciPy inside the
+functions that run the quadrature, so ``import margfit`` loads none of it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from .errors import ConfigError, FitError
 
@@ -86,11 +87,17 @@ def _log_a(beta: float, p: float, t: np.ndarray) -> np.ndarray:
 
 
 def _log_censor_sf(t: np.ndarray, sigma: float) -> np.ndarray:
-    """log P(C >= t) for C ~ lognormal(0, sigma); 0 at t <= 0."""
+    """log P(C >= t) for C ~ lognormal(0, sigma); 0 at t <= 0.
+
+    ``log_ndtr(-x)`` is ``norm.logsf(x)`` without the distribution
+    machinery, which dominates when ``quad`` asks for one point at a time.
+    """
+    from scipy.special import log_ndtr
+
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore"):
         x = np.where(t > 0, np.log(np.maximum(t, 1e-300)) / sigma, -np.inf)
-    return norm.logsf(x)
+    return log_ndtr(-x)
 
 
 def _upper_limit(config: AREConfig) -> float:
@@ -129,6 +136,8 @@ def sigma_integrals(config: AREConfig) -> tuple[float, float, float]:
     scaling, so one cut serves all three). The relative tolerance of this
     and every other quadrature here is fixed at 1e-10.
     """
+    from scipy.integrate import quad
+
     sigma = config.sigma
     upper = _upper_limit(config)
     b0, p = config.beta0, config.p
@@ -157,6 +166,8 @@ def censoring_fraction(config: AREConfig) -> float:
     P(C < T) = sum_z P(Z = z) int_0^inf r_z e^{-r_z t} P(C < t) dt with
     r_z = e^{beta0 z}.
     """
+    from scipy.integrate import quad
+
     sigma = config.sigma
     total = 0.0
     for z, pz in ((0.0, 1.0 - config.p), (1.0, config.p)):

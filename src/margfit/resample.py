@@ -37,9 +37,11 @@ __all__ = [
 
 # random-weight draws solved together in one batched Newton. The block
 # bounds the (draws x subjects) arrays, so memory does not grow with
-# n_draws: at n = 1500 a block of 16 peaks near 1.3 MB, while 64 needs
-# 4.9 MB and ran no faster on a 2-core host
-_BLOCK_DRAWS = 16
+# n_draws. At n = 1500 a block of 8 makes each float64 temporary 96 KB,
+# under glibc's 128 KiB mmap/trim threshold; at 16 (192 KB) every Newton
+# step trimmed the heap top and faulted its pages back in, which cost a
+# 1000-draw run a quarter of its time when little else was on the heap
+_BLOCK_DRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,19 @@ class ResampleResult:
 
 
 def _event_multipliers(data: SurvivalDataset, e: np.ndarray) -> np.ndarray:
-    """Per-subject score multipliers e_i / sum e, one per failure."""
-    ev = data.status == 1
-    if e.shape != (int(ev.sum()),):
-        raise ConfigError(f"need one exponential draw per failure ({int(ev.sum())})")
+    """Per-subject score multipliers e_i / sum e, one per failure, for each
+    row of ``e`` (draws x failures); returns (draws x subjects)."""
+    if e.shape[1:] != (data.n_events,):
+        raise ConfigError(f"need one exponential draw per failure ({data.n_events})")
     if np.any(e <= 0):
         raise ConfigError("resampling weights must be positive")
-    mult = np.ones(data.n)
-    if np.ptp(e) == 0.0:
-        # equal weights normalize to exactly one: keep the unweighted score
-        # bit-for-bit so a degenerate draw reproduces the point estimate
-        return mult
-    mult[ev] = e / e.sum()
+    mult = np.ones((e.shape[0], data.n))
+    # equal weights normalize to exactly one: keep the unweighted score
+    # bit-for-bit so a degenerate draw reproduces the point estimate. Each
+    # row of a C-ordered array sums in the order it would alone
+    vary = np.ptp(e, axis=1) != 0.0
+    e = e[vary]
+    mult[np.ix_(vary, data.status == 1)] = e / e.sum(axis=1, keepdims=True)
     return mult
 
 
@@ -108,15 +111,8 @@ def _random_weight_draws(kernel, rngs):
     together; row b's root and error are what a solve of draw b alone gives.
     """
     data = kernel.data
-    mult = np.vstack(
-        [
-            _event_multipliers(
-                data, np.asarray(rng.exponential(size=data.n_events), dtype=float)
-            )
-            for rng in rngs
-        ]
-    )
-    beta, _, _, _, errors = _newton(kernel.reweighted(mult))
+    e = np.array([rng.exponential(size=data.n_events) for rng in rngs], dtype=float)
+    beta, _, _, _, errors = _newton(kernel.reweighted(_event_multipliers(data, e)))
     return beta, errors
 
 
@@ -208,8 +204,10 @@ def resample_distribution(
     ``data``, and serves the point fit and every draw (with ``jobs > 1``
     each worker's range of draws receives a pickled copy); a family-named
     parametric marginal is thus fitted once and stays fixed across draws.
-    Each range is solved in blocks of 16 draws, one batched Newton per
-    block; a draw's root and failure message do not depend on its block.
+    Each range is solved in blocks of 8 draws, one batched Newton per
+    block (small enough that a block's temporaries at n = 1500 stay under
+    the allocator's trim threshold); a draw's root and failure message do
+    not depend on its block.
     ``n_draws`` (at least 2) and ``seed`` (nonnegative) must be integers.
     More than 5% failed draws aborts.
     """

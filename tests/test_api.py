@@ -10,8 +10,11 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -209,3 +212,23 @@ def test_only_dataset_imports_csv():
 def test_the_csv_guard_sees_both_import_forms():
     source = "import csv\nfrom csv import writer\nfrom . import csv_like\n"
     assert _csv_importers(ast.parse(source)) == 2
+
+
+def test_importing_the_package_loads_no_scipy():
+    """Only the efficiency grid needs SciPy, and it imports it where it runs."""
+    code = (
+        "import sys\n"
+        "import margfit, margfit.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded[:5]\n"
+        "cell = margfit.AREConfig(beta0=1.0, p=0.5, t_c=1.0)\n"
+        "r = margfit.relative_efficiency(cell)\n"
+        "assert 0.0 < r.ratio < 1.0 and 'scipy.integrate' in sys.modules\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(margfit.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

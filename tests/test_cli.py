@@ -129,6 +129,37 @@ class TestExitCodes:
         p.write_text("time,status,z1\noops,1,0\n")
         assert main(["fit", str(p)]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "{csv}", "--out", "{missing}/fit.json"],
+            ["are", "--beta0", "1", "--tc", "1", "--p", "0.5", "--out", "{missing}/g.csv"],
+            ["resample", "{csv}", "-B", "4", "--seed", "1", "--out", "{missing}/d.csv"],
+            ["km-export", "{csv}", "--out-prefix", "{missing}/k"],
+        ],
+        ids=["fit", "are", "resample", "km-export"],
+    )
+    def test_unwritable_output_is_3(self, argv, leukemia_csv, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        argv = [a.format(csv=leukemia_csv, missing=missing) for a in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write {missing}/")
+        assert err.count("\n") == 1
+
+    def test_simulate_directory_is_3(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    def test_simulate_out_dir_that_is_a_file_is_3(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.json"
+        cfg.write_text(json.dumps(TestSimulate.CONFIG))
+        argv = ["simulate", str(cfg), "--out-dir", str(cfg)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"data error: cannot write {cfg}: ")
+
     def test_argparse_errors_are_2(self):
         assert main(["frobnicate"]) == 2
         assert main([]) == 2

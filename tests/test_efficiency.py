@@ -14,7 +14,7 @@ from margfit import (
     relative_efficiency,
     sigma_integrals,
 )
-from margfit.efficiency import _log_a
+from margfit.efficiency import _log_a, _log_censor_sf
 
 # Published efficiency grid, row-major in (t_c, beta0, p) with
 # beta0 in {0.5, 1, 2} and p in {0.25, 0.5, 0.75}. Every ratio is
@@ -57,6 +57,32 @@ class TestAFunction:
     def test_nonnegative_everywhere(self):
         t = np.geomspace(1e-6, 500.0, 300)
         assert (np.exp(_log_a(1.5, 0.6, t)) >= 0.0).all()
+
+
+class TestCensorSurvival:
+    def test_matches_norm_logsf_bitwise(self):
+        """log P(C >= t) by ``log_ndtr(-x)`` is ``norm.logsf(x)`` bit for bit,
+        x = log(t) / sigma, over t <= 0, subnormal t, 300k grid points and +inf.
+        The one difference is the sign of the zero at t <= 0 (``log_ndtr``
+        gives -0.0, ``logsf`` 0.0), which no integrand can see."""
+        t = np.concatenate(
+            (
+                [-np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, np.inf],
+                np.geomspace(1e-12, 1e12, 300_000),
+            )
+        )
+        for sigma in (0.5, np.sqrt(0.5), 1.0, 2.0):
+            got = _log_censor_sf(t, sigma)
+            with np.errstate(divide="ignore"):
+                x = np.where(t > 0, np.log(np.maximum(t, 1e-300)) / sigma, -np.inf)
+            want = stats.norm.logsf(x)
+            assert got.dtype == want.dtype and not np.isnan(got).any()
+            np.testing.assert_array_equal(got, want)
+            bits, want_bits = got.view(np.int64), want.view(np.int64)
+            assert (bits[want != 0] == want_bits[want != 0]).all()
+        # quad passes one point at a time
+        point, want = _log_censor_sf(0.7, 1.0), stats.norm.logsf(np.log(0.7))
+        assert type(point) is type(want) and point == want
 
 
 class TestSigmaIntegrals:

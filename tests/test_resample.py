@@ -269,8 +269,7 @@ class TestSharedKernel:
 
         def singular_draw(data, e):
             mult = event_multipliers(data, e)
-            if np.array_equal(e, e_bad):
-                mult[early] = 0.0
+            mult[(e == e_bad).all(axis=1)[:, None] & early] = 0.0
             return mult
 
         monkeypatch.setattr(margfit.resample, "_event_multipliers", singular_draw)

@@ -55,6 +55,7 @@ from margfit.simulate import (
     _BLOCK_ROWS,
     _CALIBRATION_STREAM,
     _KEYS,
+    _brentq,
     _config_echo,
     _draw_survival_times,
     _log_sum_exp_atoms,
@@ -371,6 +372,77 @@ class TestMarginalSampler:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _monotone_functions(rng, count):
+    """Seeded monotone functions with their brackets: the marginal segment
+    gap of ``_segment_tables`` and three smooth shapes around a root r."""
+    for i in range(count):
+        r, c = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0)
+        lo, hi = r - rng.uniform(0.01, 5.0), r + rng.uniform(0.01, 5.0)
+        if i % 4 == 0:
+            logw = np.log(rng.dirichlet(np.ones(8)))
+            ez = np.exp(c * rng.uniform(-1.0, 1.0, 8))
+            target = rng.uniform(0.01, 0.99)
+
+            def f(x):
+                return float(np.exp(logw - x * ez).sum()) - target
+
+            lo, hi = 0.0, 200.0
+        elif i % 4 == 1:
+
+            def f(x):
+                return float(np.tanh(x - r)) + c * (x - r)
+
+        elif i % 4 == 2:
+
+            def f(x):
+                return (x - r) ** 3 + c * (x - r)
+
+        else:
+
+            def f(x):
+                return float(np.log1p(np.exp(c * r)) - np.log1p(np.exp(c * x)))
+
+        yield f, lo, hi
+
+
+class TestBrentq:
+    """``_brentq`` is SciPy's ``brentq`` ported, so its roots carry its bits."""
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [dict(xtol=1e-15, rtol=8.9e-16, maxiter=200), dict(xtol=1e-13)],
+        ids=["segment-tables", "beta-star-oracle"],
+    )
+    def test_matches_scipy_bitwise(self, tolerances):
+        rng = np.random.default_rng(11)
+        for f, a, b in _monotone_functions(rng, 2000):
+            got = _brentq(f, a, b, **tolerances)
+            want = brentq(f, a, b, **tolerances)
+            assert type(got) is float
+            assert got == want and np.signbit(got) == np.signbit(want), (a, b)
+
+    def test_an_end_at_a_root_is_returned(self):
+        for a, b in ((2.0, 5.0), (-1.0, 2.0)):
+            got = _brentq(lambda x: x - 2.0, a, b, xtol=1e-13)
+            assert got == brentq(lambda x: x - 2.0, a, b, xtol=1e-13) == 2.0
+
+    def test_ends_of_one_sign_are_a_fit_error(self):
+        with pytest.raises(FitError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
+        with pytest.raises(FitError, match="NaN"):
+            _brentq(lambda x: np.nan, -1.0, 1.0, xtol=1e-13)
+
+    def test_running_out_of_iterations_is_a_fit_error(self):
+        def f(x):
+            return x**3 - 0.3
+
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 4.0, xtol=1e-15, maxiter=3)
+        with pytest.raises(FitError, match="did not converge in 3 iterations"):
+            _brentq(f, 0.0, 4.0, xtol=1e-15, maxiter=3)
+        assert _brentq(f, 0.0, 4.0, xtol=1e-15) == brentq(f, 0.0, 4.0, xtol=1e-15)
 
 
 class TestCensoring:
