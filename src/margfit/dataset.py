@@ -71,7 +71,7 @@ class SurvivalDataset:
             )
         if not np.all(np.isfinite(time)) or np.any(time < 0):
             raise DataError("times must be finite and nonnegative")
-        if not np.isin(status, (0, 1)).all():
+        if not np.all((status == 0) | (status == 1)):
             raise DataError("status values must be 0 or 1")
         if not np.all(np.isfinite(z)):
             raise DataError("covariates must be finite")

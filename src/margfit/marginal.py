@@ -195,15 +195,16 @@ def kaplan_meier(data: SurvivalDataset) -> StepSurvival:
     the constant function 1. If the last observation is censored the
     curve is held constant beyond it.
     """
-    times, inverse = np.unique(data.time, return_inverse=True)
-    deaths = np.bincount(inverse, weights=data.status.astype(float), minlength=times.size)
-    leaving = np.bincount(inverse, minlength=times.size)
-    at_risk = data.n - np.concatenate(([0], np.cumsum(leaving)[:-1]))
+    # the times are stored sorted: each distinct time is a run of equal values
+    time = data.time
+    starts = np.flatnonzero(np.concatenate(([True], time[1:] != time[:-1])))
+    deaths = np.add.reduceat(data.status, starts, dtype=float)
+    at_risk = data.n - starts
     keep = deaths > 0
     if not keep.any():
         return StepSurvival(np.empty(0), np.empty(0))
     factors = 1.0 - deaths[keep] / at_risk[keep]
-    return StepSurvival(times[keep], np.cumprod(factors))
+    return StepSurvival(time[starts[keep]], np.cumprod(factors))
 
 
 def fit_exponential(data: SurvivalDataset) -> Exponential:

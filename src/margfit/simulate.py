@@ -15,12 +15,13 @@ Sampling is exact in both roles: conditional on z, draw V ~ Exp(1), locate
 the coefficient segment whose cumulative-hazard interval contains V, and
 invert segment-wise (closed form for the hazard role; via the marginal
 mixture g_k(M) = E_Z[exp(-H_k(Z) - M e^{b_k Z})] for the marginal role).
-The marginal role evaluates log g_k over the covariate law's atoms in blocks
-of a fixed number of subjects, so memory does not grow with the draw. A
-block holds the atoms on its leading axis, so each step of the log-sum-exp
-is one elementwise pass over the block's subjects; its arithmetic is that of
-SciPy's ``logsumexp``, with the sum over atoms added in the order NumPy's
-row sum takes, so its bits are SciPy's.
+All V are drawn first; the search and the inversion then run over blocks
+of a fixed number of subjects, so beyond V and T a draw holds one block's
+temporaries. The marginal role evaluates log g_k over the covariate law's
+atoms, which a block holds on its leading axis: each step of the
+log-sum-exp is one elementwise pass over the block's subjects. Its
+arithmetic is that of SciPy's ``logsumexp``, with the sum over atoms added
+in the order NumPy's row sum takes, so its bits are SciPy's.
 
 Calibration bisects over one Monte Carlo draw and checks its parameter by
 the exact censored fraction; the reference E[beta(T)] is a Monte Carlo draw;
@@ -87,9 +88,9 @@ _REFERENCE_STREAM = (1 << 32) + 1
 _N_MC = 200_000
 # Gauss-Legendre nodes per smooth piece of the population oracles' integral
 _PIECE_NODES = 64
-# subjects per block of the marginal-role inversion; a block's temporaries
-# hold one double per covariate atom and subject (4 MB for 64 atoms)
-_BLOCK_ROWS = 8192
+# subjects per block of the sampler; a block's largest temporary holds one
+# double per covariate atom and subject (1 MB for 64 atoms)
+_BLOCK_ROWS = 2048
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -350,38 +351,46 @@ def _brentq(f, a, b, xtol, rtol=8.881784197001252e-16, maxiter=100) -> float:
 def _draw_survival_times(
     spec: GeneratorSpec, z: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact inversion sampling of T given covariates z."""
+    """Exact inversion sampling of T given covariates z.
+
+    All of V is drawn first, then each block of ``_BLOCK_ROWS`` subjects is
+    located and inverted in turn into T. Every step is elementwise per
+    subject, or per column over the atoms, so a subject's bits do not depend
+    on its block.
+    """
     z = np.asarray(z, dtype=float)
     n = z.size
     V = rng.exponential(size=n)
     bvals, Lam, zq, logwq, H = _segment_tables(
         spec.baseline, spec.beta, spec.covariate, spec.baseline_role
     )
-    if bvals.size == 1:
-        idx = np.zeros(n, dtype=int)
-        thr_at = np.zeros(n)
-    else:
-        # conditional cumulative hazard at each segment start, per subject
-        inc = np.diff(Lam)[None, :] * np.exp(np.outer(z, bvals[:-1]))
-        thr = np.concatenate([np.zeros((n, 1)), np.cumsum(inc, axis=1)], axis=1)
-        idx = (V[:, None] >= thr).sum(axis=1) - 1
-        thr_at = thr[np.arange(n), idx]
-    M = (V - thr_at) * np.exp(-bvals[idx] * z)
-    if spec.baseline_role == "hazard":
-        return np.asarray(
-            spec.baseline.inverse_cumulative_hazard(Lam[idx] + M), dtype=float
-        )
+    dLam = np.diff(Lam)[None, :]
+    # per segment k: the log-mixture's offsets log w_q - H[k] and tilts e^{b_k z_q}
+    offsets = (logwq - H)[:, :, None]
+    tilts = np.exp(np.outer(bvals, zq))[:, :, None]
     T = np.empty(n)
-    for k in np.unique(idx):
-        rows = np.flatnonzero(idx == k)
-        c = (logwq - H[k])[:, None]
-        ez = np.exp(bvals[k] * zq)[:, None]
-        for start in range(0, rows.size, _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            expo = ez * M[block]
-            np.subtract(c, expo, out=expo)
+    # one block's log-mixture terms, atom-major, reused by every block
+    work = np.empty(zq.size * _BLOCK_ROWS)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        zb, Vb = z[block], V[block]
+        # conditional cumulative hazard at each segment start, per subject
+        inc = dLam * np.exp(np.outer(zb, bvals[:-1]))
+        thr = np.concatenate([np.zeros((zb.size, 1)), np.cumsum(inc, axis=1)], axis=1)
+        idx = (Vb[:, None] >= thr).sum(axis=1) - 1
+        M = (Vb - thr[np.arange(zb.size), idx]) * np.exp(-bvals[idx] * zb)
+        if spec.baseline_role == "hazard":
+            T[block] = spec.baseline.inverse_cumulative_hazard(Lam[idx] + M)
+            continue
+        for k in range(bvals.size):
+            rows = np.flatnonzero(idx == k)
+            expo = work[: zq.size * rows.size].reshape(zq.size, rows.size)
+            np.multiply(tilts[k], M[rows], out=expo)
+            np.subtract(offsets[k], expo, out=expo)
             logg = _log_sum_exp_atoms(expo)
-            T[block] = spec.baseline.inverse_cumulative_hazard(np.minimum(-logg, 1e12))
+            T[start + rows] = spec.baseline.inverse_cumulative_hazard(
+                np.minimum(-logg, 1e12)
+            )
     return T
 
 

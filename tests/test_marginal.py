@@ -86,6 +86,22 @@ class TestKaplanMeier:
         km = kaplan_meier(make([1, 2, 3], [1, 1, 0]))
         assert km(100.0) == pytest.approx(2 / 3 * 1 / 2)
 
+    def test_matches_a_tally_over_distinct_times_bitwise(
+        self, leukemia, censored_sample
+    ):
+        # deaths and at-risk counts tallied per distinct time of np.unique
+        tied = make(np.ceil(censored_sample.time * 10.0) / 10.0, censored_sample.status)
+        for data in (leukemia, censored_sample, tied):
+            times, inverse = np.unique(data.time, return_inverse=True)
+            deaths = np.bincount(inverse, weights=data.status.astype(float))
+            leaving = np.cumsum(np.bincount(inverse))
+            at_risk = data.n - np.concatenate(([0], leaving[:-1]))
+            keep = deaths > 0
+            km = kaplan_meier(data)
+            assert km.jump_times.tobytes() == times[keep].tobytes()
+            want = np.cumprod(1.0 - deaths[keep] / at_risk[keep])
+            assert km.values.tobytes() == want.tobytes()
+
 
 class TestParametricModels:
     def test_exponential_forms(self):

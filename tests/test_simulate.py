@@ -55,6 +55,7 @@ from margfit.simulate import (
     _BLOCK_ROWS,
     _CALIBRATION_STREAM,
     _KEYS,
+    _REFERENCE_STREAM,
     _brentq,
     _config_echo,
     _draw_survival_times,
@@ -140,6 +141,22 @@ class TestGeneratorSpecValidation:
             )
 
 
+def _closed_form_hazard_draw(spec, z, rng):
+    """The hazard-role sampler over the whole draw at once: the reference
+    the block-by-block sampler must reproduce bit for bit."""
+    n = z.size
+    V = rng.exponential(size=n)
+    bvals, Lam, *_ = _segment_tables(spec.baseline, spec.beta, spec.covariate, "hazard")
+    inc = np.diff(Lam)[None, :] * np.exp(np.outer(z, bvals[:-1]))
+    thr = np.concatenate([np.zeros((n, 1)), np.cumsum(inc, axis=1)], axis=1)
+    idx = (V[:, None] >= thr).sum(axis=1) - 1
+    M = (V - thr[np.arange(n), idx]) * np.exp(-bvals[idx] * z)
+    return spec.baseline.inverse_cumulative_hazard(Lam[idx] + M)
+
+
+HAZARD_CHANGEPOINT = replace(CHANGEPOINT, baseline_role="hazard")
+
+
 class TestHazardRole:
     def test_zero_beta_is_plain_baseline(self):
         spec = GeneratorSpec(
@@ -192,6 +209,34 @@ class TestHazardRole:
         rng = np.random.default_rng(15)
         t = _draw_survival_times(spec, np.full(4000, 0.0), rng)
         assert stats.kstest(t, "weibull_min", args=(2.0,)).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            HAZARD_CHANGEPOINT,
+            replace(
+                HAZARD_CHANGEPOINT,
+                baseline=Weibull(shape=1.5, scale=0.7),
+                beta=BetaFunction(changepoints=(0.1, 0.4), values=(3.0, -1.0, 0.5)),
+                covariate=Bernoulli(0.5),
+            ),
+            replace(
+                HAZARD_CHANGEPOINT,
+                baseline=PiecewiseExponential(cuts=(0.3,), rates=(1.0, 3.0)),
+            ),
+        ],
+        ids=["changepoint", "weibull-3-segments", "pwexp"],
+    )
+    def test_blocks_match_the_whole_draw_bitwise(self, spec):
+        n = 3 * _BLOCK_ROWS + 17
+        z = spec.covariate.draw(np.random.default_rng(1), n)
+        got = _draw_survival_times(spec, z, np.random.default_rng(2))
+        want = _closed_form_hazard_draw(spec, z, np.random.default_rng(2))
+        assert np.array_equal(got, want)
+        if spec is HAZARD_CHANGEPOINT:
+            # both coefficient segments hold rows, the later one more than a block
+            early = int((want < 0.2).sum())
+            assert 0 < early and n - early > _BLOCK_ROWS
 
 
 class TestMarginalRole:
@@ -372,6 +417,30 @@ class TestMarginalSampler:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_study_draws_hold_one_block(self):
+        # a 200,000-subject draw holds its z, V and T (and the calibration
+        # its uniforms) at 1.6 MB each, plus one block; a segment search
+        # over the whole draw at once takes each peak to 24 MB
+        config = _changepoint_3_0(0.5)
+        peaks = []
+        tracemalloc.start()
+        try:
+            param = calibrate_censoring(
+                config.spec,
+                config.target_censoring,
+                rng=np.random.default_rng([config.seed, _CALIBRATION_STREAM]),
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            spec = replace(config.spec, censoring=type(config.spec.censoring)(param))
+            expected_beta(
+                spec, rng=np.random.default_rng([config.seed, _REFERENCE_STREAM])
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 12e6, [f"{p / 1e6:.1f} MB" for p in peaks]
 
 
 def _monotone_functions(rng, count):
@@ -601,6 +670,25 @@ def tiny_result():
 
 
 class TestRunStudy:
+    def test_benchmark_study_reproduces_its_pinned_reference(self):
+        # the benchmark's study design and seed, checked against its recorded
+        # outputs to the benchmark's own tolerance; the file is only read
+        ref_file = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        ref = json.loads(ref_file.read_text())["study"]
+        res = run_study(replace(_changepoint_3_0(0.5), seed=20260819, reps=500))
+        got = {f"mean.{k}": v for k, v in res.means.items()}
+        got |= {f"sd.{k}": v for k, v in res.sds.items()}
+        got |= dict(
+            censoring_param=res.censoring_param,
+            realized_censoring=res.realized_censoring,
+            reference_family=res.reference_family,
+            reference_mc=res.reference_mc,
+            n_failed=float(res.n_failed),
+        )
+        assert set(got) == set(ref)
+        for key, want in ref.items():
+            assert abs(got[key] - want) <= 1e-12 * max(1.0, abs(want)), key
+
     def test_is_deterministic(self, small_study):
         cfg, res = small_study
         again = run_study(cfg)
