@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def parallel_map(worker, args: tuple, n: int, jobs: int | None) -> list:
     """Rows of ``worker((*args, indices))`` for indices 0..n-1, in index order.
@@ -13,6 +11,9 @@ def parallel_map(worker, args: tuple, n: int, jobs: int | None) -> list:
     """
     if jobs is None or jobs <= 1:
         return worker((*args, range(n)))
+    # imported here, so that a serial run never loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     block = max(1, n // (4 * jobs))
     payloads = [(*args, range(s, min(s + block, n))) for s in range(0, n, block)]
     rows = []

@@ -8,7 +8,8 @@ variance ``V(beta, t)`` are computed here; they are the building blocks of
 every estimator in :mod:`margfit.estimate`.
 
 ``_risk_set_sums`` is the package's only risk-set kernel over a sample:
-every estimator uses its sums, for one beta or for a batch of them. (The
+every estimator uses its sums, for one beta or for a batch of them, over
+an index that ``_risk_set_index`` prepares once per sample. (The
 population oracle in :mod:`margfit.simulate` integrates over the design's
 laws instead.)
 """
@@ -54,6 +55,7 @@ class SurvivalDataset:
     covariates: np.ndarray
     n: int = field(init=False)
     d: int = field(init=False)
+    n_events: int = field(init=False)
 
     def __post_init__(self) -> None:
         time = np.asarray(self.time, dtype=float)
@@ -83,10 +85,7 @@ class SurvivalDataset:
         object.__setattr__(self, "covariates", np.ascontiguousarray(z[order]))
         object.__setattr__(self, "n", int(time.size))
         object.__setattr__(self, "d", int(z.shape[1]))
-
-    @property
-    def n_events(self) -> int:
-        return int(self.status.sum())
+        object.__setattr__(self, "n_events", int(self.status.sum()))
 
     def require_events(self) -> None:
         if self.n_events == 0:
@@ -111,23 +110,34 @@ class RiskSetStats:
     n_at_risk: int
 
 
-def _risk_set_sums(z: np.ndarray, w: np.ndarray, at):
-    """Reverse cumulative sums of w, w z and w z z' at rows ``at``.
+def _risk_set_index(z: np.ndarray, at):
+    """The beta-free part of ``_risk_set_sums`` over covariates ``z`` at rows ``at``.
 
-    ``z`` (n, d) holds time-sorted covariates and ``w`` (..., n) their tilts
-    exp(beta'Z), one row of tilts per beta along any leading batch axes; row
-    k of each sum runs over rows ``at[k]``, ..., n - 1, which is a risk set
-    when ``at[k]`` is the first row at its time. The sums are unnormalized
-    and C-ordered, of shapes (..., m), (..., m, d) and (..., m, d, d) for m
-    rows in ``at``. Returns ``(s0, s1, s2)``. Each batch row is summed in the
-    order it would be alone, so its sums keep their bits in any batch.
+    ``z`` (n, d) holds time-sorted covariates; row k of each sum will run
+    over rows ``at[k]``, ..., n - 1, which is a risk set when ``at[k]`` is
+    the first row at its time. Returns (rev, z reversed, z z' reversed):
+    the sums' positions in time-reversed order and the reversed covariates
+    and their outer products, (n, d) and (n, d, d).
     """
-    rev = w.shape[-1] - 1 - np.asarray(at)
-    w = w[..., ::-1, None]
+    rev = z.shape[0] - 1 - np.asarray(at)
     z = z[::-1]
+    return rev, z, z[:, :, None] * z[:, None, :]
+
+
+def _risk_set_sums(index, w: np.ndarray):
+    """Reverse cumulative sums of w, w z and w z z' over ``index``'s risk sets.
+
+    ``index`` is ``_risk_set_index(z, at)`` and ``w`` (..., n) the tilts
+    exp(beta'Z) of its covariates, one row of tilts per beta along any
+    leading batch axes. The sums are unnormalized and C-ordered, of shapes
+    (..., m), (..., m, d) and (..., m, d, d) for m rows in ``at``. Returns
+    ``(s0, s1, s2)``. Each batch row is summed in the order it would be
+    alone, so its sums keep their bits in any batch.
+    """
+    rev, z, zz = index
+    w = w[..., ::-1, None]
     s0 = w[..., 0].cumsum(axis=-1).take(rev, axis=-1)
     s1 = (w * z).cumsum(axis=-2).take(rev, axis=-2)
-    zz = z[:, :, None] * z[:, None, :]
     s2 = (w[..., None] * zz).cumsum(axis=-3).take(rev, axis=-3)
     return s0, s1, s2
 
@@ -158,7 +168,8 @@ def risk_set_stats(data: SurvivalDataset, beta: np.ndarray, t: float) -> RiskSet
     if m == 0:
         raise DataError(f"empty risk set at t={t} (beyond last observed time)")
     z = data.covariates[start:]
-    s0, s1, s2 = (s[0] / data.n for s in _risk_set_sums(z, np.exp(z @ beta), [0]))
+    sums = _risk_set_sums(_risk_set_index(z, [0]), np.exp(z @ beta))
+    s0, s1, s2 = (s[0] / data.n for s in sums)
     e = s1 / s0
     v = s2 / s0 - np.outer(e, e)
     v = 0.5 * (v + v.T)

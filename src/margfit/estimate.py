@@ -17,15 +17,17 @@ at t. Three weight choices give the three estimators:
 
 Scores, Jacobians, variances and the log partial likelihood evaluate
 through one prepared state, ``_Kernel``, built once per (data, ties): the
-event rows, each failure's risk-set start and at-risk count and the Efron
-tie layout, shared by the weights of S schemes (S = 1 for a public call,
-one per estimator in a study replication). Only the sums of
-``dataset._risk_set_sums`` depend on beta. A kernel holds B rows of score
-weights (its schemes, or, once ``_Kernel.reweighted`` has scaled one
-scheme's terms by resampling multipliers, its draws) and evaluates them at
-B betas in one pass over the risk sets. Efron ties (Efron 1977)
-are Breslow at adjusted sums: the l-th of d_k failures tied at a time sees
-S_r - (l/d_k) D_r, D_r the tie group's own sums.
+event rows, each failure's risk-set start and at-risk count, the risk-set
+index of ``dataset._risk_set_index`` (each failure's position in the
+time-reversed sums, the reversed covariates and their outer products) and
+the Efron tie layout, shared by the weights of S schemes (S = 1 for a
+public call, one per estimator in a study replication). Only the sums of
+``dataset._risk_set_sums`` over that index depend on beta. A kernel holds
+B rows of score weights (its schemes, or, once ``_Kernel.reweighted`` has
+scaled one scheme's terms by resampling multipliers at the failures, its
+draws) and evaluates them at B betas in one pass over the risk sets. Efron
+ties (Efron 1977) are Breslow at adjusted sums: the l-th of d_k failures
+tied at a time sees S_r - (l/d_k) D_r, D_r the tie group's own sums.
 
 Solving is Newton-Raphson with step halving from zero, in one loop,
 ``_newton``, that iterates B scores together, each row as it would be
@@ -45,7 +47,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataset import SurvivalDataset, _risk_set_sums
+from .dataset import SurvivalDataset, _risk_set_index, _risk_set_sums
 from .errors import ConfigError, ConvergenceError, DataError, FitError
 from .marginal import (
     MarginalModel,
@@ -210,14 +212,15 @@ class _Kernel:
     """The beta-free state of a dataset's weighted scores, evaluated at any beta.
 
     One state serves S weight schemes: the event rows ``ev``, each
-    failure's risk-set start ``first`` and at-risk count, and under Efron
+    failure's risk-set start ``first`` and at-risk count, the risk-set
+    ``index`` that ``_risk_set_sums`` reads at every beta, and under Efron
     each failure's l/d_k (``frac``) and tie group. ``weights`` (S', m) holds
     W at the m failures, one row per scheme; a scheme whose marginal family
     cannot be fitted has no row, and ``errors[s]`` holds what the fit
     raised. ``live`` maps the rows to their schemes. ``score_weights``
     (B, m) holds the rows the scores use: ``weights`` itself, or, in a copy
-    made by ``reweighted``, one scheme's W times each of B rows of event
-    multipliers, so resampling draws share one kernel.
+    made by ``reweighted``, one scheme's W times each of B rows of
+    multipliers at the failures, so resampling draws share one kernel.
     """
 
     def __init__(self, data, schemes, ties="breslow"):
@@ -232,6 +235,7 @@ class _Kernel:
         self.z = data.covariates[self.ev]
         self.first = np.searchsorted(data.time, data.time[self.ev], side="left")
         at_risk = data.n - self.first
+        self.index = _risk_set_index(data.covariates, self.first)
         self.frac = None
         if ties == "efron":
             _, self.starts, sizes = np.unique(
@@ -270,11 +274,11 @@ class _Kernel:
     def reweighted(self, event_multipliers) -> "_Kernel":
         """This one-scheme kernel with its score terms scaled, once per row.
 
-        ``event_multipliers`` is (B, n), one row of per-subject multipliers
-        per draw. Under Efron ties each row must be equal within every tie
-        group, exactly.
+        ``event_multipliers`` is (B, m), one row of multipliers at the m
+        failures per draw. Under Efron ties each row must be equal within
+        every tie group, exactly.
         """
-        w = self.weights * np.asarray(event_multipliers, dtype=float)[:, self.ev]
+        w = self.weights * np.asarray(event_multipliers, dtype=float)
         if self.frac is not None and not np.array_equal(
             w, w[:, self.starts].take(self.group, axis=1)
         ):
@@ -297,7 +301,7 @@ class _Kernel:
             w = np.exp(beta * z[:, 0])
         else:
             w = np.exp((z @ beta[:, :, None])[..., 0])
-        s0, s1, s2 = _risk_set_sums(z, w, self.first)
+        s0, s1, s2 = _risk_set_sums(self.index, w)
         if self.frac is not None:
             f, we = self.frac, w.take(self.ev, axis=1)
 

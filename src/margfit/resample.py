@@ -8,11 +8,12 @@ beta-free state (the Kaplan-Meier curve or fitted marginal, the weights
 and the risk-set index) is built once per run, from the original data, and
 serves the point fit and every draw; a draw changes only the multipliers.
 Draws are solved in blocks of ``_BLOCK_DRAWS``: the block's multipliers
-stack into one (draws x failures) array and one batched Newton solves them
-together, each draw with the bits it would get alone. The nonparametric
-bootstrap instead resamples subjects and repeats the point estimate's own
-steps on each replicate: a parametric marginal given by family name is
-refit, a supplied marginal model is kept as given.
+stack into one (draws x failures) array that scales the kernel's weights
+at the failures, and one batched Newton solves them together, each draw
+with the bits it would get alone. The nonparametric bootstrap instead
+resamples subjects and repeats the point estimate's own steps on each
+replicate: a parametric marginal given by family name is refit, a
+supplied marginal model is kept as given.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ __all__ = [
 ]
 
 # random-weight draws solved together in one batched Newton. The block
-# bounds the (draws x subjects) arrays, so memory does not grow with
-# n_draws. At n = 1500 a block of 8 makes each float64 temporary 96 KB,
-# under glibc's 128 KiB mmap/trim threshold; at 16 (192 KB) every Newton
-# step trimmed the heap top and faulted its pages back in, which cost a
-# 1000-draw run a quarter of its time when little else was on the heap
-_BLOCK_DRAWS = 8
+# bounds the (draws x subjects) risk-set arrays, so memory does not grow
+# with n_draws, and sets how many Python-level Newton passes a run makes.
+# At n = 1500 a warm 1000-draw run faults at most a few pages in blocks of
+# 16, but about 16,000 in blocks of 32 (and 20,000 in blocks of 24 once
+# SciPy is loaded): their Newton steps give the heap top back to the
+# system and fault it in again
+_BLOCK_DRAWS = 16
 
 
 @dataclass(frozen=True)
@@ -64,20 +66,18 @@ class ResampleResult:
         _write_table(path, header, self.draws.tolist())
 
 
-def _event_multipliers(data: SurvivalDataset, e: np.ndarray) -> np.ndarray:
-    """Per-subject score multipliers e_i / sum e, one per failure, for each
-    row of ``e`` (draws x failures); returns (draws x subjects)."""
-    if e.shape[1:] != (data.n_events,):
-        raise ConfigError(f"need one exponential draw per failure ({data.n_events})")
+def _event_multipliers(e: np.ndarray, m: int) -> np.ndarray:
+    """Score multipliers e_i / sum e at the m failures, one row per row of
+    ``e`` (draws x failures); returns (draws x failures)."""
+    if e.shape[1:] != (m,):
+        raise ConfigError(f"need one exponential draw per failure ({m})")
     if np.any(e <= 0):
         raise ConfigError("resampling weights must be positive")
-    mult = np.ones((e.shape[0], data.n))
-    # equal weights normalize to exactly one: keep the unweighted score
-    # bit-for-bit so a degenerate draw reproduces the point estimate. Each
-    # row of a C-ordered array sums in the order it would alone
-    vary = np.ptp(e, axis=1) != 0.0
-    e = e[vary]
-    mult[np.ix_(vary, data.status == 1)] = e / e.sum(axis=1, keepdims=True)
+    # each row of a C-ordered array sums in the order it would alone. Equal
+    # weights normalize to exactly one: keep the unweighted score
+    # bit-for-bit so a degenerate draw reproduces the point estimate
+    mult = e / e.sum(axis=1, keepdims=True)
+    mult[np.ptp(e, axis=1) == 0.0] = 1.0
     return mult
 
 
@@ -110,9 +110,9 @@ def _random_weight_draws(kernel, rngs):
     The draws' multipliers stack into one batch that ``_newton`` solves
     together; row b's root and error are what a solve of draw b alone gives.
     """
-    data = kernel.data
-    e = np.array([rng.exponential(size=data.n_events) for rng in rngs], dtype=float)
-    beta, _, _, _, errors = _newton(kernel.reweighted(_event_multipliers(data, e)))
+    m = kernel.ev.size
+    e = np.array([rng.exponential(size=m) for rng in rngs], dtype=float)
+    beta, _, _, _, errors = _newton(kernel.reweighted(_event_multipliers(e, m)))
     return beta, errors
 
 
@@ -204,10 +204,9 @@ def resample_distribution(
     ``data``, and serves the point fit and every draw (with ``jobs > 1``
     each worker's range of draws receives a pickled copy); a family-named
     parametric marginal is thus fitted once and stays fixed across draws.
-    Each range is solved in blocks of 8 draws, one batched Newton per
-    block (small enough that a block's temporaries at n = 1500 stay under
-    the allocator's trim threshold); a draw's root and failure message do
-    not depend on its block.
+    Each range is solved in blocks of 16 draws, one batched Newton per
+    block, so memory stays at one block's whatever ``n_draws`` is; a
+    draw's root and failure message do not depend on its block.
     ``n_draws`` (at least 2) and ``seed`` (nonnegative) must be integers.
     More than 5% failed draws aborts.
     """

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import margfit
 from margfit import SurvivalDataset, freireich
 
 
@@ -45,3 +51,21 @@ def censored_sample() -> SurvivalDataset:
     x = np.minimum(t, c)
     status = (t <= c).astype(int)
     return SurvivalDataset(time=x, status=status, covariates=z[:, None])
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run Python ``code`` in a fresh interpreter that imports this margfit;
+    it must exit 0. Returns its standard output."""
+    env = dict(os.environ)
+    src = str(Path(margfit.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(code: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

@@ -10,11 +10,8 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
-import os
 import pkgutil
 import re
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -214,7 +211,7 @@ def test_the_csv_guard_sees_both_import_forms():
     assert _csv_importers(ast.parse(source)) == 2
 
 
-def test_importing_the_package_loads_no_scipy():
+def test_importing_the_package_loads_no_scipy(fresh_python):
     """Only the efficiency grid needs SciPy, and it imports it where it runs."""
     code = (
         "import sys\n"
@@ -225,10 +222,21 @@ def test_importing_the_package_loads_no_scipy():
         "r = margfit.relative_efficiency(cell)\n"
         "assert 0.0 < r.ratio < 1.0 and 'scipy.integrate' in sys.modules\n"
     )
-    env = dict(os.environ)
-    src = str(Path(margfit.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    fresh_python(code)
+
+
+def test_importing_the_package_loads_no_process_pool(fresh_python):
+    """``parallel_map`` imports the pool only for ``jobs > 1``."""
+    code = (
+        "import sys\n"
+        "import margfit, margfit.cli\n"
+        "pool = ('concurrent.futures', 'multiprocessing', 'logging')\n"
+        "loaded = [m for m in pool if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "data = margfit.freireich()\n"
+        "margfit.resample_distribution(data, margfit.Constant(), n_draws=8, jobs=1)\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "margfit.resample_distribution(data, margfit.Constant(), n_draws=8, jobs=2)\n"
+        "assert 'concurrent.futures' in sys.modules\n"
     )
-    assert proc.returncode == 0, proc.stderr
+    fresh_python(code)

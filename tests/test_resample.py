@@ -226,6 +226,7 @@ class TestSharedKernel:
             assert np.array_equal(res.point.beta, point.beta)
             assert res.point.to_dict() == point.to_dict()
 
+    @pytest.mark.parametrize("block", [1, 3, 16, 24])
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
         "dataset, scheme, ties",
@@ -237,12 +238,13 @@ class TestSharedKernel:
         ],
     )
     def test_blocks_of_draws_equal_one_draw_at_a_time(
-        self, request, dataset, scheme, ties, jobs
+        self, request, monkeypatch, dataset, scheme, ties, jobs, block
     ):
-        # two full blocks and a partial one; with jobs=2 the workers' ranges
-        # cut the blocks elsewhere
+        # two full blocks and a partial one (seven blocks of one); with
+        # jobs=2 the workers' ranges cut the blocks elsewhere
+        monkeypatch.setattr(margfit.resample, "_BLOCK_DRAWS", block)
         data = request.getfixturevalue(dataset)
-        n_draws = 2 * _BLOCK_DRAWS + 5
+        n_draws = 2 * block + 5
         res = resample_distribution(
             data, scheme, n_draws=n_draws, seed=8, ties=ties, jobs=jobs
         )
@@ -267,9 +269,9 @@ class TestSharedKernel:
         e_bad = np.random.default_rng([seed, bad]).exponential(size=data.n_events)
         event_multipliers = margfit.resample._event_multipliers
 
-        def singular_draw(data, e):
-            mult = event_multipliers(data, e)
-            mult[(e == e_bad).all(axis=1)[:, None] & early] = 0.0
+        def singular_draw(e, m):
+            mult = event_multipliers(e, m)
+            mult[(e == e_bad).all(axis=1)[:, None] & early[data.status == 1]] = 0.0
             return mult
 
         monkeypatch.setattr(margfit.resample, "_event_multipliers", singular_draw)
@@ -325,6 +327,32 @@ class TestSharedKernel:
                 tracemalloc.stop()
         assert peaks[1000] < 2 * peaks[_BLOCK_DRAWS]
         assert peaks[1000] < 32 * 2**20
+
+    def test_blocks_do_not_churn_the_heap(self, fresh_python):
+        # in a fresh interpreter, after a warm-up run, a block's temporaries
+        # are reused from the heap: blocks of 16 fault a few pages per
+        # 1000-draw run, blocks of 32 about 16,000 (each Newton step gives
+        # the heap top back to the system and faults it in again)
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "from dataclasses import replace\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "import margfit as mf\n"
+            "path = Path(mf.__file__).parent / 'data' / 'table2.json'\n"
+            "cfg = next(c for c in mf.load_study_config(path)\n"
+            "           if c.label == 'changepoint-3-0')\n"
+            "spec = replace(cfg.spec, censoring=mf.UniformCensoring(0.8))\n"
+            "data = mf.generate_dataset(spec, 1500, np.random.default_rng(20260819))\n"
+            "mf.resample_distribution(data, mf.KaplanMeier(), n_draws=1000, seed=0)\n"
+            "for seed in (1, 2, 3):\n"
+            "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    mf.resample_distribution(data, mf.KaplanMeier(), n_draws=1000, seed=seed)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
+        )
+        faults = [int(line) for line in fresh_python(code).split()]
+        assert len(faults) == 3 and max(faults) < 1000, faults
 
     def test_kaplan_meier_is_built_once_per_run(self, leukemia, monkeypatch):
         calls = []
