@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -47,24 +47,11 @@ __all__ = [
 _BUNDLED_CONFIGS = ("table1", "table2", "table3")
 
 
-def _default_jobs(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get("MARGFIT_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"MARGFIT_JOBS must be an integer, got {raw!r}") from None
-
-
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
-        vals = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ConfigError(f"{what} must be a comma-separated number list") from None
-    if not vals:
-        raise ConfigError(f"{what} must be nonempty")
-    return vals
 
 
 def _print_fit(result: FitResult) -> None:
@@ -100,27 +87,25 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _resolve_config_path(name: str) -> Path:
+def _load_configs(name: str) -> tuple[str, list]:
+    """(stem, study configs) of a config path or bundled name; a bundled one
+    is read inside its resource context, while its file is sure to exist."""
     p = Path(name)
     if p.exists():
-        return p
+        return p.stem, load_study_config(p)
     if name in _BUNDLED_CONFIGS:
         ref = resources.files("margfit.data") / f"{name}.json"
         with resources.as_file(ref) as concrete:
-            return Path(concrete)
+            return name, load_study_config(concrete)
     raise ConfigError(
         f"no config file {name!r}; bundled names: {', '.join(_BUNDLED_CONFIGS)}"
     )
 
 
 def cmd_simulate(args) -> int:
-    path = _resolve_config_path(args.config)
-    configs = load_study_config(path)
+    stem, configs = _load_configs(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         configs = [replace(c, seed=args.seed) for c in configs]
-    jobs = _default_jobs(args.jobs)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -134,8 +119,7 @@ def cmd_simulate(args) -> int:
             f"(n={cfg.n}, reps={cfg.reps}, seed={cfg.seed})",
             flush=True,
         )
-        results.append(run_study(cfg, jobs=jobs))
-    stem = path.stem
+        results.append(run_study(cfg, jobs=args.jobs))
     csv_path = out_dir / f"{stem}_results.csv"
     json_path = out_dir / f"{stem}_results.json"
     write_results_csv(results, csv_path)
@@ -190,15 +174,10 @@ def cmd_resample(args) -> int:
     if seed is None:
         seed = secrets.randbits(32)
         print(f"seed: {seed}")
-    jobs = _default_jobs(args.jobs)
-    if args.method == "weights":
-        result = resample_distribution(
-            data, scheme, n_draws=args.draws, seed=seed, ties=args.ties, jobs=jobs
-        )
-    else:
-        result = bootstrap(
-            data, scheme, n_draws=args.draws, seed=seed, ties=args.ties, jobs=jobs
-        )
+    draw = resample_distribution if args.method == "weights" else bootstrap
+    result = draw(
+        data, scheme, n_draws=args.draws, seed=seed, ties=args.ties, jobs=args.jobs
+    )
     print(
         f"method: {result.method}  draws: {result.draws.shape[0]}  "
         f"failed: {result.n_failed}"
@@ -268,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-dir", default=".", help="output directory (default .)")
     p.add_argument("--seed", type=int, help="override the config's seed")
-    p.add_argument(
-        "--jobs", type=int, help="parallel workers (default $MARGFIT_JOBS or 1)"
-    )
+    p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("are", help="asymptotic relative efficiency grid")
@@ -306,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ties", default="breslow", choices=("breslow", "efron"), help="tie handling"
     )
-    p.add_argument(
-        "--jobs", type=int, help="parallel workers (default $MARGFIT_JOBS or 1)"
-    )
+    p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     p.add_argument("--out", help="write draws CSV (one column per coefficient)")
     p.set_defaults(func=cmd_resample)
 

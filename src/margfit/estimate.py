@@ -12,8 +12,8 @@ at t. Three weight choices give the three estimators:
   weighted estimator whose target is the failure-time-averaged coefficient,
   independent of censoring.
 * ``Parametric``    : W(t) = S_model(t) / (n S0(0, t)) for a marginal
-  survival model that is either supplied or, given as a family name,
-  fitted to the data the score is solved on.
+  survival model, supplied (a parametric model or a ``StepSurvival`` curve)
+  or, given as a family name, fitted to the data the score is solved on.
 
 Scores, Jacobians, variances and the log partial likelihood evaluate
 through one prepared state, ``_Kernel``, built once per (data, ties): the
@@ -193,12 +193,12 @@ def _weights(data, scheme, times, at_risk) -> np.ndarray:
     if isinstance(scheme, Constant):
         return np.ones(times.size)
     if isinstance(scheme, KaplanMeier):
-        surv = kaplan_meier(data)(times)
+        marginal = kaplan_meier(data)
     elif isinstance(scheme, Parametric):
-        surv = np.asarray(scheme.model.survival(times), dtype=float)
+        marginal = scheme.model
     else:
         raise ConfigError(f"unknown weight scheme {scheme!r}")
-    return surv / at_risk.astype(float)
+    return np.asarray(marginal.survival(times), dtype=float) / at_risk.astype(float)
 
 
 def _fit_marginal(data: SurvivalDataset, scheme: WeightScheme) -> WeightScheme:
@@ -571,12 +571,10 @@ def _fit(kernel: _Kernel, variance: str = "auto") -> list:
     ``DataError`` that solving it alone raises (its marginal fit's, its
     Newton row's or its variance's). Under ``variance='auto'`` the constant
     scheme takes the Andersen-Gill variance and a weighted one the sandwich
-    with its own weights; ``'none'`` leaves it NaN. Needs one score row per
-    row of weights.
+    with its own weights; ``'none'`` leaves it NaN. Needs a fitted scheme and
+    one score row per row of weights.
     """
     out = list(kernel.errors)
-    if not kernel.live:
-        return out
     roots, iterations, norms, vs, errors = _newton(kernel)
     d = kernel.data.d
     for row, s in enumerate(kernel.live):

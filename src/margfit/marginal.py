@@ -1,9 +1,10 @@
 """Marginal survival models: Kaplan-Meier, parametric families, external curves.
 
-A marginal model is anything with a survival function ``S(t)``, ``S(0) = 1``,
-nonincreasing. Step models (Kaplan-Meier, external curves) evaluate the
-left-continuous version: ``S(t)`` is the value *before* any jump at ``t``,
-which is the convention the weighted estimators require.
+A marginal model is anything whose ``survival(t)`` is a survival function,
+``S(0) = 1``, nonincreasing. Step models (``StepSurvival``: the Kaplan-Meier
+curve, or an external curve read from a file) evaluate the left-continuous
+version: ``S(t)`` is the value *before* any jump at ``t``, which is the
+convention the weighted estimators require.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "Exponential",
     "Weibull",
     "PiecewiseExponential",
-    "ExternalCurve",
     "MarginalModel",
     "kaplan_meier",
     "fit_exponential",
@@ -72,7 +72,7 @@ class StepSurvival:
         object.__setattr__(self, "jump_times", t)
         object.__setattr__(self, "values", v)
 
-    def __call__(self, t):
+    def survival(self, t):
         """Evaluate S(t), left-continuously: jumps at t do not count yet."""
         t = np.asarray(t, dtype=float)
         if self.jump_times.size == 0:
@@ -167,17 +167,7 @@ class PiecewiseExponential:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ExternalCurve:
-    """A step survival function supplied from outside (e.g. population tables)."""
-
-    step: StepSurvival
-
-    def survival(self, t):
-        return self.step(t)
-
-
-MarginalModel = Union[Exponential, Weibull, PiecewiseExponential, ExternalCurve]
+MarginalModel = Union[Exponential, Weibull, PiecewiseExponential, StepSurvival]
 
 # the family name of each parametric model class, as documents and fits name it
 _FAMILIES = {
@@ -209,11 +199,8 @@ def kaplan_meier(data: SurvivalDataset) -> StepSurvival:
 
 def fit_exponential(data: SurvivalDataset) -> Exponential:
     """Censored maximum-likelihood exponential fit: rate = events / exposure."""
-    data.require_events()
-    exposure = float(data.time.sum())
-    if exposure <= 0:
-        raise FitError("zero total exposure")
-    return Exponential(rate=data.n_events / exposure)
+    data.require_events()  # an event's time is positive: so is the exposure
+    return Exponential(rate=data.n_events / float(data.time.sum()))
 
 
 def fit_weibull(data: SurvivalDataset) -> Weibull:
@@ -278,9 +265,6 @@ def fit_weibull(data: SurvivalDataset) -> Weibull:
         k += step
     else:
         raise ConvergenceError("Weibull shape iteration did not converge")
-    g, _ = score_and_slope(k)
-    if abs(g) >= 1e-8:
-        raise ConvergenceError("Weibull profile score not at zero after convergence")
     scale = (float((t**k).sum()) / m) ** (1.0 / k)
     return Weibull(shape=k, scale=scale)
 
@@ -371,7 +355,7 @@ def _curve_header(width: int) -> list[str]:
     return ["time", "survival"]
 
 
-def load_external_curve(path) -> ExternalCurve:
+def load_external_curve(path) -> StepSurvival:
     """Read a two-column CSV ``time,survival`` as an external step curve.
 
     The curve must start at (0, 1) and be nonincreasing with values in
@@ -382,7 +366,7 @@ def load_external_curve(path) -> ExternalCurve:
     if rows[0].tolist() != [0.0, 1.0]:
         raise DataError(f"{path}: line {lines[0]}: first row must be (0, 1)")
     try:
-        return ExternalCurve(StepSurvival(rows[1:, 0], rows[1:, 1]))
+        return StepSurvival(rows[1:, 0], rows[1:, 1])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -276,17 +276,21 @@ def _segment_tables(baseline, beta: BetaFunction, covariate, role: str):
             def gap(dL):
                 return float(np.exp(logwq - H[k] - dL * ez).sum()) - target
 
-            hi = 1.0
-            for _ in range(200):
-                if gap(hi) < 0.0:
-                    break
-                hi *= 2.0
-            else:
-                raise FitError("could not bracket the marginal segment increment")
+            hi = _expand(lambda x: gap(x) < 0.0, 2.0, "the marginal segment increment")
             dL = _brentq(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
             Lam[k + 1] = Lam[k] + dL
         H[k + 1] = H[k] + dL * ez
     return bvals, Lam, zq, logwq, H
+
+
+def _expand(found, factor: float, what: str) -> float:
+    """The first of 1, factor, factor**2, ... (200 tries) at which ``found`` holds."""
+    x = 1.0
+    for _ in range(200):
+        if found(x):
+            return x
+        x *= factor
+    raise FitError(f"could not bracket {what}")
 
 
 def _brentq(f, a, b, xtol, rtol=8.881784197001252e-16, maxiter=100) -> float:
@@ -500,31 +504,16 @@ def calibrate_censoring(
     z = spec.covariate.draw(rng, _N_MC)
     t = _draw_survival_times(spec, z, rng)
     u = rng.random(_N_MC)
-    uniform_family = isinstance(spec.censoring, UniformCensoring)
-
-    def frac(param: float) -> float:
-        c = type(spec.censoring)(param).quantile(u)
-        return float(np.mean(t > c))
-
     # censored fraction decreases in the uniform upper bound and increases
     # in the exponential rate; bracket [lo, hi] with the target in between
-    def excess(param: float) -> float:
-        sign = 1.0 if uniform_family else -1.0
-        return sign * (frac(param) - target_fraction)
+    sign = 1.0 if isinstance(spec.censoring, UniformCensoring) else -1.0
 
-    lo = hi = 1.0
-    for _ in range(200):
-        if excess(lo) > 0.0:
-            break
-        lo /= 2.0
-    else:
-        raise FitError("could not bracket the censoring parameter from below")
-    for _ in range(200):
-        if excess(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise FitError("could not bracket the censoring parameter from above")
+    def excess(param: float) -> float:
+        c = type(spec.censoring)(param).quantile(u)
+        return sign * (float(np.mean(t > c)) - target_fraction)
+
+    lo = _expand(lambda x: excess(x) > 0.0, 0.5, "the censoring parameter from below")
+    hi = _expand(lambda x: excess(x) < 0.0, 2.0, "the censoring parameter from above")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
@@ -711,9 +700,8 @@ def expected_beta(spec: GeneratorSpec, rng=None) -> float:
     The draw is of a fixed 200,000 subjects.
     """
     rng = _as_rng(rng)
-    uncensored = replace(spec, censoring=NoCensoring())
     z = spec.covariate.draw(rng, _N_MC)
-    t = _draw_survival_times(uncensored, z, rng)
+    t = _draw_survival_times(spec, z, rng)
     return float(np.mean(spec.beta(t)))
 
 
@@ -906,13 +894,28 @@ _KEYS = {
     "families_to_fit": (_names, ()),
     "label": (_text, ""),
 }
+# every key of a document, as ``_config_echo`` writes them
+_DOC_KEYS = ("baseline", "beta", "covariate", "censoring_family", "target_censoring")
+_DOC_KEYS += tuple(_KEYS)
 
 
-def _law(d, key: str, names: dict, *default):
-    """The law that object ``d`` names at ``key``; its other keys are the fields."""
-    cls = _value(_as_dict(d), key, _one_of(names), *default)
-    read = {f.name: _FIELD_READERS[f.type] for f in fields(cls)}
-    return cls(**{name: _value(d, name, reader) for name, reader in read.items()})
+def _known(d: dict, allowed: tuple) -> None:
+    """A key of ``d`` that is not ``allowed``, as a misspelt one, is a ConfigError."""
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"study config: unknown key {key!r}, not in {allowed}")
+
+
+def _law(key: str, names: dict, *default, extra: tuple = ()):
+    """Reader of a law: the class that an object names at ``key``, built from
+    the object's other keys (its fields, and ``extra`` keys the caller reads)."""
+    def read(d):
+        cls = _value(_as_dict(d), key, _one_of(names), *default)
+        readers = {f.name: _FIELD_READERS[f.type] for f in fields(cls)}
+        _known(d, (key, *readers, *extra))
+        return cls(**{name: _value(d, name, r) for name, r in readers.items()})
+
+    return read
 
 
 def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
@@ -920,13 +923,15 @@ def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
 
     ``target_censoring`` may be a number or a list of numbers; each level
     becomes one study sharing the document's seed, so survival draws are
-    common random numbers across levels. A malformed value raises a
-    ConfigError that names its key.
+    common random numbers across levels. A malformed value, or a key that
+    ``_config_echo`` would not write, raises a ConfigError that names its key.
     """
     try:
-        baseline = _value(doc, "baseline", lambda d: _law(d, "family", _FAMILIES))
+        _known(doc, _DOC_KEYS)
+        baseline = _value(doc, "baseline", _law("family", _FAMILIES, extra=("role",)))
         role = doc["baseline"].get("role", "hazard")
         bd = _value(doc, "beta", _as_dict)
+        _known(bd, ("constant",) if "constant" in bd else ("changepoints", "values"))
         if "constant" in bd:
             beta = BetaFunction.constant(_value(bd, "constant", _number))
         else:
@@ -934,9 +939,7 @@ def study_configs_from_dict(doc: dict) -> list[StudyConfig]:
                 changepoints=_value(bd, "changepoints", _floats, ()),
                 values=_value(bd, "values", _floats),
             )
-        covariate = _value(
-            doc, "covariate", lambda d: _law(d, "kind", _COVARIATES, "uniform01"), {}
-        )
+        covariate = _value(doc, "covariate", _law("kind", _COVARIATES, "uniform01"), {})
         censoring = _value(doc, "censoring_family", _one_of(_CENSORING), "none")
         targets = _value(doc, "target_censoring", _levels, 0.0)
         scalars = {key: _value(doc, key, *how) for key, how in _KEYS.items()}

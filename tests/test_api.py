@@ -211,6 +211,43 @@ def test_the_csv_guard_sees_both_import_forms():
     assert _csv_importers(ast.parse(source)) == 2
 
 
+_ENVIRONMENT = ("environ", "getenv")
+
+
+def _environment_reads(tree) -> int:
+    """How many references in ``tree`` reach ``os.environ`` or ``os.getenv``."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            count += isinstance(node.value, ast.Name) and node.value.id == "os"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            count += any(a.name in _ENVIRONMENT for a in node.names)
+    return count
+
+
+def test_no_module_reads_the_environment():
+    """Every setting is an argument or a command-line option: no module reads
+    an environment variable, which would be a second, hidden way to set it."""
+    src = Path(margfit.__file__).parent
+    readers = [
+        path.stem
+        for path in sorted(src.rglob("*.py"))
+        if _environment_reads(ast.parse(path.read_text()))
+    ]
+    assert readers == []
+
+
+def test_the_environment_guard_sees_both_forms():
+    source = (
+        "import os\n"
+        "jobs = os.environ.get('JOBS')\n"
+        "seed = os.getenv('SEED')\n"
+        "from os import environ, path\n"
+        "name = os.path.join('a', 'b')\n"
+    )
+    assert _environment_reads(ast.parse(source)) == 3
+
+
 def test_importing_the_package_loads_no_scipy(fresh_python):
     """Only the efficiency grid needs SciPy, and it imports it where it runs."""
     code = (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from pathlib import Path
@@ -106,6 +107,7 @@ class TestExitCodes:
     def test_malformed_study_document_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         bad = [("n", "abc"), ("n", 100.7), ("seed", 1.5), ("reps", True), ("n", "120")]
+        bad.append(("target_censorship", 0.5))  # misspelt: an unknown key
         for key, value in bad:
             cfg.write_text(json.dumps(dict(TestSimulate.CONFIG, **{key: value})))
             assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 2
@@ -234,6 +236,33 @@ class TestSimulate:
         csv_lines = (tmp_path / "demo_results.csv").read_text().splitlines()
         assert len(csv_lines) == 2
 
+    def test_bundled_name_is_read_while_its_file_exists(self, tmp_path, monkeypatch):
+        """A zip install's bundled file exists only inside ``as_file``; the
+        configs are read there, and the four studies of table1 come back
+        without running."""
+        from margfit import cli
+
+        @contextlib.contextmanager
+        def as_temporary_file(ref):
+            path = tmp_path / ref.name
+            path.write_bytes(ref.read_bytes())
+            try:
+                yield path
+            finally:
+                path.unlink()
+
+        monkeypatch.setattr(cli.resources, "as_file", as_temporary_file)
+        monkeypatch.chdir(tmp_path)
+        stem, configs = cli._load_configs("table1")
+        assert stem == "table1"
+        assert [(c.label, c.target_censoring) for c in configs] == [
+            ("ph-beta-1.0", 0.0),
+            ("ph-beta-1.0", 0.5),
+            ("ph-beta-0.5", 0.0),
+            ("ph-beta-0.5", 0.5),
+        ]
+        assert not list(tmp_path.iterdir())
+
     def test_seed_override_and_jobs_identity(self, tmp_path):
         cfg = tmp_path / "demo.json"
         cfg.write_text(json.dumps(self.CONFIG))
@@ -352,8 +381,8 @@ class TestKmExport:
         assert main(["km-export", leukemia_csv, "--out-prefix", prefix]) == 0
         curve = load_external_curve(f"{prefix}_km.csv")
         km = kaplan_meier(leukemia)
-        assert np.array_equal(curve.step.jump_times, km.jump_times)
-        assert np.array_equal(curve.step.values, km.values)
+        assert np.array_equal(curve.jump_times, km.jump_times)
+        assert np.array_equal(curve.values, km.values)
 
     def test_written_files_end_lines_in_lf(self, leukemia, tmp_path):
         # a saved dataset and the exported curves end lines in "\n" alone, as
@@ -373,8 +402,8 @@ class TestKmExport:
             assert np.array_equal(getattr(back, attr), getattr(leukemia, attr))
         curve = load_external_curve(f"{prefix}_km.csv")
         km = kaplan_meier(leukemia)
-        assert np.array_equal(curve.step.jump_times, km.jump_times)
-        assert np.array_equal(curve.step.values, km.values)
+        assert np.array_equal(curve.jump_times, km.jump_times)
+        assert np.array_equal(curve.values, km.values)
 
     def test_parametric_export_is_smoother(self, leukemia_csv, tmp_path):
         prefix = str(tmp_path / "leuk")
@@ -389,8 +418,8 @@ class TestKmExport:
         par = load_external_curve(f"{prefix}_exponential.csv")
         # the fitted curve moves in many small steps, the product-limit in
         # few large ones: compare the largest single drop
-        assert np.abs(np.diff(par.step.values)).max() < np.abs(
-            np.diff(km.step.values)
+        assert np.abs(np.diff(par.values)).max() < np.abs(
+            np.diff(km.values)
         ).max()
 
     def test_pwexp_family(self, leukemia_csv, tmp_path):
@@ -403,7 +432,7 @@ class TestKmExport:
             == 0
         )
         curve = load_external_curve(f"{prefix}_pwexp.csv")
-        assert curve.step.values[-1] < 0.3
+        assert curve.values[-1] < 0.3
 
     def test_bad_family_is_2_and_writes_nothing(self, leukemia_csv):
         parent = Path(leukemia_csv).parent

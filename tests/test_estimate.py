@@ -12,7 +12,6 @@ from margfit import (
     ConfigError,
     Constant,
     DataError,
-    ExternalCurve,
     FitError,
     KaplanMeier,
     Parametric,
@@ -134,7 +133,7 @@ class TestEventWeights:
     def test_parametric_weights_use_left_limits(self):
         d = make([1.0, 2.0], [1, 1], [[0.0], [1.0]])
         km = kaplan_meier(d)
-        w = event_weights(d, Parametric(ExternalCurve(km)))
+        w = event_weights(d, Parametric(km))
         # at t=1: S(1-) = 1, 2 at risk; at t=2: S(2-) = 1/2, 1 at risk
         assert np.allclose(w, [1 / 2, 1 / 2])
 
@@ -148,8 +147,8 @@ class TestEventWeights:
             assert Parametric(name).describe() == f"parametric:{family}"
         supplied = Parametric(fit_exponential(leukemia))
         assert supplied.describe() == "parametric:exponential"
-        assert Parametric(ExternalCurve(kaplan_meier(leukemia))).describe() == (
-            "parametric:externalcurve"
+        assert Parametric(kaplan_meier(leukemia)).describe() == (
+            "parametric:stepsurvival"
         )
         # a fit reports the model it fitted
         fit = solve_score(leukemia, Parametric("pwexp:10"))
@@ -433,8 +432,8 @@ class TestVariances:
             np.concatenate([[km.jump_times[0] / 2], km.jump_times]),
             np.concatenate([[0.5], 0.5 * km.values]),
         )
-        a = Parametric(ExternalCurve(km))
-        b = Parametric(ExternalCurve(half))
+        a = Parametric(km)
+        b = Parametric(half)
         beta = np.array([0.4])
         assert np.allclose(
             variance_sandwich(censored_sample, a, beta),

@@ -34,16 +34,16 @@ class TestStepSurvival:
     def test_left_continuous_evaluation(self):
         s = StepSurvival(np.array([1.0, 2.0]), np.array([0.8, 0.5]))
         # value at a jump point is the value from the left
-        assert s(0.0) == 1.0
-        assert s(1.0) == 1.0
-        assert s(1.5) == 0.8
-        assert s(2.0) == 0.8
-        assert s(2.5) == 0.5
-        assert np.array_equal(s(np.array([0.5, 1.0, 3.0])), [1.0, 1.0, 0.5])
+        assert s.survival(0.0) == 1.0
+        assert s.survival(1.0) == 1.0
+        assert s.survival(1.5) == 0.8
+        assert s.survival(2.0) == 0.8
+        assert s.survival(2.5) == 0.5
+        assert np.array_equal(s.survival(np.array([0.5, 1.0, 3.0])), [1.0, 1.0, 0.5])
 
     def test_empty_curve_is_one(self):
         s = StepSurvival(np.empty(0), np.empty(0))
-        assert s(123.0) == 1.0
+        assert s.survival(123.0) == 1.0
 
     @pytest.mark.parametrize(
         "t,v",
@@ -75,16 +75,16 @@ class TestKaplanMeier:
         grid = np.linspace(0.0, uncensored_sample.time.max() * 1.1, 211)
         # with no censoring the product-limit curve is (1/n) #{T_i >= t}
         emp = (uncensored_sample.time[None, :] >= grid[:, None]).mean(axis=1)
-        assert np.allclose(km(grid), emp, atol=1e-12)
+        assert np.allclose(km.survival(grid), emp, atol=1e-12)
 
     def test_all_censored_is_constant_one(self):
         km = kaplan_meier(make([1, 2, 3], [0, 0, 0]))
-        assert km(10.0) == 1.0
+        assert km.survival(10.0) == 1.0
         assert km.jump_times.size == 0
 
     def test_last_observation_censored_holds_level(self):
         km = kaplan_meier(make([1, 2, 3], [1, 1, 0]))
-        assert km(100.0) == pytest.approx(2 / 3 * 1 / 2)
+        assert km.survival(100.0) == pytest.approx(2 / 3 * 1 / 2)
 
     def test_matches_a_tally_over_distinct_times_bitwise(
         self, leukemia, censored_sample
@@ -203,6 +203,15 @@ class TestWeibullFit:
         deriv = (prof(m.shape + eps) - prof(m.shape - eps)) / (2 * eps)
         assert abs(deriv) < 1e-3
 
+    def test_zero_time_censored_subjects_carry_no_information(self, leukemia):
+        # subjects censored at t = 0 have no log t; the fit leaves them out
+        with_zeros = SurvivalDataset(
+            time=np.append(leukemia.time, [0.0, 0.0]),
+            status=np.append(leukemia.status, [0, 0]),
+            covariates=np.vstack([leukemia.covariates, [[0.0], [1.0]]]),
+        )
+        assert fit_weibull(with_zeros) == fit_weibull(leukemia)
+
     def test_needs_two_distinct_event_times(self):
         with pytest.raises(FitError, match="two distinct"):
             fit_weibull(make([3, 3, 3, 5], [1, 1, 1, 0]))
@@ -261,8 +270,8 @@ class TestCurveFiles:
         path = tmp_path / "curve.csv"
         save_curve(km, path)
         back = load_external_curve(path)
-        assert np.array_equal(back.step.jump_times, km.jump_times)
-        assert np.array_equal(back.step.values, km.values)
+        assert np.array_equal(back.jump_times, km.jump_times)
+        assert np.array_equal(back.values, km.values)
 
     def test_header_enforced(self, tmp_path):
         p = tmp_path / "c.csv"

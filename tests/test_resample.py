@@ -312,6 +312,38 @@ class TestSharedKernel:
                 assert err is None and np.array_equal(beta, want)
         assert 0 < failed < n_draws
 
+    def test_iteration_budget_fails_a_draw_alone_in_its_block(
+        self, leukemia, monkeypatch
+    ):
+        # three Newton steps are too few for some draws and enough for others;
+        # a draw out of budget fails with the message it gets alone
+        monkeypatch.setattr(margfit.estimate, "_MAX_ITER", 3)
+        kernel = _Kernel.single(leukemia, KaplanMeier())
+        rows = _random_weight_block((kernel, 5, range(40)))
+        failed = 0
+        for b, beta, err in rows:
+            try:
+                rng = np.random.default_rng([5, b])
+                want = random_weight_fit(leukemia, KaplanMeier(), rng)
+            except FitError as exc:
+                assert (beta, err) == (None, str(exc))
+                assert err.startswith("no convergence after 3 iterations")
+                failed += 1
+            else:
+                assert err is None and np.array_equal(beta, want)
+        assert 0 < failed < 40
+
+    def test_more_than_five_percent_failed_draws_abort(self, leukemia):
+        # the rounding failures of test_rounding_failures_fall_on_the_same_draws,
+        # here on more than 5% of the draws
+        data = SurvivalDataset(
+            time=leukemia.time,
+            status=leukemia.status,
+            covariates=leukemia.covariates * 1e7,
+        )
+        with pytest.raises(FitError, match=r"/200 resampling draws failed \(> 5%\)"):
+            resample_distribution(data, Constant(), n_draws=200, seed=5)
+
     def test_memory_does_not_grow_with_the_draws(self, changepoint_km_data):
         # NumPy reports its buffers to tracemalloc; one batch of all 1000
         # draws would hold (1000 x 1500) arrays, about 12 MB each

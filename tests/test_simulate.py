@@ -1342,6 +1342,25 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match=f"'{key}'"):
             study_configs_from_dict(dict(self.DOC, **patch))
 
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"target_censorship": [0.5]}, "target_censorship"),
+            ({"familes_to_fit": ["weibull"]}, "familes_to_fit"),
+            (
+                {"baseline": {"family": "exponential", "rate": 2.0, "rol": "marginal"}},
+                "rol",
+            ),
+            ({"covariate": {"kind": "uniform01", "p": 0.3}}, "p"),
+            ({"beta": {"constant": 1.0, "values": [1.0, 0.0]}}, "values"),
+        ],
+        ids=["document", "families", "baseline", "covariate", "mixed-beta"],
+    )
+    def test_unknown_keys_are_named(self, patch, key):
+        """A misspelt key would otherwise fall back to a default unseen."""
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            study_configs_from_dict(dict(self.DOC, **patch))
+
     def test_load_single_and_list(self, tmp_path):
         import json
 
