@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError
+from .marginal import _expand
 
 __all__ = [
     "AREConfig",
@@ -101,40 +102,33 @@ def _log_censor_sf(t: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _upper_limit(config: AREConfig) -> float:
-    """Truncation point where the slowest-decaying integrand is negligible.
+    """Truncation point past which the slowest-decaying integrand is negligible.
 
-    Sigma_2's integrand A / P(C >= t) decays slowest; the cut is where it
-    falls below _TAIL_RATIO of its peak, found by doubling. Failure to
-    reach that within 60 doublings means the tail is not numerically
-    dominated and the cell is refused rather than silently truncated.
+    Sigma_2's integrand A / P(C >= t) decays slowest. Its peak is taken on a
+    fixed grid over [1e-8, 50]; the cut is the first power of two at or past
+    that peak where the integrand is below _TAIL_RATIO of it. The tail always
+    falls: log A falls like -t, log P(C >= t) only like -(log t)^2.
     """
     sigma = config.sigma
 
-    def log_integrand2(t: float) -> float:
-        return float(_log_a(config.beta0, config.p, np.array(t))) - float(
-            _log_censor_sf(np.array(t), sigma)
-        )
+    def log_integrand2(t):
+        return _log_a(config.beta0, config.p, t) - _log_censor_sf(t, sigma)
 
     grid = np.concatenate(([1e-8], np.geomspace(1e-4, 50.0, 200)))
-    peak = max(log_integrand2(float(t)) for t in grid)
-    upper = 2.0
-    for _ in range(60):
-        if log_integrand2(upper) < peak + np.log(_TAIL_RATIO):
-            return upper
-        upper *= 2.0
-    raise FitError(
-        "efficiency integrand tail is not dominated; the censoring "
-        "distribution is too heavy for this cell"
+    values = log_integrand2(grid)
+    peak_t, cut = grid[np.argmax(values)], values.max() + np.log(_TAIL_RATIO)
+    return _expand(
+        lambda t: t >= peak_t and log_integrand2(t) < cut, 2.0, "the efficiency tail"
     )
 
 
 def sigma_integrals(config: AREConfig) -> tuple[float, float, float]:
     """(Sigma_0, Sigma_1, Sigma_2) by adaptive quadrature on [0, T].
 
-    T is chosen so the discarded tails are below 1e-14 of each integrand's
-    peak (the Sigma_2 integrand dominates the other two pointwise after
-    scaling, so one cut serves all three). The relative tolerance of this
-    and every other quadrature here is fixed at 1e-10.
+    T is ``_upper_limit``'s cut: the Sigma_2 integrand dominates the other
+    two pointwise after scaling, so one cut serves all three. The relative
+    tolerance of every quadrature here is fixed at 1e-10. A Sigma_2 past the
+    float range overflows to inf and is refused with FitError.
     """
     from scipy.integrate import quad
 
@@ -153,9 +147,10 @@ def sigma_integrals(config: AREConfig) -> tuple[float, float, float]:
 
     vals = []
     for f in (f0, f1, f2):
-        v, err = quad(f, 0.0, upper, epsabs=0.0, epsrel=_QUAD_TOL, limit=200)
+        with np.errstate(over="ignore"):
+            v, err = quad(f, 0.0, upper, epsabs=0.0, epsrel=_QUAD_TOL, limit=200)
         if not np.isfinite(v) or v <= 0.0:
-            raise FitError("efficiency integral did not evaluate to a positive value")
+            raise FitError("efficiency integral is not a positive finite number")
         vals.append(float(v))
     return vals[0], vals[1], vals[2]
 

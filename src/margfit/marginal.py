@@ -16,10 +16,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import SurvivalDataset, _read_table, _write_table
-from .errors import ConfigError, ConvergenceError, DataError, FitError
-
-# Newton iteration budget of the Weibull shape
-_WEIBULL_MAX_ITER = 100
+from .errors import ConfigError, DataError, FitError
 
 __all__ = [
     "StepSurvival",
@@ -203,68 +200,111 @@ def fit_exponential(data: SurvivalDataset) -> Exponential:
     return Exponential(rate=data.n_events / float(data.time.sum()))
 
 
+def _expand(found, factor: float, what: str) -> float:
+    """The first of 1, factor, factor**2, ... (200 tries) at which ``found`` holds."""
+    x = 1.0
+    for _ in range(200):
+        if found(x):
+            return x
+        x *= factor
+    raise FitError(f"could not bracket {what}")
+
+
+def _brentq(f, a, b, xtol, rtol=8.881784197001252e-16, maxiter=100) -> float:
+    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of SciPy's ``Zeros/brentq.c`` (SciPy 1.17): the same
+    float operations in the same order, so its roots are
+    ``scipy.optimize.brentq``'s bit for bit (``tests/test_simulate.py``).
+    ``rtol`` defaults to SciPy's 4 eps. Ends of the same sign, a NaN value
+    and running out of ``maxiter`` iterations raise FitError.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise FitError(f"root finder: the function is NaN at x={x}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise FitError("root finder: f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise FitError(f"root finder did not converge in {maxiter} iterations")
+
+
 def fit_weibull(data: SurvivalDataset) -> Weibull:
     """Censored maximum-likelihood Weibull fit via the profile likelihood.
 
-    The scale is profiled out (``scale^shape = sum t_i^shape / events``) and
-    the shape solved by damped Newton on the profile score. Initialized by
-    method of moments on the uncensored times, shape clamped to [0.1, 20].
-
-    Raises
-    ------
-    FitError
-        Fewer than two distinct event times, or degenerate data, such as a
-        shape at which the profile score's sums of t**shape underflow.
-    ConvergenceError
-        No convergence after 100 iterations.
+    The scale is profiled out (``scale^shape = sum t_i^shape / events``); the
+    profile score in the shape, ``1/k + mean log t over events - sum t^k log t
+    / sum t^k``, falls strictly in k. Its root is bracketed from k = 1 by
+    halving and doubling, then solved by Brent's method to ``xtol = 1e-15``.
+    Zero times carry no likelihood information and are left out. Fewer than
+    two distinct event times, or sums of t**shape that leave the float range
+    on the way to the root, are a FitError.
     """
     events = data.status == 1
     if np.unique(data.time[events]).size < 2:
         raise FitError("Weibull fit needs at least two distinct event times")
-    t = data.time.astype(float)
-    positive = t > 0
-    if not positive.all():
-        # zero times carry no likelihood information for a Weibull
-        t = t[positive]
-        events = events[positive]
+    keep = data.time > 0
+    t, events = data.time[keep], events[keep]
     m = float(events.sum())
     logt = np.log(t)
     ev_logt = float(logt[events].sum())
 
-    uncens = data.time[data.status == 1]
-    mean, sd = float(uncens.mean()), float(uncens.std(ddof=1))
-    k = 1.0 if sd == 0 else (sd / mean) ** -1.086
-    k = float(np.clip(k, 0.1, 20.0))
-
-    def score_and_slope(k: float) -> tuple[float, float]:
-        tk = t**k
-        s = float(tk.sum())
-        s1 = float((tk * logt).sum())
-        s2 = float((tk * logt * logt).sum())
-        try:
-            # not s * s: the product and libm's pow round apart on rare values
-            ss = s**2
-        except OverflowError:
-            ss = math.inf
-        if not 0.0 < ss < math.inf:
+    def score(k: float) -> float:
+        # t**k may leave the float range on the way to a bracket: refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            tk = t**k
+            s = float(tk.sum())
+            s1 = float((tk * logt).sum())
+        if not (0.0 < s < math.inf and math.isfinite(s1)):
             raise FitError(
                 "degenerate Weibull profile likelihood: the sums of t**shape "
                 f"leave the float range at shape {k:.6g}"
             )
-        g = 1.0 / k + ev_logt / m - s1 / s
-        dg = -1.0 / k**2 - (s2 * s - s1 * s1) / ss
-        return g, dg
+        return 1.0 / k + ev_logt / m - s1 / s
 
-    for _ in range(_WEIBULL_MAX_ITER):
-        g, dg = score_and_slope(k)
-        if abs(g) < 1e-10:
-            break
-        step = -g / dg
-        while k + step <= 0:
-            step *= 0.5
-        k += step
-    else:
-        raise ConvergenceError("Weibull shape iteration did not converge")
+    lo = _expand(lambda k: score(k) > 0.0, 0.5, "the Weibull shape from below")
+    hi = _expand(lambda k: score(k) < 0.0, 2.0, "the Weibull shape from above")
+    k = _brentq(score, lo, hi, xtol=1e-15)
     scale = (float((t**k).sum()) / m) ** (1.0 / k)
     return Weibull(shape=k, scale=scale)
 

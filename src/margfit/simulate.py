@@ -32,7 +32,6 @@ tables.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -49,6 +48,8 @@ from .marginal import (
     Exponential,
     PiecewiseExponential,
     Weibull,
+    _brentq,
+    _expand,
     _fields_doc,
     _name_of,
     _plain,
@@ -281,75 +282,6 @@ def _segment_tables(baseline, beta: BetaFunction, covariate, role: str):
             Lam[k + 1] = Lam[k] + dL
         H[k + 1] = H[k] + dL * ez
     return bvals, Lam, zq, logwq, H
-
-
-def _expand(found, factor: float, what: str) -> float:
-    """The first of 1, factor, factor**2, ... (200 tries) at which ``found`` holds."""
-    x = 1.0
-    for _ in range(200):
-        if found(x):
-            return x
-        x *= factor
-    raise FitError(f"could not bracket {what}")
-
-
-def _brentq(f, a, b, xtol, rtol=8.881784197001252e-16, maxiter=100) -> float:
-    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of SciPy's ``Zeros/brentq.c`` (SciPy 1.17): the same
-    float operations in the same order, so its roots are
-    ``scipy.optimize.brentq``'s bit for bit (``tests/test_simulate.py``).
-    ``rtol`` defaults to SciPy's 4 eps. Ends of the same sign, a NaN value
-    and running out of ``maxiter`` iterations raise FitError.
-    """
-
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise FitError(f"root finder: the function is NaN at x={x}")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise FitError("root finder: f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
-        ):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (
-                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                )
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise FitError(f"root finder did not converge in {maxiter} iterations")
 
 
 def _draw_survival_times(

@@ -120,8 +120,8 @@ def test_acceptance_gate_uses_no_private_name():
 
 
 # calls that evaluate or solve the weighted score; a loop around one of them
-# is a Newton loop over the relative-risk score (the Weibull shape's Newton
-# and the oracle's quadrature nodes solve other equations, with other calls)
+# is a Newton loop over the relative-risk score (the scalar searches and the
+# oracle's quadrature nodes solve other equations, with other calls)
 _SCORE_CALLS = {
     "score",
     "moments",
@@ -181,6 +181,77 @@ def test_only_newton_iterates_the_score():
 def test_the_newton_guard_sees_a_loop_of_solves():
     source = "def fits(data, schemes):\n    return [solve_score(data, s) for s in schemes]"
     assert _score_loops(ast.parse(source)) == [("fits", "solve_score")]
+
+
+# the functions that may iterate: the bracket search and Brent's method that
+# every scalar search uses, the batched Newton over the score, calibration's
+# bisection and the oracle's vectorised node Newton
+_SOLVERS = {
+    "marginal._expand",
+    "marginal._brentq",
+    "estimate._newton",
+    "simulate.calibrate_censoring",
+    "simulate._failure_law_nodes",
+}
+
+
+def _is_iteration(node) -> bool:
+    """A ``while`` loop, or a ``for _ in range(...)`` loop."""
+    if isinstance(node, ast.While):
+        return True
+    return (
+        isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name)
+        and node.target.id == "_"
+        and isinstance(node.iter, ast.Call)
+        and getattr(node.iter.func, "id", None) == "range"
+    )
+
+
+def _iterating_functions(tree) -> list[str]:
+    """The innermost function around each iteration loop in ``tree``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if _is_iteration(child):
+                found.append(func)
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_scalar_searches_use_the_shared_solver():
+    """A loop that iterates to a tolerance lives in one of the package's
+    solvers; every other scalar search brackets with ``_expand`` and solves
+    with ``_brentq``, rather than running a loop of its own."""
+    loops = []
+    for path in sorted(Path(margfit.__file__).parent.glob("*.py")):
+        for func in _iterating_functions(ast.parse(path.read_text())):
+            if f"{path.stem}.{func}" not in _SOLVERS:
+                loops.append(f"{path.stem}.{func}")
+    assert loops == []
+
+
+def test_the_solver_guard_sees_both_loop_forms():
+    source = (
+        "def halve(x):\n"
+        "    while x > 1.0:\n"
+        "        x /= 2.0\n"
+        "    return x\n"
+        "def root(x):\n"
+        "    for _ in range(9):\n"
+        "        x = x / 2.0 + 1.0 / x\n"
+        "    return x\n"
+        "def show(xs):\n"
+        "    for x in xs:\n"
+        "        print(x)\n"
+    )
+    assert _iterating_functions(ast.parse(source)) == ["halve", "root"]
 
 
 def _csv_importers(tree) -> int:

@@ -114,6 +114,17 @@ class TestExitCodes:
             assert f"'{key}'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_results.*"))
 
+    @pytest.mark.parametrize("command", ["resample", "simulate"])
+    def test_jobs_below_one_is_2(self, command, leukemia_csv, tmp_path, capsys):
+        if command == "resample":
+            argv = ["resample", leukemia_csv, "-B", "5", "--seed", "1"]
+        else:
+            cfg = tmp_path / "demo.json"
+            cfg.write_text(json.dumps(TestSimulate.CONFIG))
+            argv = ["simulate", str(cfg), "--out-dir", str(tmp_path)]
+        assert main([*argv, "--jobs", "-3"]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
     def test_solver_failure_is_4(self, tmp_path):
         rng = np.random.default_rng(2)
         z1 = rng.normal(size=40)

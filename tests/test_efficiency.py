@@ -9,6 +9,7 @@ from scipy import stats
 from margfit import (
     AREConfig,
     ConfigError,
+    FitError,
     are_table,
     censoring_fraction,
     relative_efficiency,
@@ -114,6 +115,26 @@ class TestSigmaIntegrals:
                 for t_c in (0.5, 1.0, 2.0):
                     res = relative_efficiency(AREConfig(beta0=beta0, p=p, t_c=t_c))
                     assert 0.0 < res.ratio <= 1.0
+
+
+    def test_heavy_censoring_cell_matches_a_grid_sum(self):
+        # at t_c = 0.2 the Sigma_2 integrand rises until t near 32; a cut
+        # before its peak loses almost all of Sigma_2
+        b0, p, sigma, dt = 1.0, 0.5, 0.2, 1e-3
+        t = (np.arange(400_000) + 0.5) * dt
+        la = np.log1p(-p) - t
+        lb = np.log(p) + b0 - t * np.exp(b0)
+        log_a = la + lb - np.logaddexp(la, lb)
+        log_sf = stats.norm.logsf(np.log(t) / sigma)
+        want = [np.exp(log_a + k * log_sf).sum() * dt for k in (1, 0, -1)]
+        res = relative_efficiency(AREConfig(beta0=b0, p=p, t_c=sigma))
+        got = [res.sigma0, res.sigma1, res.sigma2]
+        assert got == pytest.approx(want, rel=1e-3, abs=0.0)
+        assert res.ratio == pytest.approx(want[1] ** 2 / (want[0] * want[2]), rel=1e-3)
+
+    def test_sigma2_past_the_float_range_is_refused(self):
+        with pytest.raises(FitError, match="not a positive finite number"):
+            relative_efficiency(AREConfig(beta0=1.0, p=0.5, t_c=0.1))
 
 
 class TestCensoringFraction:

@@ -226,6 +226,8 @@ class TestSolver:
             solve_score(leukemia, KaplanMeier(), ties="efron")
         with pytest.raises(DataError, match="length 1"):
             log_partial_likelihood(leukemia, np.zeros(3))
+        with pytest.raises(ConfigError, match="unknown weight scheme"):
+            solve_score(leukemia, object())
         # every check runs before a marginal fit that would fail (zero exposure)
         unfittable = Parametric("pwexp:1000")
         with pytest.raises(ConfigError, match="ties"):

@@ -21,6 +21,7 @@ from margfit import (
     load_external_curve,
     save_curve,
 )
+from margfit.marginal import _expand
 
 
 def make(time, status):
@@ -56,6 +57,8 @@ class TestStepSurvival:
             ([1.0], [np.nan]),  # NaN value
             ([np.nan], [0.5]),  # NaN time
             ([1.0, np.inf], [0.9, 0.8]),  # infinite time
+            ([1.0, 2.0], [0.9]),  # one value short
+            ([[1.0]], [[0.9]]),  # not 1-d
         ],
     )
     def test_validation(self, t, v):
@@ -216,15 +219,45 @@ class TestWeibullFit:
         with pytest.raises(FitError, match="two distinct"):
             fit_weibull(make([3, 3, 3, 5], [1, 1, 1, 0]))
 
-    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    @pytest.mark.parametrize("scale", [0.1, 100.0])
     def test_degenerate_profile_is_a_fit_error(self, scale):
-        # two close event times drive the shape up until the profile score's
-        # sums of t**shape underflow (times below 1) or their square
-        # overflows (the same record times 10); a study fails that
-        # replication alone
+        # two close event times put the shape's root near 477, where t**shape
+        # underflows (times below 0.1) or overflows (times above 100); a
+        # study fails that replication alone
         t = scale * np.array([0.2809, 0.3768, 0.3787])
         with pytest.raises(FitError, match="degenerate Weibull profile likelihood"):
             fit_weibull(make(t, [0, 1, 1]))
+
+    def test_shape_is_scale_free(self):
+        # the same record, in a unit ten times smaller, is in the float range
+        # at its root shape near 477 as well
+        t = np.array([0.2809, 0.3768, 0.3787])
+        one, ten = (fit_weibull(make(scale * t, [0, 1, 1])) for scale in (1.0, 10.0))
+        assert ten.shape == pytest.approx(one.shape, rel=1e-12, abs=0.0)
+        assert ten.scale == pytest.approx(10.0 * one.scale, rel=1e-12, abs=0.0)
+
+    def test_profile_score_vanishes_at_the_fitted_shape(self):
+        # 200 samples of 1500 Weibull(1.4, 3) times under U(0, 6) censoring;
+        # the profile score, summed in extended precision, at the fitted shape
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(200):
+            t = 3.0 * rng.weibull(1.4, size=1500)
+            c = rng.uniform(0.0, 6.0, size=1500)
+            time, status = np.minimum(t, c), (t <= c).astype(int)
+            k = np.longdouble(fit_weibull(make(time, status)).shape)
+            logt = np.log(time.astype(np.longdouble))
+            tk = np.exp(k * logt)
+            g = 1 / k + logt[status == 1].mean() - (tk * logt).sum() / tk.sum()
+            worst = max(worst, float(abs(g)))
+        assert worst <= 1e-12
+
+
+def test_a_bracket_not_found_in_200_tries_is_a_fit_error():
+    tried = []
+    with pytest.raises(FitError, match="could not bracket the answer"):
+        _expand(lambda x: tried.append(x), 2.0, "the answer")
+    assert tried == [2.0**j for j in range(200)]
 
 
 class TestPiecewiseFit:

@@ -53,6 +53,21 @@ class EqualWeights:
         return np.full(size, self.c)
 
 
+class ShortWeights(EqualWeights):
+    """A stand-in for a Generator that draws one weight too few."""
+
+    def exponential(self, size):
+        return np.full(size - 1, self.c)
+
+
+# two events in six subjects: a bootstrap replicate often has none
+TWO_EVENTS = SurvivalDataset(
+    time=np.arange(1.0, 7.0),
+    status=np.array([1, 1, 0, 0, 0, 0]),
+    covariates=np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]]),
+)
+
+
 class TestRandomWeightFit:
     def test_degenerate_weights_reproduce_point_exactly(self, leukemia):
         for scheme in (Constant(), KaplanMeier()):
@@ -79,6 +94,35 @@ class TestRandomWeightFit:
         # tied failures draw independent weights, incompatible with Efron
         with pytest.raises(ConfigError):
             random_weight_fit(leukemia, Constant(), 1, ties="efron")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda data: random_weight_fit(data, Constant(), ShortWeights()),
+            ConfigError,
+            r"one exponential draw per failure \(30\)",
+            id="draws-one-short",
+        ),
+        pytest.param(
+            lambda data: random_weight_fit(data, Constant(), EqualWeights(0.0)),
+            ConfigError,
+            "weights must be positive",
+            id="zero-draw",
+        ),
+        pytest.param(
+            # one of the two replicates of seed 4 has no events
+            lambda data: bootstrap(TWO_EVENTS, Constant(), n_draws=2, seed=4),
+            FitError,
+            "fewer than 2 successful draws",
+            id="bootstrap-one-success",
+        ),
+    ],
+)
+def test_bad_draws_are_refused(leukemia, call, error, message):
+    with pytest.raises(error, match=message):
+        call(leukemia)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +200,11 @@ class TestResampleDistribution:
     ):
         with pytest.raises(ConfigError, match=match):
             method(leukemia, Constant(), n_draws=n_draws, seed=seed)
+
+    @pytest.mark.parametrize("method", [resample_distribution, bootstrap])
+    def test_jobs_below_one_are_refused(self, leukemia, method):
+        with pytest.raises(ConfigError, match="jobs must be at least 1"):
+            method(leukemia, Constant(), n_draws=10, seed=0, jobs=0)
 
     def test_numpy_integers_are_integers(self, leukemia):
         res = resample_distribution(
@@ -432,12 +481,7 @@ class TestBootstrap:
 
     def test_empty_replicates_recorded_not_fatal(self):
         # heavy censoring: many replicates hold no events at all
-        tiny = SurvivalDataset(
-            time=np.arange(1.0, 7.0),
-            status=np.array([1, 1, 0, 0, 0, 0]),
-            covariates=np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]]),
-        )
-        res = bootstrap(tiny, Constant(), n_draws=200, seed=7)
+        res = bootstrap(TWO_EVENTS, Constant(), n_draws=200, seed=7)
         assert res.n_failed == 24
         assert res.draws.shape == (176, 1)
         assert all("event" in msg or "singular" in msg for _, msg in res.failures)

@@ -51,12 +51,12 @@ from margfit import (
     study_configs_from_dict,
     write_results_csv,
 )
+from margfit.marginal import _brentq
 from margfit.simulate import (
     _BLOCK_ROWS,
     _CALIBRATION_STREAM,
     _KEYS,
     _REFERENCE_STREAM,
-    _brentq,
     _config_echo,
     _draw_survival_times,
     _log_sum_exp_atoms,
@@ -751,6 +751,11 @@ class TestRunStudy:
         with pytest.raises(ConfigError, match="censoring family"):
             run_study(cfg)
 
+    def test_jobs_below_one_are_refused(self):
+        config = StudyConfig(spec=PH, n=20, reps=2, seed=0)
+        with pytest.raises(ConfigError, match="jobs must be at least 1"):
+            run_study(config, jobs=0)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             StudyConfig(spec=PH, n=1, reps=10, seed=0)
@@ -908,10 +913,11 @@ class TestBatchedEstimators:
         assert str(err.value) == want
 
     def test_underflowing_weibull_fit_fails_its_replication(self):
-        # rep 384 has two close event times; the Weibull profile's sums of
-        # t**shape underflow, which fails its estimator, not the study
+        # rep 376's event times 0.5619 and 0.5628 put the shape's root near
+        # 1440, where the Weibull profile's sums of t**shape underflow; that
+        # fails its estimator, not the study
         spec = _calibrated(TINY_WEIBULL)
-        rows = _rep_block((spec, ["pl", "km", "par:weibull"], 7, 3, [384]))
+        rows = _rep_block((spec, ["pl", "km", "par:weibull"], 7, 3, [376]))
         [(_, values, _, fails)] = rows
         assert set(values) == {"pl", "km"}
         [(name, msg)] = fails
@@ -1429,3 +1435,71 @@ class TestResultSerialization:
         row = dict(zip(header, lines[1].split(",")))
         assert float(row["pl_mean"]) == pytest.approx(tiny_result.means["pl"])
         assert float(row["expected_beta_family"]) == pytest.approx(1.0)
+
+
+def _study_file(tmp_path, text):
+    path = tmp_path / "study.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda tmp_path: BetaFunction.constant(np.nan),
+            "coefficient values must be finite",
+            id="beta-value-nan",
+        ),
+        pytest.param(
+            lambda tmp_path: Bernoulli(1.0), r"p must be in \(0, 1\)", id="bernoulli-p"
+        ),
+        pytest.param(
+            lambda tmp_path: UniformCensoring(0.0),
+            "upper bound must be positive",
+            id="uniform-upper",
+        ),
+        pytest.param(
+            lambda tmp_path: ExponentialCensoring(-1.0),
+            "rate must be positive",
+            id="exponential-rate",
+        ),
+        pytest.param(
+            lambda tmp_path: replace(PH, beta=1.0),
+            "beta must be a BetaFunction",
+            id="spec-beta-float",
+        ),
+        pytest.param(
+            lambda tmp_path: generate_dataset(PH, 1, np.random.default_rng(0)),
+            r"need n >= 2",
+            id="dataset-n-1",
+        ),
+        pytest.param(
+            lambda tmp_path: load_study_config(_study_file(tmp_path, "{")),
+            "invalid JSON in",
+            id="file-not-json",
+        ),
+        pytest.param(
+            lambda tmp_path: load_study_config(
+                _study_file(tmp_path, json.dumps([TestConfigFiles.DOC, 1]))
+            ),
+            "entries must be JSON objects",
+            id="file-list-of-non-objects",
+        ),
+        pytest.param(
+            lambda tmp_path: study_configs_from_dict(
+                {k: v for k, v in TestConfigFiles.DOC.items() if k != "n"}
+            ),
+            "study config is missing key 'n'",
+            id="document-without-n",
+        ),
+        pytest.param(
+            lambda tmp_path: write_results_csv([], tmp_path / "res.csv"),
+            "no results to write",
+            id="no-results",
+        ),
+    ],
+)
+def test_input_checks_are_config_errors(call, message, tmp_path):
+    with pytest.raises(ConfigError, match=message):
+        call(tmp_path)
