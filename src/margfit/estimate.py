@@ -275,14 +275,10 @@ class _Kernel:
         """This one-scheme kernel with its score terms scaled, once per row.
 
         ``event_multipliers`` is (B, m), one row of multipliers at the m
-        failures per draw. Under Efron ties each row must be equal within
-        every tie group, exactly.
+        failures per draw; under Efron a row must be equal within each tie
+        group, which random weights meet by refusing tied failures.
         """
         w = self.weights * np.asarray(event_multipliers, dtype=float)
-        if self.frac is not None and not np.array_equal(
-            w, w[:, self.starts].take(self.group, axis=1)
-        ):
-            raise ConfigError("event multipliers must be shared within tied event times")
         kernel = copy.copy(self)
         kernel.score_weights = w
         return kernel

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -289,6 +290,7 @@ def fit_weibull(data: SurvivalDataset) -> Weibull:
     logt = np.log(t)
     ev_logt = float(logt[events].sum())
 
+    @lru_cache(maxsize=None)  # the searches share shapes: one evaluation each
     def score(k: float) -> float:
         # t**k may leave the float range on the way to a bracket: refused below
         with np.errstate(over="ignore", invalid="ignore"):

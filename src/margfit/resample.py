@@ -7,13 +7,13 @@ original-data values (tied failures draw independent weights). So the
 beta-free state (the Kaplan-Meier curve or fitted marginal, the weights
 and the risk-set index) is built once per run, from the original data, and
 serves the point fit and every draw; a draw changes only the multipliers.
-Draws are solved in blocks of ``_BLOCK_DRAWS``: the block's multipliers
-stack into one (draws x failures) array that scales the kernel's weights
-at the failures, and one batched Newton solves them together, each draw
-with the bits it would get alone. The nonparametric bootstrap instead
-resamples subjects and repeats the point estimate's own steps on each
-replicate: a parametric marginal given by family name is refit, a
-supplied marginal model is kept as given.
+``parallel_map`` hands the draws over in blocks, each with its own
+substream: a block's multipliers stack into one (draws x failures) array
+that scales the kernel's weights at the failures, and one batched Newton
+solves them together, each draw with the bits it would get alone. The
+nonparametric bootstrap instead resamples subjects and repeats the point
+estimate's own steps on each replicate: a parametric marginal given by
+family name is refit, a supplied marginal model is kept as given.
 """
 
 from __future__ import annotations
@@ -35,15 +35,6 @@ __all__ = [
     "resample_distribution",
     "bootstrap",
 ]
-
-# random-weight draws solved together in one batched Newton. The block
-# bounds the (draws x subjects) risk-set arrays, so memory does not grow
-# with n_draws, and sets how many Python-level Newton passes a run makes.
-# At n = 1500 a warm 1000-draw run faults at most a few pages in blocks of
-# 16, but about 16,000 in blocks of 32 (and 20,000 in blocks of 24 once
-# SciPy is loaded): their Newton steps give the heap top back to the
-# system and fault it in again
-_BLOCK_DRAWS = 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +72,17 @@ def _event_multipliers(e: np.ndarray, m: int) -> np.ndarray:
     return mult
 
 
+def _random_weight_kernel(data, scheme, ties) -> _Kernel:
+    """``scheme``'s kernel; under Efron, tied failures are a ConfigError: they
+    draw independent multipliers, where Efron needs one per tie group."""
+    kernel = _Kernel.single(data, scheme, ties)
+    if kernel.frac is not None and kernel.starts.size < kernel.ev.size:
+        raise ConfigError(
+            "random weights take ties='efron' only when no failure times are tied"
+        )
+    return kernel
+
+
 def random_weight_fit(
     data: SurvivalDataset,
     scheme: WeightScheme,
@@ -91,66 +93,43 @@ def random_weight_fit(
     """One perturbed solve: multiply the i-th event's score term by e_i / sum e.
 
     ``rng`` needs an ``exponential(size=n_t)`` method, n_t the number of
-    failures; marginal weights are not re-estimated. Tied failures draw
-    independent weights, so the Efron tie rule (which needs a shared
-    multiplier within a tie group) is not available here.
+    failures; marginal weights are not re-estimated. Under ``ties='efron'``
+    no failure times may be tied.
     """
-    kernel = _Kernel.single(data, scheme, ties)
+    kernel = _random_weight_kernel(data, scheme, ties)
     if not hasattr(rng, "exponential"):
         rng = np.random.default_rng(rng)
-    beta, errors = _random_weight_draws(kernel, [rng])
-    if errors[0] is not None:
-        raise errors[0]
-    return beta[0]
+    [(beta, error)] = _random_weight_draws(kernel, [rng])
+    if error is not None:
+        raise error
+    return beta
 
 
-def _random_weight_draws(kernel, rngs):
-    """(beta (B, d), errors): ``kernel``'s score solved under one draw per rng.
+def _random_weight_draws(kernel, rngs) -> list:
+    """Rows (beta, error): ``kernel``'s score solved under one draw per rng.
 
     The draws' multipliers stack into one batch that ``_newton`` solves
-    together; row b's root and error are what a solve of draw b alone gives.
+    together; each row is what a solve of its draw alone gives.
     """
     m = kernel.ev.size
     e = np.array([rng.exponential(size=m) for rng in rngs], dtype=float)
     beta, _, _, _, errors = _newton(kernel.reweighted(_event_multipliers(e, m)))
-    return beta, errors
+    return list(zip(beta, errors))
 
 
-def _bootstrap_fit(data, scheme, ties, rng):
-    """Solve ``scheme`` on one bootstrap replicate of ``data``."""
-    idx = rng.integers(0, data.n, size=data.n)
-    rep = SurvivalDataset(
-        time=data.time[idx],
-        status=data.status[idx],
-        covariates=data.covariates[idx],
-    )
-    return solve_score(rep, scheme, ties=ties, variance="none").beta
-
-
-def _bootstrap_block(payload):
-    """Rows (b, beta or None, error or None) for bootstrap draws ``indices``."""
-    draw, seed, indices = payload
-    out = []
-    for b in indices:
-        rng = np.random.default_rng([seed, b])
+def _bootstrap_draws(data, scheme, ties, rngs) -> list:
+    """Rows (beta, error): ``scheme`` solved on one replicate of ``data`` per
+    rng; a replicate that cannot be fit has beta None and the error it raised."""
+    rows = []
+    for rng in rngs:
+        idx = rng.integers(0, data.n, size=data.n)
         try:
-            out.append((b, draw(rng), None))
+            rep = SurvivalDataset(data.time[idx], data.status[idx], data.covariates[idx])
+            rows.append((solve_score(rep, scheme, ties=ties, variance="none").beta, None))
         except (FitError, DataError) as exc:
-            out.append((b, None, str(exc)))
-    return out
-
-
-def _random_weight_block(payload):
-    """Rows (b, beta or None, error or None) for random-weight draws ``indices``."""
-    kernel, seed, indices = payload
-    out = []
-    for start in range(0, len(indices), _BLOCK_DRAWS):
-        block = indices[start : start + _BLOCK_DRAWS]
-        rngs = [np.random.default_rng([seed, b]) for b in block]
-        beta, errors = _random_weight_draws(kernel, rngs)
-        for b, row, err in zip(block, beta, errors):
-            out.append((b, None, str(err)) if err is not None else (b, row, None))
-    return out
+            # its traceback would keep the replicate's frames alive
+            rows.append((None, exc.with_traceback(None)))
+    return rows
 
 
 def _require_draws(n_draws, seed) -> None:
@@ -164,11 +143,11 @@ def _require_draws(n_draws, seed) -> None:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
-def _run_draws(block, first, point, n_draws, seed, jobs, method, abort_over):
-    """Collect the rows of ``block((first, seed, indices))`` for draws b < n_draws."""
-    rows = parallel_map(block, (first, seed), n_draws, jobs)
-    draws = [beta for _, beta, err in rows if err is None]
-    failures = tuple((b, err) for b, _, err in rows if err is not None)
+def _run_draws(solve, point, n_draws, seed, jobs, method, abort_over):
+    """The distribution of ``solve``'s rows (beta, error) for draws b < n_draws."""
+    rows = parallel_map(solve, seed, n_draws, jobs)
+    draws = [beta for beta, err in rows if err is None]
+    failures = tuple((b, str(err)) for b, (_, err) in enumerate(rows) if err is not None)
     if abort_over is not None and len(failures) > abort_over * n_draws:
         raise FitError(
             f"{len(failures)}/{n_draws} resampling draws failed "
@@ -199,22 +178,22 @@ def resample_distribution(
 ) -> ResampleResult:
     """Random-weight resampling distribution with per-draw substreams.
 
-    Draw b uses ``default_rng([seed, b])``, so results are independent of
-    ``jobs`` and scheduling. The beta-free state is built once, from
-    ``data``, and serves the point fit and every draw (with ``jobs > 1``
-    each worker's range of draws receives a pickled copy); a family-named
-    parametric marginal is thus fitted once and stays fixed across draws.
-    Each range is solved in blocks of 16 draws, one batched Newton per
-    block, so memory stays at one block's whatever ``n_draws`` is; a
-    draw's root and failure message do not depend on its block.
+    ``parallel_map`` draws b from ``default_rng([seed, b])``, so results
+    are independent of ``jobs`` and scheduling. The beta-free state is
+    built once, from ``data``, and serves the point fit and every draw
+    (with ``jobs > 1`` each worker's range of draws receives a pickled
+    copy); a family-named parametric marginal is thus fitted once and stays
+    fixed across draws. ``parallel_map`` hands the draws over in blocks of
+    up to 16, each solved by one batched Newton, so memory stays at one
+    block's whatever ``n_draws`` is; a draw's root and failure message do
+    not depend on its block. ``ties='efron'`` needs untied failure times.
     ``n_draws`` (at least 2) and ``seed`` (nonnegative) must be integers.
     More than 5% failed draws aborts.
     """
     _require_draws(n_draws, seed)
-    kernel = _Kernel.single(data, scheme, ties)
+    kernel = _random_weight_kernel(data, scheme, ties)
     return _run_draws(
-        _random_weight_block,
-        kernel,
+        partial(_random_weight_draws, kernel),
         _solved(kernel),
         n_draws,
         seed,
@@ -243,8 +222,7 @@ def bootstrap(
     """
     _require_draws(n_draws, seed)
     return _run_draws(
-        _bootstrap_block,
-        partial(_bootstrap_fit, data, scheme, ties),
+        partial(_bootstrap_draws, data, scheme, ties),
         solve_score(data, scheme, ties=ties),
         n_draws,
         seed,

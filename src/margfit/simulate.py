@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Union
 
 import numpy as np
@@ -524,46 +524,41 @@ def _default_family(baseline) -> str:
     return f"pwexp:{cuts}" if cuts else params["family"]
 
 
-def _one_rep(spec: GeneratorSpec, names, seed: int, n: int, rep: int):
-    """Fit each estimator, named as a scheme string, to replication ``rep``.
-
-    The estimators are the scheme rows of one kernel, solved by one batched
-    Newton; each gets the estimate or the failure it would get alone.
-    """
-    rng = np.random.default_rng([seed, rep])
-    data = generate_dataset(spec, n, rng)
-    try:
-        schemes = [_parse_scheme(name) for name in names]
-        fits = _fit(_Kernel(data, schemes))
-    except (FitError, DataError) as exc:  # no events: every estimator fails
-        fits = [exc] * len(names)
-    values = {}
-    fails = []
-    for name, fit in zip(names, fits):
-        if isinstance(fit, FitResult):
-            values[name] = float(fit.beta[0])
-        else:
-            fails.append((name, str(fit)))
-    realized = 1.0 - float(np.mean(data.status))
-    return rep, values, realized, fails
-
-
-def _rep_block(payload):
-    spec, names, seed, n, rep_indices = payload
-    return [_one_rep(spec, names, seed, n, rep) for rep in rep_indices]
+def _reps(spec: GeneratorSpec, names, n: int, rngs) -> list:
+    """Rows (estimates, censored fraction, failures), one replication of
+    ``n`` subjects per rng. A replication's estimators, named as scheme
+    strings, are the scheme rows of one kernel, solved by one batched
+    Newton; each gets the estimate or the failure it would get alone."""
+    rows = []
+    for rng in rngs:
+        data = generate_dataset(spec, n, rng)
+        try:
+            schemes = [_parse_scheme(name) for name in names]
+            fits = _fit(_Kernel(data, schemes))
+        except (FitError, DataError) as exc:  # no events: every estimator fails
+            fits = [exc] * len(names)
+        values = {}
+        fails = []
+        for name, fit in zip(names, fits):
+            if isinstance(fit, FitResult):
+                values[name] = float(fit.beta[0])
+            else:
+                fails.append((name, str(fit)))
+        rows.append((values, 1.0 - float(np.mean(data.status)), fails))
+    return rows
 
 
 def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     """Run all replications of one design and aggregate.
 
-    Each replication uses the independent substream ``default_rng([seed,
-    rep])``, so results are bitwise identical for any ``jobs`` value and any
-    scheduling order (estimates are stored by replication index before
-    aggregation). A replication's estimators share one beta-free state and
-    are solved by one batched Newton, each with the estimate or failure it
-    would get solved alone; a marginal that cannot be fitted fails only its
-    own estimator. A replication in which any estimator fails is dropped
-    from all aggregates; more than 1% failures aborts the study.
+    ``parallel_map`` draws replication ``rep`` from its own substream,
+    ``default_rng([seed, rep])``, and returns the rows in replication
+    order, so results are bitwise identical for any ``jobs``. A
+    replication's estimators share one beta-free state and are solved by
+    one batched Newton, each with the estimate or failure it would get
+    alone; a marginal that cannot be fitted fails only its own estimator.
+    A replication in which any estimator fails is dropped from all
+    aggregates; more than 1% failures aborts the study.
     """
     spec = config.spec
     if config.target_censoring > 0.0:
@@ -583,13 +578,12 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     realized = np.full(reps, np.nan)
     failures = []
 
-    rows = parallel_map(_rep_block, (spec, names, config.seed, config.n), reps, jobs)
-    for rep, values, frac, fails in rows:
+    rows = parallel_map(partial(_reps, spec, names, config.n), config.seed, reps, jobs)
+    for rep, (values, frac, fails) in enumerate(rows):
         realized[rep] = frac
         for name, v in values.items():
             est[name][rep] = v
-        for name, msg in fails:
-            failures.append((rep, name, msg))
+        failures += [(rep, name, msg) for name, msg in fails]
 
     failed_reps = sorted({rep for rep, _, _ in failures})
     n_failed = len(failed_reps)

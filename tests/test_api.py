@@ -166,14 +166,21 @@ def _score_loops(tree):
     return found
 
 
+# the block solvers that draw a new dataset on each pass: no two passes
+# share a beta-free state, so their solves cannot stack into one Newton
+_PER_DATASET = {("simulate", "_reps"), ("resample", "_bootstrap_draws")}
+
+
 def test_only_newton_iterates_the_score():
     """``estimate._newton`` is the package's one Newton loop: every batch of
     scores (a study replication's estimators, a block of random-weight draws)
-    is one call of it, so no caller forks a second loop over solves."""
+    is one call of it, so no caller forks a second loop over solves of one
+    dataset."""
     loops = []
+    allowed = {("estimate", "_newton"), *_PER_DATASET}
     for path in sorted(Path(margfit.__file__).parent.glob("*.py")):
         for func, call in _score_loops(ast.parse(path.read_text())):
-            if (path.stem, func) != ("estimate", "_newton"):
+            if (path.stem, func) not in allowed:
                 loops.append(f"{path.stem}.{func} calls {call} in a loop")
     assert loops == []
 
@@ -317,6 +324,62 @@ def test_the_environment_guard_sees_both_forms():
         "name = os.path.join('a', 'b')\n"
     )
     assert _environment_reads(ast.parse(source)) == 3
+
+
+def _substream_seeders(tree) -> list[str]:
+    """The functions in ``tree`` that call ``default_rng`` on a list holding
+    one of their loop or comprehension variables: a per-index substream."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loop_vars = {
+            name.id
+            for node in ast.walk(func)
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+            for name in ast.walk(node.target)
+            if isinstance(name, ast.Name)
+        }
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if callee == "default_rng" and any(
+                isinstance(arg, ast.List)
+                and any(isinstance(e, ast.Name) and e.id in loop_vars for e in arg.elts)
+                for arg in node.args
+            ):
+                found.append(func.name)
+    return found
+
+
+def test_only_the_block_map_seeds_substreams():
+    """``parallel_map`` owns the rule that index i draws from
+    ``default_rng([seed, i])``: no other module builds per-index substreams
+    (the study's fixed calibration and reference streams are constants)."""
+    src = Path(margfit.__file__).parent
+    seeders = [
+        f"{path.stem}.{func}"
+        for path in sorted(src.rglob("*.py"))
+        if path.stem != "_parallel"
+        for func in _substream_seeders(ast.parse(path.read_text()))
+    ]
+    assert seeders == []
+
+
+def test_the_substream_guard_sees_loops_and_comprehensions():
+    source = (
+        "def block(seed, indices):\n"
+        "    return [np.random.default_rng([seed, i]) for i in indices]\n"
+        "def draws(seed, n):\n"
+        "    for b in range(n):\n"
+        "        yield default_rng([seed, b]).random()\n"
+        "def fixed(config):\n"
+        "    return np.random.default_rng([config.seed, _STREAM])\n"
+        "def plain(seeds):\n"
+        "    return [np.random.default_rng(s) for s in seeds]\n"
+    )
+    assert _substream_seeders(ast.parse(source)) == ["block", "draws"]
 
 
 def test_importing_the_package_loads_no_scipy(fresh_python):

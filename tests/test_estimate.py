@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import margfit.estimate as estimate_module
+import margfit.resample as resample_module
 from margfit import (
     ConfigError,
     Constant,
@@ -22,6 +23,7 @@ from margfit import (
     kaplan_meier,
     log_partial_likelihood,
     random_weight_fit,
+    resample_distribution,
     score_jacobian,
     solve_score,
     variance_andersen_gill,
@@ -250,21 +252,25 @@ class TestSolver:
         ref = solve_score(leukemia, Constant(), variance="none")
         assert errors == [None] and abs(beta[0, 0] - ref.beta[0]) > 1e-4
 
-    def test_efron_multipliers_must_be_shared_within_tie_group(self, leukemia):
-        def draws(size):
-            e = np.ones(size)
-            e[0] = 2.0  # breaks the shared value at the first tied event time
-            return e
+    def test_efron_random_weights_refuse_tied_failures(self, leukemia):
+        # even draws shared within every tie group are refused: tied
+        # failures draw independent multipliers, which Efron cannot take
+        for draws in (np.ones, lambda size: shared_multipliers(leukemia)):
+            with pytest.raises(ConfigError, match="no failure times are tied"):
+                random_weight_fit(leukemia, Constant(), FixedDraws(draws), ties="efron")
 
-        with pytest.raises(ConfigError, match="shared within tied"):
-            random_weight_fit(leukemia, Constant(), FixedDraws(draws), ties="efron")
+    def test_efron_refusal_comes_before_any_draw(self, leukemia, monkeypatch):
+        def no_draw(size):
+            raise AssertionError("drew before refusing tied failures")
 
-    def test_efron_tie_sharing_is_exact(self, leukemia):
-        # multipliers 1e-9 apart are not shared, however close: a tolerant
-        # comparison would solve them as the unperturbed Efron fit
-        draws = FixedDraws(lambda size: 1.0 + 1e-9 * np.arange(size))
-        with pytest.raises(ConfigError, match="shared within tied"):
-            random_weight_fit(leukemia, Constant(), draws, ties="efron")
+        def no_fit(kernel):
+            raise AssertionError("fitted before refusing tied failures")
+
+        with pytest.raises(ConfigError, match="no failure times are tied"):
+            random_weight_fit(leukemia, Constant(), FixedDraws(no_draw), ties="efron")
+        monkeypatch.setattr(resample_module, "_solved", no_fit)
+        with pytest.raises(ConfigError, match="no failure times are tied"):
+            resample_distribution(leukemia, Constant(), n_draws=8, ties="efron")
 
     def test_result_serialization(self, leukemia):
         res = solve_score(leukemia, Parametric("exponential"))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from margfit import (
     load_external_curve,
     save_curve,
 )
+import margfit.marginal as marginal_module
 from margfit.marginal import _expand
 
 
@@ -251,6 +255,36 @@ class TestWeibullFit:
             g = 1 / k + logt[status == 1].mean() - (tk * logt).sum() / tk.sum()
             worst = max(worst, float(abs(g)))
         assert worst <= 1e-12
+
+    def test_the_score_is_evaluated_once_per_shape(self, leukemia, monkeypatch):
+        # both bracket searches start at k = 1, and Brent's method starts at
+        # the bracket's ends: the shapes repeat, their evaluations must not.
+        # Every evaluation of the score checks its sums with math.isfinite
+        want = fit_weibull(leukemia)
+        shapes, evaluations = [], []
+        expand, brentq, isfinite = marginal_module._expand, marginal_module._brentq, math.isfinite
+
+        def seen(f):
+            def g(k):
+                shapes.append(k)
+                return f(k)
+
+            return g
+
+        def counted(x):
+            evaluations.append(x)
+            return isfinite(x)
+
+        monkeypatch.setattr(marginal_module, "_expand", lambda f, *a: expand(seen(f), *a))
+        monkeypatch.setattr(
+            marginal_module, "_brentq", lambda f, *a, **kw: brentq(seen(f), *a, **kw)
+        )
+        monkeypatch.setattr(
+            marginal_module, "math", SimpleNamespace(**{**vars(math), "isfinite": counted})
+        )
+        assert fit_weibull(leukemia) == want
+        assert len(shapes) > len(set(shapes))
+        assert len(evaluations) == len(set(shapes))
 
 
 def test_a_bracket_not_found_in_200_tries_is_a_fit_error():

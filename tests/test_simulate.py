@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import astuple, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from margfit import (
     study_configs_from_dict,
     write_results_csv,
 )
+from margfit._parallel import parallel_map
 from margfit.marginal import _brentq
 from margfit.simulate import (
     _BLOCK_ROWS,
@@ -59,8 +61,9 @@ from margfit.simulate import (
     _REFERENCE_STREAM,
     _config_echo,
     _draw_survival_times,
+    _failure_law_nodes,
     _log_sum_exp_atoms,
-    _rep_block,
+    _reps,
     _segment_tables,
     _sum_atoms,
 )
@@ -799,6 +802,13 @@ def _solved_one_at_a_time(config, spec):
     return rows
 
 
+def _study_rows(spec, names, config):
+    """The rows (rep, values, realized censoring, failures) of ``config``'s
+    replications, as the study runner solves them under ``spec``."""
+    rows = parallel_map(partial(_reps, spec, names, config.n), config.seed, config.reps, 1)
+    return [(rep, *row) for rep, row in enumerate(rows)]
+
+
 def _calibrated(config):
     """``config``'s generator with the censoring parameter its study calibrates."""
     if config.target_censoring == 0.0:
@@ -895,8 +905,7 @@ class TestBatchedEstimators:
         spec = _calibrated(config)
         names = ["pl", "km", *(f"par:{f}" for f in families)]
         rows = _solved_one_at_a_time(config, spec)
-        reps = range(config.reps)
-        assert _rep_block((spec, names, config.seed, config.n, reps)) == rows
+        assert _study_rows(spec, names, config) == rows
         others = {"pl", "km", "par:exponential"}
         weibull_alone = [
             rep
@@ -917,8 +926,8 @@ class TestBatchedEstimators:
         # 1440, where the Weibull profile's sums of t**shape underflow; that
         # fails its estimator, not the study
         spec = _calibrated(TINY_WEIBULL)
-        rows = _rep_block((spec, ["pl", "km", "par:weibull"], 7, 3, [376]))
-        [(_, values, _, fails)] = rows
+        rng = np.random.default_rng([7, 376])
+        [(values, _, fails)] = _reps(spec, ["pl", "km", "par:weibull"], 3, [rng])
         assert set(values) == {"pl", "km"}
         [(name, msg)] = fails
         assert name == "par:weibull"
@@ -943,13 +952,12 @@ class TestBatchedEstimators:
             )
         spec = _calibrated(config)
         names = ["pl", "km", *(f"par:{f}" for f in config.families_to_fit)]
-        payload = (spec, names, config.seed, config.n, range(config.reps))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            strict = _rep_block(payload)
+            strict = _study_rows(spec, names, config)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            quiet = _rep_block(payload)
+            quiet = _study_rows(spec, names, config)
         assert repr(strict) == repr(quiet)
 
     @pytest.mark.parametrize(
@@ -1164,6 +1172,22 @@ class TestOracles:
             mp.setattr("margfit.simulate._PIECE_NODES", 256)
             fine = beta_star_oracle(spec, weighting="risk")
         assert coarse == pytest.approx(fine, abs=1e-12)
+
+    def test_a_segment_past_all_mass_adds_no_nodes(self):
+        # exp(-800) underflows: the failure law has no mass left at the
+        # changepoint, so beta = 2 after it gets no quadrature node
+        spec = GeneratorSpec(
+            baseline=Exponential(rate=1.0),
+            beta=BetaFunction(changepoints=(800.0,), values=(0.5, 2.0)),
+            covariate=Bernoulli(0.5),
+            censoring=ExponentialCensoring(rate=1.0),
+        )
+        w, b, _, _ = _failure_law_nodes(spec, NoCensoring())
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert set(b) == {0.5}
+        uncensored = replace(spec, censoring=NoCensoring())
+        for design, weighting in ((uncensored, "failure"), (uncensored, "risk"), (spec, "risk")):
+            assert beta_star_oracle(design, weighting) == pytest.approx(0.5, abs=1e-12)
 
     def test_draws_nothing_and_fits_nothing(self, monkeypatch):
         def forbidden(*args, **kwargs):
