@@ -28,6 +28,19 @@ def _solve_range(solve, seed: int, indices: range) -> list:
     return rows
 
 
+def check_jobs(jobs) -> int:
+    """The worker count ``jobs`` stands for: 1 for None, else ``jobs`` itself,
+    which must be an integer of at least 1 (ConfigError). Each entry point
+    calls it before any work, so a bad ``jobs`` costs nothing."""
+    if jobs is None:
+        return 1
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
+        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, not {jobs}")
+    return jobs
+
+
 def parallel_map(solve, seed: int, n: int, jobs: int | None) -> list:
     """Rows of ``solve(rngs)`` for indices 0..n-1, in index order.
 
@@ -35,13 +48,9 @@ def parallel_map(solve, seed: int, n: int, jobs: int | None) -> list:
     being ``default_rng([seed, i])``, and returns one row each, so a row
     depends on its index alone, not on its block, worker or ``jobs``. With
     ``jobs > 1``, ranges of about n / (4 jobs) indices go to a process pool,
-    ``solve`` pickled. ``jobs`` must be an integer of at least 1 (ConfigError).
+    ``solve`` pickled. ``jobs`` is checked by ``check_jobs``.
     """
-    jobs = 1 if jobs is None else jobs
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
-        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, not {jobs}")
+    jobs = check_jobs(jobs)
     if jobs == 1:
         return _solve_range(solve, seed, range(n))
     # imported here, so that a serial run never loads the process pool

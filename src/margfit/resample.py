@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import check_jobs, parallel_map
 from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
 from .estimate import FitResult, WeightScheme, _Kernel, _newton, _solved, solve_score
@@ -132,8 +132,10 @@ def _bootstrap_draws(data, scheme, ties, rngs) -> list:
     return rows
 
 
-def _require_draws(n_draws, seed) -> None:
-    """Refuse a draw count or seed that ``default_rng([seed, b])`` cannot take."""
+def _require_draws(n_draws, seed, jobs) -> None:
+    """Refuse a draw count or seed that ``default_rng([seed, b])`` cannot
+    take, and a ``jobs`` that ``check_jobs`` refuses, before any fit."""
+    check_jobs(jobs)
     for name, value in (("n_draws", n_draws), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -190,7 +192,7 @@ def resample_distribution(
     ``n_draws`` (at least 2) and ``seed`` (nonnegative) must be integers.
     More than 5% failed draws aborts.
     """
-    _require_draws(n_draws, seed)
+    _require_draws(n_draws, seed, jobs)
     kernel = _random_weight_kernel(data, scheme, ties)
     return _run_draws(
         partial(_random_weight_draws, kernel),
@@ -220,7 +222,7 @@ def bootstrap(
     than aborting, since heavy censoring can make occasional empty
     replicates expected behavior.
     """
-    _require_draws(n_draws, seed)
+    _require_draws(n_draws, seed, jobs)
     return _run_draws(
         partial(_bootstrap_draws, data, scheme, ties),
         solve_score(data, scheme, ties=ties),

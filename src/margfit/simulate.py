@@ -17,10 +17,12 @@ invert segment-wise (closed form for the hazard role; via the marginal
 mixture g_k(M) = E_Z[exp(-H_k(Z) - M e^{b_k Z})] for the marginal role).
 All V are drawn first; the search and the inversion then run over blocks
 of a fixed number of subjects, so beyond V and T a draw holds one block's
-temporaries. The marginal role evaluates log g_k over the covariate law's
-atoms, which a block holds on its leading axis: each step of the
-log-sum-exp is one elementwise pass over the block's subjects. Its
-arithmetic is that of SciPy's ``logsumexp``, with the sum over atoms added
+temporaries. Where b_k = 0 every tilt e^{b_k z} is 1, so the marginal role
+takes log g_k(M) = c_k - M, with c_k = log E_Z[exp(-H_k(Z))] one number per
+segment. Elsewhere it evaluates log g_k over the covariate law's atoms,
+which a block holds on its leading axis: each step of the log-sum-exp is
+one elementwise pass over the block's subjects. Its arithmetic (and that of
+each c_k) is that of SciPy's ``logsumexp``, with the sum over atoms added
 in the order NumPy's row sum takes, so its bits are SciPy's.
 
 Calibration bisects over one Monte Carlo draw and checks its parameter by
@@ -39,7 +41,7 @@ from typing import Union
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import check_jobs, parallel_map
 from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
 from .estimate import FitResult, _fit, _Kernel, _parse_scheme
@@ -292,7 +294,8 @@ def _draw_survival_times(
     All of V is drawn first, then each block of ``_BLOCK_ROWS`` subjects is
     located and inverted in turn into T. Every step is elementwise per
     subject, or per column over the atoms, so a subject's bits do not depend
-    on its block.
+    on its block. In the marginal role a subject in a zero-coefficient
+    segment k skips the atoms: its log-mixture is c_k - M.
     """
     z = np.asarray(z, dtype=float)
     n = z.size
@@ -304,6 +307,8 @@ def _draw_survival_times(
     # per segment k: the log-mixture's offsets log w_q - H[k] and tilts e^{b_k z_q}
     offsets = (logwq - H)[:, :, None]
     tilts = np.exp(np.outer(bvals, zq))[:, :, None]
+    # where b_k = 0 every tilt is 1, and log g_k(M) = c_k - M
+    c = _log_sum_exp_atoms((logwq - H).T)
     T = np.empty(n)
     # one block's log-mixture terms, atom-major, reused by every block
     work = np.empty(zq.size * _BLOCK_ROWS)
@@ -320,10 +325,13 @@ def _draw_survival_times(
             continue
         for k in range(bvals.size):
             rows = np.flatnonzero(idx == k)
-            expo = work[: zq.size * rows.size].reshape(zq.size, rows.size)
-            np.multiply(tilts[k], M[rows], out=expo)
-            np.subtract(offsets[k], expo, out=expo)
-            logg = _log_sum_exp_atoms(expo)
+            if bvals[k] == 0.0:
+                logg = c[k] - M[rows]
+            else:
+                expo = work[: zq.size * rows.size].reshape(zq.size, rows.size)
+                np.multiply(tilts[k], M[rows], out=expo)
+                np.subtract(offsets[k], expo, out=expo)
+                logg = _log_sum_exp_atoms(expo)
             T[start + rows] = spec.baseline.inverse_cumulative_hazard(
                 np.minimum(-logg, 1e12)
             )
@@ -558,8 +566,10 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     one batched Newton, each with the estimate or failure it would get
     alone; a marginal that cannot be fitted fails only its own estimator.
     A replication in which any estimator fails is dropped from all
-    aggregates; more than 1% failures aborts the study.
+    aggregates; more than 1% failures aborts the study. A bad ``jobs`` is
+    refused before the calibration runs.
     """
+    check_jobs(jobs)
     spec = config.spec
     if config.target_censoring > 0.0:
         param = calibrate_censoring(

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import margfit._parallel
+import margfit.resample
+import margfit.simulate
 from margfit import (
     BetaFunction,
     ConfigError,
@@ -85,19 +87,57 @@ class TestEachIndexAlone:
         assert res.draws.tobytes() == np.vstack(want).tobytes()
 
 
-@pytest.mark.parametrize("jobs", [2.5, "2", True])
-@pytest.mark.parametrize(
+# the three entry points that take ``jobs``; the study calibrates its censoring
+CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda data, jobs: resample_distribution(data, Constant(), n_draws=8, jobs=jobs),
         lambda data, jobs: bootstrap(data, Constant(), n_draws=8, jobs=jobs),
-        lambda data, jobs: run_study(StudyConfig(spec=SPEC, n=20, reps=4, seed=0), jobs),
+        lambda data, jobs: run_study(
+            StudyConfig(spec=SPEC, n=20, reps=4, seed=0, target_censoring=0.3), jobs
+        ),
     ],
     ids=["random-weights", "bootstrap", "study"],
 )
+
+
+@pytest.mark.parametrize("jobs", [2.5, "2", True])
+@CALLS
 def test_jobs_must_be_an_integer(leukemia, call, jobs):
     with pytest.raises(ConfigError, match="jobs must be an integer"):
         call(leukemia, jobs)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Names of the calibrations and point fits run while the test runs."""
+    names = []
+    for module, name in [
+        (margfit.simulate, "calibrate_censoring"),
+        (margfit.resample, "solve_score"),
+        (margfit.resample, "_random_weight_kernel"),
+    ]:
+
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            names.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return names
+
+
+@pytest.mark.parametrize("jobs", [2.5, 0, True])
+@CALLS
+def test_bad_jobs_are_refused_before_any_work(leukemia, work, call, jobs):
+    with pytest.raises(ConfigError, match="jobs must be"):
+        call(leukemia, jobs)
+    assert work == []
+
+
+@CALLS
+def test_good_jobs_reach_the_work(leukemia, work, call):
+    call(leukemia, 1)
+    assert work
 
 
 def test_integer_jobs_of_any_integer_type_are_taken():

@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import astuple, replace
+from decimal import Decimal, localcontext
 from functools import partial
 from pathlib import Path
 
@@ -311,12 +312,10 @@ class TestMarginalRole:
             assert limit == pytest.approx(flat_limit, abs=1e-12)
 
 
-def _scipy_marginal_draw(spec, z, rng):
-    """The marginal-role sampler on SciPy's ``logsumexp``, one whole-array
-    temporary per coefficient segment: the reference the row-block sampler
-    must reproduce bit for bit."""
+def _marginal_segments(spec, z, V):
+    """Each subject's coefficient segment and its M, located as the sampler
+    locates them, with the marginal role's segment tables."""
     n = z.size
-    V = rng.exponential(size=n)
     bvals, Lam, zq, logwq, H = _segment_tables(
         spec.baseline, spec.beta, spec.covariate, "marginal"
     )
@@ -329,13 +328,45 @@ def _scipy_marginal_draw(spec, z, rng):
         idx = (V[:, None] >= thr).sum(axis=1) - 1
         thr_at = thr[np.arange(n), idx]
     M = (V - thr_at) * np.exp(-bvals[idx] * z)
-    T = np.empty(n)
+    return idx, M, (bvals, zq, logwq, H)
+
+
+def _scipy_marginal_draw(spec, z, rng, closed_form=True):
+    """The marginal-role sampler on SciPy's ``logsumexp``, one whole-array
+    temporary per coefficient segment: the reference the row-block sampler
+    must reproduce bit for bit. In a zero-coefficient segment every tilt is
+    1, so the log-mixture is c_k - M with c_k the log-sum-exp of the
+    segment's offsets; ``closed_form=False`` sums over the atoms there too."""
+    V = rng.exponential(size=z.size)
+    idx, M, (bvals, zq, logwq, H) = _marginal_segments(spec, z, V)
+    T = np.empty(z.size)
     for k in np.unique(idx):
         m = idx == k
-        expo = logwq[None, :] - H[k][None, :] - np.outer(M[m], np.exp(bvals[k] * zq))
-        logg = logsumexp(expo, axis=1)
+        if closed_form and bvals[k] == 0.0:
+            logg = logsumexp(logwq - H[k]) - M[m]
+        else:
+            tilts = np.exp(bvals[k] * zq)
+            expo = logwq[None, :] - H[k][None, :] - np.outer(M[m], tilts)
+            logg = logsumexp(expo, axis=1)
         T[m] = spec.baseline.inverse_cumulative_hazard(np.minimum(-logg, 1e12))
     return T
+
+
+# table2's change-point design: beta(t) = 3 on [0, 0.2), 0 after
+CHANGEPOINT_3_0 = replace(
+    CHANGEPOINT, beta=BetaFunction(changepoints=(0.2,), values=(3.0, 0.0))
+)
+
+
+class _FixedV:
+    """Stands in for a generator whose Exp(1) draws are ``V``."""
+
+    def __init__(self, V):
+        self.V = np.asarray(V, dtype=float)
+
+    def exponential(self, size):
+        assert size == self.V.size
+        return self.V.copy()
 
 
 class TestMarginalSampler:
@@ -369,6 +400,69 @@ class TestMarginalSampler:
             # both coefficient segments hold rows, the later one several blocks
             early = int((want < 0.2).sum())
             assert 0 < early and n - early > _BLOCK_ROWS
+
+    @pytest.mark.parametrize(
+        "spec",
+        [replace(PH, beta=BetaFunction.constant(0.0)), CHANGEPOINT_3_0],
+        ids=["zero", "changepoint-3-0"],
+    )
+    def test_zero_segments_skip_the_atoms(self, spec, monkeypatch):
+        columns = []
+
+        def counted(a):
+            columns.append(a.shape[1])
+            return _log_sum_exp_atoms(a)
+
+        monkeypatch.setattr(simulate_module, "_log_sum_exp_atoms", counted)
+        n = 3 * _BLOCK_ROWS + 17
+        z = spec.covariate.draw(np.random.default_rng(1), n)
+        _draw_survival_times(spec, z, np.random.default_rng(2))
+        V = np.random.default_rng(2).exponential(size=n)
+        idx, _, (bvals, *_) = _marginal_segments(spec, z, V)
+        # the first call holds one column per segment, its c_k; the others
+        # hold the subjects of the nonzero segments and no one else
+        assert columns[0] == bvals.size
+        assert sum(columns[1:]) == np.count_nonzero(bvals[idx] != 0.0)
+        if spec is CHANGEPOINT_3_0:
+            assert 0 < sum(columns[1:]) == np.count_nonzero(idx == 0) < n / 2
+        else:
+            assert columns == [1]
+
+    def test_closed_form_is_at_least_as_accurate_as_the_atoms(self):
+        # -log g_k(M) = -log sum_q w_q e^{-H[k]_q - M} in 50-digit decimal,
+        # taking the float log-weights, H and M as exact; the bound below
+        # was set before the test first ran
+        bound = 4e-15
+        z = np.random.default_rng(5).random(600)
+        V = np.random.default_rng(6).exponential(size=z.size)
+        idx, M, (bvals, _, logwq, H) = _marginal_segments(CHANGEPOINT_3_0, z, V)
+        zero = np.flatnonzero(idx == 1)[:400]
+        assert bvals[1] == 0.0 and zero.size == 400
+        M = M[zero]
+        # Exponential(2) inverts -log g by halving it, which is exact
+        closed = 2.0 * _draw_survival_times(CHANGEPOINT_3_0, z, _FixedV(V))[zero]
+        atoms = -_log_sum_exp_atoms((logwq - H[1])[:, None] - M[None, :])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            offsets = [Decimal(a) - Decimal(h) for a, h in zip(logwq, H[1])]
+            exact = [-sum((d - Decimal(m)).exp() for d in offsets).ln() for m in M]
+            errors = [
+                max(abs((Decimal(x) - e) / e) for x, e in zip(draw, exact))
+                for draw in (closed, atoms)
+            ]
+        assert errors[0] <= errors[1] < bound, errors
+
+    def test_a_zero_segment_past_underflow_keeps_the_clamp(self):
+        # V far in the tail: e^{-M} underflows to 0 from M = 746 on, and past
+        # 1e12 the sampler clamps -log g, as it does on the atoms' path
+        V = [50.0, 800.0, 1e6, 2e12, 1e300]
+        z = np.linspace(0.0, 1.0, len(V))
+        got = _draw_survival_times(CHANGEPOINT_3_0, z, _FixedV(V))
+        atoms = _scipy_marginal_draw(CHANGEPOINT_3_0, z, _FixedV(V), closed_form=False)
+        np.testing.assert_allclose(got[:3], atoms[:3], rtol=2e-15)
+        assert np.all(got[:3] > 0.2) and np.all(got[:3] < 1e6)
+        assert np.array_equal(got[3:], [5e11, 5e11])
+        assert np.array_equal(got[3:], atoms[3:])
 
     @pytest.mark.parametrize("q", [1, 2, 5, 8, 13, 64, 200])
     def test_log_sum_exp_atoms_matches_scipy_bitwise(self, q):
