@@ -13,7 +13,7 @@ from .errors import ConfigError
 # block's draws into one batched Newton: the block bounds its (draws x
 # subjects) risk-set arrays, so memory does not grow with the draws, and
 # sets how many Python-level Newton passes a run makes. At n = 1500 a warm
-# 1000-draw run faults at most a few pages in blocks of 16, but about 16,000
+# 1000-draw run faults a few dozen pages at most in blocks of 16, but about 16,000
 # in blocks of 32 (and 20,000 in blocks of 24 once SciPy is loaded): their
 # Newton steps give the heap top back to the system and fault it in again
 _BLOCK_DRAWS = 16
@@ -28,15 +28,22 @@ def _solve_range(solve, seed: int, indices: range) -> list:
     return rows
 
 
+def check_integer(value, name: str):
+    """``value``, if it is an integer and not a bool; else a ConfigError that
+    names it. The package's one integer test: each caller checks its own
+    bounds after it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_jobs(jobs) -> int:
     """The worker count ``jobs`` stands for: 1 for None, else ``jobs`` itself,
     which must be an integer of at least 1 (ConfigError). Each entry point
     calls it before any work, so a bad ``jobs`` costs nothing."""
     if jobs is None:
         return 1
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
-        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
+    if check_integer(jobs, "jobs") < 1:
         raise ConfigError(f"jobs must be at least 1, not {jobs}")
     return jobs
 

@@ -470,81 +470,69 @@ def _newton(kernel: _Kernel):
 
     The rows are solved together, each with its own steps, step halvings,
     iteration count and stopping point; a row's arithmetic is what it would
-    be alone. Returns (beta (B, d), iterations (B,), |U| (B,), V, errors): V
-    (B, m, d, d) holds the risk-set variances at each root, which lets the
-    variance skip a pass, and ``errors[b]`` is None or the ``FitError`` that
-    stopped row b (whose other entries are then NaN).
+    be alone. One state of B rows (beta, U, J, |U|) is updated in place;
+    ``live`` lists the rows still iterating. Returns (beta (B, d),
+    iterations (B,), |U| (B,), V, errors): V (B, m, d, d) holds the
+    risk-set variances at each root, kept from the evaluation that
+    converged, which lets the variance skip a pass, and ``errors[b]`` is
+    None or the ``FitError`` that stopped row b (whose root, |U| and V are
+    then NaN and its iterations 0).
     """
-    beta = np.zeros((1, kernel.data.d))
-    U, J, v = kernel.score(beta)
+    U, J, v = kernel.score(np.zeros((1, kernel.data.d)))
     size, d = U.shape
+    beta, norm = np.zeros((size, d)), np.abs(U).max(axis=1)
     root, norms = np.full((size, d), np.nan), np.full(size, np.nan)
-    iterations = np.zeros(size, dtype=int)
+    iterations, errors = np.zeros(size, dtype=int), [None] * size
     vs = np.full((size,) + v.shape[1:], np.nan)
-    errors = [None] * size
-    # the state of the rows still iterating; ``live`` maps them to output rows
-    live = np.arange(size)
-    beta, v = np.repeat(beta, size, axis=0), np.repeat(v, size, axis=0)
-    norm = np.abs(U).max(axis=1)
-    for it in range(_MAX_ITER + 1):
-        done = norm < _TOL
-        if np.count_nonzero(done):
-            out = live[done]
-            root[out], norms[out], vs[out] = beta[done], norm[done], v[done]
-            iterations[out] = it
-            if done.all():
-                break
-            live, beta, U, J, v, norm = (x[~done] for x in (live, beta, U, J, v, norm))
-        if it == _MAX_ITER:
-            for r, n in zip(live, norm):
-                errors[r] = ConvergenceError(
-                    f"no convergence after {_MAX_ITER} iterations (|U| = {n:.3g})"
-                )
+    # a row is recorded when its |U| first falls below _TOL, with the V of
+    # that evaluation: no other V is kept
+    done = norm < _TOL
+    root[done], norms[done], vs[done] = beta[done], norm[done], v[0]
+    live = np.flatnonzero(~done)
+    for it in range(1, _MAX_ITER + 1):
+        if not live.size:
             break
         try:
-            step = np.linalg.solve(J, -U[..., None])[..., 0]
+            step = np.linalg.solve(J[live], -U[live, :, None])[..., 0]
         except np.linalg.LinAlgError:
             # one singular J fails the whole stack; only its own row may fail
-            step, solved = _solve_rows(J, U)
+            step, solved = _solve_rows(J[live], U[live])
             for r in live[~solved]:
                 errors[r] = FitError(
                     "singular Jacobian: separation or degenerate covariates"
                 )
-            if not solved.any():
+            live, step = live[solved], step[solved]
+        # the full step, then up to 20 halvings for the rows whose |U| did not
+        # fall, all halved alike, so they share a scale. A trial beta may
+        # overflow exp(beta z); its |U| is then inf or NaN, never below the
+        # current |U|, so the trials' floating-point warnings are silenced.
+        # ``trying`` holds the positions in ``live`` not yet accepted
+        trying = np.arange(live.size)
+        for halvings in range(21):
+            if not trying.size:
                 break
-            live, beta, U, J, v, norm, step = (
-                x[solved] for x in (live, beta, U, J, v, norm, step)
-            )
-        # a row whose |U| does not fall halves its step, up to 20 times; the
-        # rows still halving have all been halved alike, so they share a scale.
-        # A trial beta may overflow exp(beta z); its |U| is then not finite,
-        # which rejects it, so the trials' floating-point warnings are silenced
-        scale = 1.0
-        beta_new = beta + scale * step
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            U_new, J_new, v_new = kernel.score(beta_new, live)
-        norm_new = np.abs(U_new).max(axis=1)
-        ok = np.isfinite(norm_new) & (norm_new < norm)
-        for _ in range(20):
-            if np.count_nonzero(ok) == live.size:
-                break
-            redo = np.flatnonzero(~ok)
-            scale *= 0.5
-            b = beta[redo] + scale * step[redo]
+            rows = live[trying]
+            b = beta[rows] + 0.5**halvings * step[trying]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                u, j, vb = kernel.score(b, live[redo])
+                u, j, vb = kernel.score(b, rows)
             n = np.abs(u).max(axis=1)
-            took = np.isfinite(n) & (n < norm[redo])
-            r = redo[took]
-            beta_new[r], U_new[r], J_new[r] = b[took], u[took], j[took]
-            v_new[r], norm_new[r], ok[r] = vb[took], n[took], True
-        beta, U, J, v, norm = beta_new, U_new, J_new, v_new, norm_new
-        if np.count_nonzero(ok) < live.size:
-            for r in live[~ok]:
-                errors[r] = ConvergenceError("step halving failed to reduce the score")
-            if not ok.any():
-                break
-            live, beta, U, J, v, norm = (x[ok] for x in (live, beta, U, J, v, norm))
+            took = n < norm[rows]
+            r = rows[took]
+            beta[r], U[r], J[r], norm[r] = b[took], u[took], j[took], n[took]
+            hit = n < _TOL
+            if np.count_nonzero(hit):
+                c = rows[hit]
+                root[c], norms[c], vs[c], iterations[c] = b[hit], n[hit], vb[hit], it
+            trying = trying[~took]
+        for r in live[trying]:
+            errors[r] = ConvergenceError("step halving failed to reduce the score")
+        keep = norm[live] >= _TOL
+        keep[trying] = False
+        live = live[keep]
+    for r in live:
+        errors[r] = ConvergenceError(
+            f"no convergence after {_MAX_ITER} iterations (|U| = {norm[r]:.3g})"
+        )
     return root, iterations, norms, vs, errors
 
 

@@ -18,13 +18,12 @@ family name is refit, a supplied marginal model is kept as given.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from ._parallel import check_jobs, parallel_map
+from ._parallel import check_integer, check_jobs, parallel_map
 from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
 from .estimate import FitResult, WeightScheme, _Kernel, _newton, _solved, solve_score
@@ -137,8 +136,7 @@ def _require_draws(n_draws, seed, jobs) -> None:
     take, and a ``jobs`` that ``check_jobs`` refuses, before any fit."""
     check_jobs(jobs)
     for name, value in (("n_draws", n_draws), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_integer(value, name)
     if n_draws < 2:
         raise ConfigError("need at least 2 draws")
     if seed < 0:

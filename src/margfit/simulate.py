@@ -34,14 +34,13 @@ tables.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import Union
 
 import numpy as np
 
-from ._parallel import check_jobs, parallel_map
+from ._parallel import check_integer, check_jobs, parallel_map
 from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
 from .estimate import FitResult, _fit, _Kernel, _parse_scheme
@@ -403,7 +402,7 @@ def generate_dataset(spec: GeneratorSpec, n: int, rng) -> SurvivalDataset:
     different censoring settings but the same seed share their survival
     times (common random numbers across censoring levels).
     """
-    if n < 2:
+    if check_integer(n, "n") < 2:
         raise ConfigError("need n >= 2")
     rng = _as_rng(rng)
     z = spec.covariate.draw(rng, n)
@@ -489,9 +488,7 @@ class StudyConfig:
     def __post_init__(self):
         # a document's 1500.0 reaches here as 1500: its reader converts it
         for key in ("n", "reps", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            check_integer(getattr(self, key), key)
         if self.n < 2:
             raise ConfigError("need n >= 2")
         if self.reps < 1:

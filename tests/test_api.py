@@ -289,6 +289,34 @@ def test_the_csv_guard_sees_both_import_forms():
     assert _csv_importers(ast.parse(source)) == 2
 
 
+def _numbers_importers(tree) -> int:
+    """How many import statements in ``tree`` import the ``numbers`` module."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            count += any(a.name == "numbers" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            count += node.module == "numbers"
+    return count
+
+
+def test_only_parallel_checks_integers():
+    """``_parallel.check_integer`` is the package's one test of an integer
+    argument, so no other module imports ``numbers`` to write its own."""
+    src = Path(margfit.__file__).parent
+    importers = [
+        path.stem
+        for path in sorted(src.rglob("*.py"))
+        if path.stem != "_parallel" and _numbers_importers(ast.parse(path.read_text()))
+    ]
+    assert importers == []
+
+
+def test_the_numbers_guard_sees_both_import_forms():
+    source = "import numbers\nfrom numbers import Integral\nfrom . import numbers\n"
+    assert _numbers_importers(ast.parse(source)) == 2
+
+
 _ENVIRONMENT = ("environ", "getenv")
 
 

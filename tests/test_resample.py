@@ -30,8 +30,8 @@ from margfit import (
     solve_score,
 )
 from margfit._parallel import _BLOCK_DRAWS, parallel_map
-from margfit.estimate import _Kernel
-from margfit.resample import _random_weight_draws
+from margfit.estimate import _Kernel, _newton
+from margfit.resample import _event_multipliers, _random_weight_draws
 
 
 def replicates(data, n_draws, seed):
@@ -462,6 +462,92 @@ class TestSharedKernel:
         want = one_draw_at_a_time(censored_sample, Constant(), 8, 6, ties="efron")
         assert np.array_equal(res.draws, want)
         assert res.point.ties == "efron"
+
+
+class TestNewtonRowExits:
+    """Whichever way a row of a block of draws leaves ``_newton``, it returns
+    the root, iterations, |U|, V and error that the row gets alone."""
+
+    @staticmethod
+    def block_multipliers(kernel, n_draws, seed):
+        m = kernel.ev.size
+        rngs = [np.random.default_rng([seed, b]) for b in range(n_draws)]
+        e = np.array([rng.exponential(size=m) for rng in rngs])
+        return _event_multipliers(e, m)
+
+    @staticmethod
+    def exits(kernel, mult, monkeypatch):
+        """Each row's exit, once the block's row is checked against that row
+        alone, V's bytes included. A row converged without a halving made one
+        score evaluation per step, after the one at zero."""
+        calls = []
+        score = _Kernel.score
+
+        def counted(self, beta, rows=slice(None)):
+            calls.append(len(beta))
+            return score(self, beta, rows)
+
+        monkeypatch.setattr(_Kernel, "score", counted)
+        block = _newton(kernel.reweighted(mult))
+        exits = []
+        for b in range(len(mult)):
+            calls.clear()
+            alone = _newton(kernel.reweighted(mult[b : b + 1]))
+            for got, want in zip(block[:4], alone[:4]):
+                assert got[b].tobytes() == want[0].tobytes()
+            err, want = block[4][b], alone[4][0]
+            assert (type(err), str(err)) == (type(want), str(want))
+            iterations = alone[1][0]
+            if err is not None:
+                exits.append(str(err).split(" (")[0])
+            elif iterations == 0:
+                exits.append("root at zero")
+            else:
+                exits.append("halved" if len(calls) > iterations + 1 else "full steps")
+        return set(exits)
+
+    def test_rounding_scale_block(self, leukemia, monkeypatch):
+        # at this covariate scale some draws halve a step, some fail to
+        # halve |U| below the stop; the zeroed draw's score is 0 at beta = 0
+        data = SurvivalDataset(
+            time=leukemia.time,
+            status=leukemia.status,
+            covariates=leukemia.covariates * 1e7,
+        )
+        kernel = _Kernel.single(data, Constant())
+        mult = self.block_multipliers(kernel, 16, 5)
+        mult[3] = 0.0
+        assert self.exits(kernel, mult, monkeypatch) == {
+            "root at zero",
+            "full steps",
+            "halved",
+            "step halving failed to reduce the score",
+        }
+
+    def test_singular_jacobian_row(self, two_covariate_data, monkeypatch):
+        # z2 varies only up to the median time, so a draw without weight on
+        # the failures there has an exactly singular Jacobian
+        data = two_covariate_data
+        early = data.time <= np.median(data.time)
+        data = SurvivalDataset(
+            time=data.time,
+            status=data.status,
+            covariates=data.covariates * np.column_stack([np.ones(data.n), early]),
+        )
+        kernel = _Kernel.single(data, Constant())
+        mult = self.block_multipliers(kernel, 8, 3)
+        mult[2, early[data.status == 1]] = 0.0
+        assert self.exits(kernel, mult, monkeypatch) == {
+            "full steps",
+            "singular Jacobian: separation or degenerate covariates",
+        }
+
+    def test_iteration_budget_row(self, leukemia, monkeypatch):
+        monkeypatch.setattr(margfit.estimate, "_MAX_ITER", 3)
+        kernel = _Kernel.single(leukemia, KaplanMeier())
+        assert self.exits(
+            kernel, self.block_multipliers(kernel, 16, 5), monkeypatch
+        ) == {"full steps", "no convergence after 3 iterations"}
 
 
 class TestBootstrap:

@@ -1592,6 +1592,14 @@ def _study_file(tmp_path, text):
             r"need n >= 2",
             id="dataset-n-1",
         ),
+        *(
+            pytest.param(
+                lambda tmp_path, n=n: generate_dataset(PH, n, np.random.default_rng(0)),
+                f"n must be an integer, got {n!r}",
+                id=f"dataset-n-{type(n).__name__}",
+            )
+            for n in (2.5, "10", True)
+        ),
         pytest.param(
             lambda tmp_path: load_study_config(_study_file(tmp_path, "{")),
             "invalid JSON in",
