@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import os
 from functools import partial
 
 import numpy as np
@@ -40,12 +41,38 @@ def check_integer(value, name: str):
 def check_jobs(jobs) -> int:
     """The worker count ``jobs`` stands for: 1 for None, else ``jobs`` itself,
     which must be an integer of at least 1 (ConfigError). Each entry point
-    calls it before any work, so a bad ``jobs`` costs nothing."""
+    calls it before any work, so a bad ``jobs`` costs nothing. The two
+    resamplers keep this serial default; ``run_study`` reads None as
+    ``default_jobs`` instead."""
     if jobs is None:
         return 1
     if check_integer(jobs, "jobs") < 1:
         raise ConfigError(f"jobs must be at least 1, not {jobs}")
     return jobs
+
+
+def default_jobs(n: int) -> int:
+    """The worker count for ``n`` indices when the caller gives none: one per
+    CPU this process may run on, but at most one per full block of
+    ``_BLOCK_DRAWS``, so fewer than two blocks run serially and never load
+    the pool. It is 1 unless new processes fork: under spawn or forkserver
+    (the default on macOS, Windows and, from Python 3.14, Linux) each worker
+    re-runs an unguarded script's ``__main__``. It is 1 in a daemonic
+    process (a ``multiprocessing.Pool`` worker), which may not start
+    children. Each worker holds its own copy of the study's state, about
+    33 MB at n = 1500, and CPU quotas are not read: callers in a
+    quota-limited container, or already running in a process pool, should
+    pass ``jobs=1``."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    jobs = min(cpus, n // _BLOCK_DRAWS)
+    if jobs < 2:
+        return 1
+    # imported only here, where the pool that would import it is to start
+    import multiprocessing as mp
+
+    method = mp.get_start_method(allow_none=True) or mp.get_all_start_methods()[0]
+    return jobs if method == "fork" and not mp.current_process().daemon else 1
 
 
 def parallel_map(solve, seed: int, n: int, jobs: int | None) -> list:
@@ -55,7 +82,8 @@ def parallel_map(solve, seed: int, n: int, jobs: int | None) -> list:
     being ``default_rng([seed, i])``, and returns one row each, so a row
     depends on its index alone, not on its block, worker or ``jobs``. With
     ``jobs > 1``, ranges of about n / (4 jobs) indices go to a process pool,
-    ``solve`` pickled. ``jobs`` is checked by ``check_jobs``.
+    ``solve`` pickled. ``jobs`` is checked by ``check_jobs``, so None runs
+    serially; a caller that wants the CPUs passes ``default_jobs(n)``.
     """
     jobs = check_jobs(jobs)
     if jobs == 1:

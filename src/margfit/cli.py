@@ -247,7 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-dir", default=".", help="output directory (default .)")
     p.add_argument("--seed", type=int, help="override the config's seed")
-    p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        help="parallel workers (default one per available CPU where processes "
+        "fork, else 1; serial below 32 reps)",
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("are", help="asymptotic relative efficiency grid")

@@ -56,14 +56,20 @@ def censored_sample() -> SurvivalDataset:
 @pytest.fixture(scope="session")
 def fresh_python():
     """Run Python ``code`` in a fresh interpreter that imports this margfit;
-    it must exit 0. Returns its standard output."""
+    it must exit 0. Returns its standard output. With ``script``, ``code`` is
+    written to that file and run from it, as a user's script is."""
     env = dict(os.environ)
     src = str(Path(margfit.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
-    def run(code: str) -> str:
+    def run(code: str, script: Path | None = None) -> str:
+        if script is None:
+            argv = [sys.executable, "-c", code]
+        else:
+            script.write_text(code)
+            argv = [sys.executable, str(script)]
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            argv, env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from margfit import (
     run_study,
     solve_score,
 )
-from margfit._parallel import parallel_map
+from margfit._parallel import _BLOCK_DRAWS, default_jobs, parallel_map
 from margfit.simulate import _reps
 
 SPEC = GeneratorSpec(
@@ -143,3 +146,134 @@ def test_good_jobs_reach_the_work(leukemia, work, call):
 def test_integer_jobs_of_any_integer_type_are_taken():
     rows = parallel_map(lambda rngs: [rng.random() for rng in rngs], 7, 3, np.int64(1))
     assert rows == [alone(7, i).random() for i in range(3)]
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """New processes fork, whatever this interpreter's default."""
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none: "fork")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_default_jobs_stay_within_the_cpus_and_the_blocks(monkeypatch, forking, cpus):
+    affinity = set(range(cpus))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    for n in range(70 * _BLOCK_DRAWS):
+        jobs = default_jobs(n)
+        assert 1 <= jobs <= cpus and jobs <= max(1, n // _BLOCK_DRAWS), n
+    assert default_jobs(cpus * _BLOCK_DRAWS) == cpus
+    assert default_jobs(2 * _BLOCK_DRAWS - 1) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_default_jobs_stay_within_this_process_affinity(forking):
+    cpus = len(os.sched_getaffinity(0))
+    assert default_jobs(10**6) == cpus
+
+
+@pytest.mark.parametrize("count", [None, 1, 3])
+def test_default_jobs_without_an_affinity_read_the_cpu_count(
+    monkeypatch, forking, count
+):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert default_jobs(10**6) == (count or 1)
+
+
+def test_default_jobs_in_a_daemonic_process_are_one(monkeypatch, forking):
+    # a multiprocessing.Pool worker may start no children of its own
+    affinity = set(range(8))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    assert default_jobs(10**6) == 8
+    daemon = SimpleNamespace(daemon=True)
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+    assert default_jobs(10**6) == 1
+
+
+@pytest.mark.parametrize(
+    "chosen, default, jobs",
+    [
+        ("fork", "spawn", 8),
+        ("spawn", "fork", 1),
+        ("forkserver", "fork", 1),
+        (None, "fork", 8),
+        (None, "spawn", 1),
+        (None, "forkserver", 1),
+    ],
+)
+def test_default_jobs_are_one_unless_processes_fork(monkeypatch, chosen, default, jobs):
+    # a spawned or forkserver worker re-runs an unguarded script's __main__
+    affinity = set(range(8))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none: chosen)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [default])
+    assert default_jobs(10**6) == jobs
+
+
+# a study of 40 replications at n = 50 with 30% censoring: three blocks, so
+# the default runs one worker per CPU (at most two); ``bits`` is every output
+STUDY = """
+import os, sys
+from dataclasses import replace
+import margfit as mf
+from margfit._parallel import _BLOCK_DRAWS
+spec = mf.GeneratorSpec(
+    baseline=mf.Exponential(rate=1.0),
+    beta=mf.BetaFunction.constant(0.5),
+    covariate=mf.Uniform01(),
+    censoring=mf.UniformCensoring(2.0),
+)
+cfg = mf.StudyConfig(spec=spec, n=50, reps=40, seed=3, target_censoring=0.3)
+def bits(res):
+    estimates = {name: est.tobytes() for name, est in res.estimates.items()}
+    refs = (res.reference_family, res.reference_mc)
+    return repr((estimates, res.failures, res.n_failed, res.censoring_param, refs))
+"""
+
+
+def test_a_default_study_uses_the_cpus_with_the_same_bits(fresh_python):
+    fresh_python(
+        STUDY
+        + "serial = bits(mf.run_study(cfg, jobs=1))\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert bits(mf.run_study(cfg)) == serial\n"
+        "import multiprocessing\n"
+        "forks = multiprocessing.get_start_method() == 'fork'\n"
+        "several = forks and len(os.sched_getaffinity(0)) > 1\n"
+        "assert ('concurrent.futures' in sys.modules) == several\n"
+    )
+
+
+def test_a_study_of_under_two_blocks_loads_no_pool(fresh_python):
+    fresh_python(
+        STUDY
+        + "mf.run_study(replace(cfg, reps=2 * _BLOCK_DRAWS - 1))\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "assert not [m for m in pool if m in sys.modules]\n"
+    )
+
+
+def test_a_default_study_runs_in_a_pool_worker(fresh_python):
+    # the worker is daemonic: a pool of its own would be refused there
+    fresh_python(
+        STUDY
+        + "import multiprocessing\n"
+        "with multiprocessing.Pool(1) as pool:\n"
+        "    inside = pool.apply(mf.run_study, (cfg,))\n"
+        "assert bits(inside) == bits(mf.run_study(cfg, jobs=1))\n"
+    )
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_an_unguarded_script_runs_a_default_study(fresh_python, tmp_path, method):
+    # its workers would re-run the whole script, and so start pools of their own
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method")
+    fresh_python(
+        "import multiprocessing\n"
+        f"multiprocessing.set_start_method({method!r}, force=True)\n"
+        + STUDY
+        + "assert bits(mf.run_study(cfg)) == bits(mf.run_study(cfg, jobs=1))\n"
+        "assert 'concurrent.futures' not in sys.modules\n",
+        script=tmp_path / "study.py",
+    )
