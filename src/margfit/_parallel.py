@@ -38,31 +38,29 @@ def check_integer(value, name: str):
     return value
 
 
-def check_jobs(jobs) -> int:
-    """The worker count ``jobs`` stands for: 1 for None, else ``jobs`` itself,
-    which must be an integer of at least 1 (ConfigError). Each entry point
-    calls it before any work, so a bad ``jobs`` costs nothing. The two
-    resamplers keep this serial default; ``run_study`` reads None as
-    ``default_jobs`` instead."""
-    if jobs is None:
-        return 1
-    if check_integer(jobs, "jobs") < 1:
+def check_jobs(jobs) -> None:
+    """Refuse a ``jobs`` that is neither None nor an integer of at least 1
+    (ConfigError). Each entry point calls it before any work, so a bad
+    ``jobs`` costs nothing; ``parallel_map`` gives None its meaning."""
+    if jobs is not None and check_integer(jobs, "jobs") < 1:
         raise ConfigError(f"jobs must be at least 1, not {jobs}")
-    return jobs
 
 
 def default_jobs(n: int) -> int:
-    """The worker count for ``n`` indices when the caller gives none: one per
-    CPU this process may run on, but at most one per full block of
-    ``_BLOCK_DRAWS``, so fewer than two blocks run serially and never load
-    the pool. It is 1 unless new processes fork: under spawn or forkserver
-    (the default on macOS, Windows and, from Python 3.14, Linux) each worker
-    re-runs an unguarded script's ``__main__``. It is 1 in a daemonic
-    process (a ``multiprocessing.Pool`` worker), which may not start
-    children. Each worker holds its own copy of the study's state, about
-    33 MB at n = 1500, and CPU quotas are not read: callers in a
-    quota-limited container, or already running in a process pool, should
-    pass ``jobs=1``."""
+    """The worker count ``parallel_map`` uses for ``n`` indices when the
+    caller gives none: one per CPU this process may run on, but at most one
+    per full block of ``_BLOCK_DRAWS``, so fewer than two blocks (32 indices)
+    run serially and never load the pool. It is 1 unless new processes fork:
+    under spawn or forkserver (the default on macOS, Windows and, from
+    Python 3.14, Linux) each worker re-runs an unguarded script's
+    ``__main__``. It is 1 in a daemonic process (a ``multiprocessing.Pool``
+    worker), which may not start children. Each worker holds its own copy of
+    the solver's state, about 33 MB for a study at n = 1500, and CPU quotas
+    are not read. Starting the pool costs tens of milliseconds, about 10 ms
+    more per added worker, more than a small input saves: 200 random-weight
+    draws on the Freireich data take about 30 ms serially and 60 ms on
+    2 CPUs. Pass ``jobs=1`` for small inputs, in a quota-limited container,
+    or when already running in a process pool."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     jobs = min(cpus, n // _BLOCK_DRAWS)
@@ -80,12 +78,16 @@ def parallel_map(solve, seed: int, n: int, jobs: int | None) -> list:
 
     ``solve`` takes a list of at most ``_BLOCK_DRAWS`` generators, index i's
     being ``default_rng([seed, i])``, and returns one row each, so a row
-    depends on its index alone, not on its block, worker or ``jobs``. With
+    depends on its index alone, not on its block, worker or ``jobs``. The
+    study runner and both resamplers hand ``jobs`` through, checked by
+    ``check_jobs``; None means ``default_jobs(n)``, here alone. With
     ``jobs > 1``, ranges of about n / (4 jobs) indices go to a process pool,
-    ``solve`` pickled. ``jobs`` is checked by ``check_jobs``, so None runs
-    serially; a caller that wants the CPUs passes ``default_jobs(n)``.
+    ``solve`` pickled; an explicit ``jobs > 1`` under spawn or forkserver
+    needs the script's ``if __name__ == "__main__":`` guard.
     """
-    jobs = check_jobs(jobs)
+    check_jobs(jobs)
+    if jobs is None:
+        jobs = default_jobs(n)
     if jobs == 1:
         return _solve_range(solve, seed, range(n))
     # imported here, so that a serial run never loads the process pool

@@ -288,7 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ties", default="breslow", choices=("breslow", "efron"), help="tie handling"
     )
-    p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        help="parallel workers (default one per available CPU where processes "
+        "fork, else 1; serial below 32 draws)",
+    )
     p.add_argument("--out", help="write draws CSV (one column per coefficient)")
     p.set_defaults(func=cmd_resample)
 

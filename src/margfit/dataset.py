@@ -172,7 +172,6 @@ def risk_set_stats(data: SurvivalDataset, beta: np.ndarray, t: float) -> RiskSet
     s0, s1, s2 = (s[0] / data.n for s in sums)
     e = s1 / s0
     v = s2 / s0 - np.outer(e, e)
-    v = 0.5 * (v + v.T)
     return RiskSetStats(s0=float(s0), s1=s1, s2=s2, e=e, v=v, n_at_risk=m)
 
 

@@ -72,12 +72,8 @@ class StepSurvival:
 
     def survival(self, t):
         """Evaluate S(t), left-continuously: jumps at t do not count yet."""
-        t = np.asarray(t, dtype=float)
-        if self.jump_times.size == 0:
-            out = np.ones_like(t)
-            return out if out.ndim else float(out)
-        idx = np.searchsorted(self.jump_times, t, side="left")
-        out = np.where(idx == 0, 1.0, self.values[np.maximum(idx - 1, 0)])
+        idx = np.searchsorted(self.jump_times, np.asarray(t, dtype=float))
+        out = np.concatenate(([1.0], self.values))[idx]
         return out if out.ndim else float(out)
 
 

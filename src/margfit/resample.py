@@ -188,10 +188,9 @@ def resample_distribution(
     block's whatever ``n_draws`` is; a draw's root and failure message do
     not depend on its block. ``ties='efron'`` needs untied failure times.
     ``n_draws`` (at least 2) and ``seed`` (nonnegative) must be integers.
-    More than 5% failed draws aborts. Unlike ``run_study``, no ``jobs``
-    means 1: a pool costs more than it saves on small data, and 200 draws
-    on the Freireich data take about 20 ms serially against 40 ms at
-    ``jobs=2`` (2-core host).
+    More than 5% failed draws aborts. No ``jobs`` uses the CPUs where
+    processes fork, by the rule of ``_parallel.default_jobs``, as for
+    ``run_study``.
     """
     _require_draws(n_draws, seed, jobs)
     kernel = _random_weight_kernel(data, scheme, ties)
@@ -221,9 +220,9 @@ def bootstrap(
     supplied model is kept. Replicates that cannot be fit (no events,
     degenerate risk sets) are skipped and recorded in ``failures`` rather
     than aborting, since heavy censoring can make occasional empty
-    replicates expected behavior. No ``jobs`` means 1, as for
-    ``resample_distribution``: 200 draws on the Freireich data take
-    0.1-0.2 s at ``jobs=1`` and at ``jobs=2`` alike (2-core host).
+    replicates expected behavior. No ``jobs`` uses the CPUs where
+    processes fork, by the rule of ``_parallel.default_jobs``, as for
+    ``run_study``.
     """
     _require_draws(n_draws, seed, jobs)
     return _run_draws(

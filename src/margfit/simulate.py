@@ -40,7 +40,7 @@ from typing import Union
 
 import numpy as np
 
-from ._parallel import check_integer, check_jobs, default_jobs, parallel_map
+from ._parallel import check_integer, check_jobs, parallel_map
 from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
 from .estimate import FitResult, _fit, _Kernel, _parse_scheme
@@ -558,22 +558,17 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
 
     ``parallel_map`` draws replication ``rep`` from its own substream,
     ``default_rng([seed, rep])``, and returns the rows in replication
-    order, so results are bitwise identical for any ``jobs``. With no
-    ``jobs``, ``default_jobs`` gives one worker per available CPU, at most
-    one per 16 replications (a study of fewer than 32 runs serially), where
-    new processes fork; under spawn or forkserver, and inside a daemonic
-    process, it runs serially. Each worker adds about 33 MB at n = 1500,
-    and CPU quotas are not read: in a quota-limited container, or when
-    already running in a process pool, pass ``jobs=1``. An explicit
-    ``jobs > 1`` under spawn or forkserver needs the script's
-    ``if __name__ == "__main__":`` guard. A replication's estimators share
-    one beta-free state and are solved by one batched Newton, each with the
-    estimate or failure it would get alone; a marginal that cannot be
-    fitted fails only its own estimator. A replication in which any
-    estimator fails is dropped from all aggregates; more than 1% failures
-    aborts the study. A bad ``jobs`` is refused before the calibration runs.
+    order, so results are bitwise identical for any ``jobs``. No ``jobs``
+    uses the CPUs where processes fork, by the rule of
+    ``_parallel.default_jobs``, which says when to pass ``jobs=1``; the
+    resamplers share it. A replication's estimators share one beta-free
+    state and are solved by one batched Newton, each with the estimate or
+    failure it would get alone; a marginal that cannot be fitted fails only
+    its own estimator. A replication in which any estimator fails is
+    dropped from all aggregates; more than 1% failures aborts the study. A
+    bad ``jobs`` is refused before the calibration runs.
     """
-    jobs = default_jobs(config.reps) if jobs is None else check_jobs(jobs)
+    check_jobs(jobs)
     spec = config.spec
     if config.target_censoring > 0.0:
         param = calibrate_censoring(

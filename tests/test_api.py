@@ -410,6 +410,48 @@ def test_the_substream_guard_sees_loops_and_comprehensions():
     assert _substream_seeders(ast.parse(source)) == ["block", "draws"]
 
 
+def _jobs_defaults(tree) -> int:
+    """How many places in ``tree`` call ``default_jobs`` or test a ``jobs``
+    (a name or an attribute) against None: each is a default worker count."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            count += callee == "default_jobs"
+        elif isinstance(node, ast.Compare):
+            ops = [node.left, *node.comparators]
+            names = {getattr(o, "id", None) or getattr(o, "attr", None) for o in ops}
+            none = any(isinstance(o, ast.Constant) and o.value is None for o in ops)
+            count += "jobs" in names and none
+    return count
+
+
+def test_only_the_block_map_defaults_jobs():
+    """``parallel_map`` alone gives ``jobs=None`` its meaning, so the study
+    runner, the resamplers and the CLI hand ``jobs`` through unread."""
+    src = Path(margfit.__file__).parent
+    defaulters = [
+        path.stem
+        for path in sorted(src.rglob("*.py"))
+        if path.stem != "_parallel" and _jobs_defaults(ast.parse(path.read_text()))
+    ]
+    assert defaulters == []
+
+
+def test_the_jobs_guard_sees_calls_and_tests():
+    source = (
+        "def study(config, jobs=None):\n"
+        "    jobs = default_jobs(config.reps) if jobs is None else jobs\n"
+        "def cli(args):\n"
+        "    if args.jobs is not None:\n"
+        "        return _parallel.default_jobs(args.draws)\n"
+        "def checked(jobs, seed):\n"
+        "    check_jobs(jobs)\n"
+        "    return seed is None or jobs == 1\n"
+    )
+    assert _jobs_defaults(ast.parse(source)) == 4
+
+
 def test_importing_the_package_loads_no_scipy(fresh_python):
     """Only the efficiency grid needs SciPy, and it imports it where it runs."""
     code = (

@@ -296,16 +296,23 @@ class TestSimulate:
         doc = json.loads((d1 / "demo_results.json").read_text())
         assert doc["studies"][0]["seed"] == 77
 
-    def test_default_jobs_write_the_serial_bytes(self, tmp_path):
-        # three blocks of replications, so the default may use the pool
+    @pytest.mark.parametrize("command", ["resample", "simulate"])
+    def test_default_jobs_write_the_serial_bytes(self, command, leukemia_csv, tmp_path):
+        # three blocks of draws or replications, so the default may use the pool
         cfg = tmp_path / "demo.json"
         cfg.write_text(json.dumps(dict(self.CONFIG, n=50, reps=40)))
-        serial, default = tmp_path / "serial", tmp_path / "default"
-        argv = ["simulate", str(cfg), "--out-dir"]
-        assert main([*argv, str(serial), "--jobs", "1"]) == 0
-        assert main([*argv, str(default)]) == 0
-        for name in ("demo_results.csv", "demo_results.json"):
-            assert (default / name).read_bytes() == (serial / name).read_bytes()
+        written = []
+        for jobs in (["--jobs", "1"], []):
+            out = tmp_path / f"out{len(written)}"
+            out.mkdir()
+            if command == "resample":
+                argv = ["resample", leukemia_csv, "-B", "40", "--seed", "1"]
+                argv += ["--out", str(out / "draws.csv")]
+            else:
+                argv = ["simulate", str(cfg), "--out-dir", str(out)]
+            assert main([*argv, *jobs]) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0] and written[1] == written[0]
 
     def test_studies_fitting_different_estimators(self, tmp_path, capsys):
         # each study's default parametric family is its baseline's

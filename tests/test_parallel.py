@@ -230,13 +230,41 @@ def bits(res):
     return repr((estimates, res.failures, res.n_failed, res.censoring_param, refs))
 """
 
+# the Freireich data; ``bits`` is every output of a resampler, its point fit's too
+RESAMPLE = """
+import os, sys
+import margfit as mf
+from margfit._parallel import _BLOCK_DRAWS
+data = mf.freireich()
+def bits(res):
+    p = res.point
+    arrays = [a.tobytes() for a in (res.draws, res.se, p.beta, p.variance)]
+    fit = (p.iterations, p.final_score_norm, p.theta)
+    return repr((arrays, fit, res.n_failed, res.failures))
+"""
 
-def test_a_default_study_uses_the_cpus_with_the_same_bits(fresh_python):
+# each entry point that takes ``jobs``, as ``run(n, **kw)`` over n indices
+ENTRY_POINTS = pytest.mark.parametrize(
+    "entry",
+    [
+        STUDY + "def run(n, **kw):\n"
+        "    return mf.run_study(replace(cfg, reps=n), **kw)\n",
+        RESAMPLE + "def run(n, **kw):\n"
+        "    return mf.resample_distribution(data, mf.KaplanMeier(), n, 3, **kw)\n",
+        RESAMPLE + "def run(n, **kw):\n"
+        "    return mf.bootstrap(data, mf.Parametric('exponential'), n, 3, **kw)\n",
+    ],
+    ids=["study", "random-weights", "bootstrap"],
+)
+
+
+@ENTRY_POINTS
+def test_a_default_study_uses_the_cpus_with_the_same_bits(fresh_python, entry):
     fresh_python(
-        STUDY
-        + "serial = bits(mf.run_study(cfg, jobs=1))\n"
+        entry
+        + "serial = bits(run(40, jobs=1))\n"
         "assert 'concurrent.futures' not in sys.modules\n"
-        "assert bits(mf.run_study(cfg)) == serial\n"
+        "assert bits(run(40)) == serial\n"
         "import multiprocessing\n"
         "forks = multiprocessing.get_start_method() == 'fork'\n"
         "several = forks and len(os.sched_getaffinity(0)) > 1\n"
@@ -244,10 +272,11 @@ def test_a_default_study_uses_the_cpus_with_the_same_bits(fresh_python):
     )
 
 
-def test_a_study_of_under_two_blocks_loads_no_pool(fresh_python):
+@ENTRY_POINTS
+def test_a_study_of_under_two_blocks_loads_no_pool(fresh_python, entry):
     fresh_python(
-        STUDY
-        + "mf.run_study(replace(cfg, reps=2 * _BLOCK_DRAWS - 1))\n"
+        entry
+        + "run(2 * _BLOCK_DRAWS - 1)\n"
         "pool = ('concurrent.futures', 'multiprocessing')\n"
         "assert not [m for m in pool if m in sys.modules]\n"
     )

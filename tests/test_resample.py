@@ -169,7 +169,9 @@ class TestResampleDistribution:
         assert abs(lag1) < 4 / np.sqrt(x.size)
 
     def test_deterministic_and_jobs_invariant(self, leukemia, pl_draws):
-        again = resample_distribution(leukemia, Constant(), n_draws=1000, seed=42)
+        again = resample_distribution(
+            leukemia, Constant(), n_draws=1000, seed=42, jobs=1
+        )
         assert np.array_equal(again.draws, pl_draws.draws)
         par = resample_distribution(
             leukemia, Constant(), n_draws=1000, seed=42, jobs=2
@@ -402,7 +404,7 @@ class TestSharedKernel:
             tracemalloc.start()
             try:
                 resample_distribution(
-                    changepoint_km_data, KaplanMeier(), n_draws=n_draws, seed=1
+                    changepoint_km_data, KaplanMeier(), n_draws=n_draws, seed=1, jobs=1
                 )
                 peaks[n_draws] = tracemalloc.get_traced_memory()[1]
             finally:
@@ -427,10 +429,12 @@ class TestSharedKernel:
             "           if c.label == 'changepoint-3-0')\n"
             "spec = replace(cfg.spec, censoring=mf.UniformCensoring(0.8))\n"
             "data = mf.generate_dataset(spec, 1500, np.random.default_rng(20260819))\n"
-            "mf.resample_distribution(data, mf.KaplanMeier(), n_draws=1000, seed=0)\n"
+            "run = lambda seed: mf.resample_distribution(\n"
+            "    data, mf.KaplanMeier(), n_draws=1000, seed=seed, jobs=1)\n"
+            "run(0)\n"
             "for seed in (1, 2, 3):\n"
             "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    mf.resample_distribution(data, mf.KaplanMeier(), n_draws=1000, seed=seed)\n"
+            "    run(seed)\n"
             "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
         )
         faults = [int(line) for line in fresh_python(code).split()]
@@ -448,7 +452,9 @@ class TestSharedKernel:
         counts = []
         for n_draws in (10, 100):
             calls.clear()
-            resample_distribution(leukemia, KaplanMeier(), n_draws=n_draws, seed=1)
+            resample_distribution(
+                leukemia, KaplanMeier(), n_draws=n_draws, seed=1, jobs=1
+            )
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
