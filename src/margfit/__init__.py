@@ -2,8 +2,9 @@
 
 Estimators for (possibly time-varying) relative-risk coefficients under
 right censoring: classical partial likelihood, Kaplan-Meier-weighted, and
-parametric-marginal-weighted score equations, with Andersen-Gill and robust
-sandwich variances, an exact simulation engine with censoring calibration,
+parametric-marginal-weighted score equations, with Andersen-Gill and
+model-based sandwich variances (the sandwich assumes proportional hazards),
+an exact simulation engine with censoring calibration,
 asymptotic relative-efficiency quadrature, and resampling distributions.
 
 Each submodule's ``__all__`` declares its public names; this namespace

@@ -17,31 +17,28 @@ at t. Three weight choices give the three estimators:
 
 Scores, Jacobians, variances and the log partial likelihood evaluate
 through one prepared state, ``_Kernel``, built once per (data, ties): the
-event rows, each failure's risk-set start and at-risk count, the risk-set
-index of ``dataset._risk_set_index`` (each failure's position in the
-time-reversed sums, the reversed covariates and their outer products) and
-the Efron tie layout, shared by the weights of S schemes (S = 1 for a
-public call, one per estimator in a study replication). Only the sums of
-``dataset._risk_set_sums`` over that index depend on beta. A kernel holds
-B rows of score weights (its schemes, or, once ``_Kernel.reweighted`` has
-scaled one scheme's terms by resampling multipliers at the failures, its
-draws) and evaluates them at B betas in one pass over the risk sets. Efron
-ties (Efron 1977) are Breslow at adjusted sums: the l-th of d_k failures
-tied at a time sees S_r - (l/d_k) D_r, D_r the tie group's own sums.
+event rows, each failure's risk-set start, the risk-set index of
+``dataset._risk_set_index`` and the Efron tie layout. Only the sums of
+``dataset._risk_set_sums`` over that index depend on beta. The weights are
+the caller's: B rows of W at the m failures, which ``_scheme_rows`` builds
+from S schemes (S = 1 for a public call, one per estimator in a study
+replication) and random weights scale by each draw's multipliers; a kernel
+evaluates them at B betas in one pass over the risk sets. Efron ties
+(Efron 1977) are Breslow at adjusted sums: the l-th of d_k failures tied
+at a time sees S_r - (l/d_k) D_r, D_r the tie group's own sums.
 
 Solving is Newton-Raphson with step halving from zero, in one loop,
 ``_newton``, that iterates B scores together, each row as it would be
-alone; ``_fit`` solves a kernel's schemes in one such call and returns
-each scheme's result or error, and ``solve_score`` is its one-scheme case.
-A fit's variance is Andersen-Gill (information inverse, under the fit's
-tie rule) for the constant weights and the robust sandwich A^{-1} B A^{-1}
-with a scheme's own weights for weighted schemes; the standalone
+alone; ``_fit`` solves a list of scheme rows in one such call, and
+``solve_score`` is its one-scheme case. A fit's variance is Andersen-Gill
+(information inverse, under the fit's tie rule) for the constant weights
+and the model-based sandwich A^{-1} B A^{-1} (not robust to
+non-proportional hazards) with a scheme's own weights for weighted ones;
 ``variance_andersen_gill`` and ``variance_sandwich`` give them at any beta.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -209,32 +206,26 @@ def _fit_marginal(data: SurvivalDataset, scheme: WeightScheme) -> WeightScheme:
 
 
 class _Kernel:
-    """The beta-free state of a dataset's weighted scores, evaluated at any beta.
+    """The beta-free state of a dataset's scores, evaluated at any beta.
 
-    One state serves S weight schemes: the event rows ``ev``, each
-    failure's risk-set start ``first`` and at-risk count, the risk-set
-    ``index`` that ``_risk_set_sums`` reads at every beta, and under Efron
-    each failure's l/d_k (``frac``) and tie group. ``weights`` (S', m) holds
-    W at the m failures, one row per scheme; a scheme whose marginal family
-    cannot be fitted has no row, and ``errors[s]`` holds what the fit
-    raised. ``live`` maps the rows to their schemes. ``score_weights``
-    (B, m) holds the rows the scores use: ``weights`` itself, or, in a copy
-    made by ``reweighted``, one scheme's W times each of B rows of
-    multipliers at the failures, so resampling draws share one kernel.
+    It holds the data's side of the score only: the event rows ``ev``,
+    each failure's risk-set start ``first``, the risk-set ``index`` that
+    ``_risk_set_sums`` reads at every beta, and under Efron each failure's
+    l/d_k (``frac``) and tie group. The weights are the caller's: ``score``
+    and ``sandwich`` take rows of W at the m failures, which
+    ``_scheme_rows`` builds from weight schemes and a resampler scales by
+    its multipliers.
     """
 
-    def __init__(self, data, schemes, ties="breslow"):
+    def __init__(self, data, ties="breslow"):
         data.require_events()
         if ties not in ("breslow", "efron"):
             raise ConfigError(f"ties must be 'breslow' or 'efron', got {ties!r}")
-        if ties == "efron" and not all(isinstance(s, Constant) for s in schemes):
-            raise ConfigError("the Efron tie correction applies to constant weights only")
         self.data = data
         self.ties = ties
         self.ev = np.flatnonzero(data.status == 1)
         self.z = data.covariates[self.ev]
         self.first = np.searchsorted(data.time, data.time[self.ev], side="left")
-        at_risk = data.n - self.first
         self.index = _risk_set_index(data.covariates, self.first)
         self.frac = None
         if ties == "efron":
@@ -245,43 +236,6 @@ class _Kernel:
             rank = np.arange(self.ev.size) - self.starts[self.group]
             self.frac = rank / sizes[self.group]
             self.zz = self.z[:, :, None] * self.z[:, None, :]
-        self.schemes, self.thetas, self.errors, weights = [], [], [], []
-        # every check runs before the marginal fits, whose failure would hide it
-        for scheme in schemes:
-            try:
-                fitted = _fit_marginal(data, scheme)
-            except (FitError, DataError) as exc:
-                self.schemes.append(scheme)
-                self.thetas.append(None)
-                self.errors.append(exc)
-                continue
-            self.schemes.append(fitted)
-            self.thetas.append(model_params(fitted.model) if fitted is not scheme else None)
-            self.errors.append(None)
-            weights.append(_weights(data, fitted, data.time[self.ev], at_risk))
-        self.live = [s for s, err in enumerate(self.errors) if err is None]
-        self.weights = np.array(weights).reshape(len(weights), self.ev.size)
-        self.score_weights = self.weights
-
-    @classmethod
-    def single(cls, data, scheme, ties="breslow") -> "_Kernel":
-        """The kernel of ``scheme`` alone; raises what its scheme raised."""
-        kernel = cls(data, [scheme], ties)
-        if kernel.errors[0] is not None:
-            raise kernel.errors[0]
-        return kernel
-
-    def reweighted(self, event_multipliers) -> "_Kernel":
-        """This one-scheme kernel with its score terms scaled, once per row.
-
-        ``event_multipliers`` is (B, m), one row of multipliers at the m
-        failures per draw; under Efron a row must be equal within each tie
-        group, which random weights meet by refusing tied failures.
-        """
-        w = self.weights * np.asarray(event_multipliers, dtype=float)
-        kernel = copy.copy(self)
-        kernel.score_weights = w
-        return kernel
 
     def moments(self, beta):
         """S0, the tilted mean E and variance V of each failure's risk set.
@@ -311,15 +265,14 @@ class _Kernel:
         v = s2 / s0[..., None, None] - e[..., :, None] * e[..., None, :]
         return s0, e, v
 
-    def score(self, beta, rows=slice(None)):
+    def score(self, beta, w):
         """(U, J, V): the weighted scores, their Jacobians and the risk-set V.
 
-        Row k of ``beta`` (k, d) goes with score-weight row ``rows[k]``; a
-        single row of ``beta`` serves every selected row. U is (B, d), J
-        (B, d, d) and V (k, m, d, d).
+        ``w`` (B, m) holds B rows of W at the failures; row k of ``beta``
+        (k, d) goes with row k of ``w``, and a single row of ``beta`` serves
+        every row. U is (B, d), J (B, d, d) and V (k, m, d, d).
         """
         _, e, v = self.moments(beta)
-        w = self.score_weights[rows]
         # C order keeps each row's event sum as it is for that row alone
         U = np.ascontiguousarray(w[..., None] * (self.z - e)).sum(axis=1)
         J = -np.ascontiguousarray(w[..., None, None] * v).sum(axis=1)
@@ -336,9 +289,8 @@ class _Kernel:
         except np.linalg.LinAlgError:
             raise FitError("singular information matrix") from None
 
-    def sandwich(self, v, row=0) -> np.ndarray:
-        """A^{-1} B A^{-1} with the weights of scheme row ``row``, from its V."""
-        w = self.weights[row]
+    def sandwich(self, v, w) -> np.ndarray:
+        """A^{-1} B A^{-1} with one row ``w`` (m,) of W, from V at its beta."""
         a = (w[:, None, None] * v).sum(axis=0)
         b = ((w**2)[:, None, None] * v).sum(axis=0)
         try:
@@ -346,6 +298,39 @@ class _Kernel:
         except np.linalg.LinAlgError:
             raise FitError("singular sandwich A matrix") from None
         return a_inv @ b @ a_inv
+
+
+def _scheme_rows(kernel: _Kernel, schemes) -> list:
+    """Each scheme's (fitted scheme, theta, W at ``kernel``'s failures), or
+    the ``FitError``/``DataError`` its marginal fit raised. A family-named
+    marginal is fitted once; theta holds its parameters (else None). Every
+    scheme is checked before any fit, whose failure would hide the check."""
+    for scheme in schemes:
+        if kernel.ties == "efron" and not isinstance(scheme, Constant):
+            raise ConfigError("the Efron tie correction applies to constant weights only")
+        if not isinstance(scheme, (Constant, KaplanMeier, Parametric)):
+            raise ConfigError(f"unknown weight scheme {scheme!r}")
+    data = kernel.data
+    times, at_risk = data.time[kernel.ev], data.n - kernel.first
+    rows = []
+    for scheme in schemes:
+        try:
+            fitted = _fit_marginal(data, scheme)
+        except (FitError, DataError) as exc:
+            rows.append(exc)
+            continue
+        theta = model_params(fitted.model) if fitted is not scheme else None
+        rows.append((fitted, theta, _weights(data, fitted, times, at_risk)))
+    return rows
+
+
+def _alone(data, scheme, ties="breslow"):
+    """``data``'s kernel and ``scheme``'s ``_scheme_rows`` entry; raises its error."""
+    kernel = _Kernel(data, ties)
+    (row,) = _scheme_rows(kernel, [scheme])
+    if isinstance(row, Exception):
+        raise row
+    return kernel, row
 
 
 def _beta(beta, d: int) -> np.ndarray:
@@ -364,8 +349,8 @@ def weighted_score(
     ties: str = "breslow",
 ) -> np.ndarray:
     """The weighted score U_W(beta) = sum delta_i W(X_i){Z_i - E(beta, X_i)}."""
-    kernel = _Kernel.single(data, scheme, ties)
-    return kernel.score(_beta(beta, data.d)[None])[0][0]
+    kernel, (_, _, w) = _alone(data, scheme, ties)
+    return kernel.score(_beta(beta, data.d)[None], w[None])[0][0]
 
 
 def score_jacobian(
@@ -376,8 +361,8 @@ def score_jacobian(
     ties: str = "breslow",
 ) -> np.ndarray:
     """dU_W/dbeta = -sum delta_i W(X_i) V(beta, X_i); negative semidefinite."""
-    kernel = _Kernel.single(data, scheme, ties)
-    return kernel.score(_beta(beta, data.d)[None])[1][0]
+    kernel, (_, _, w) = _alone(data, scheme, ties)
+    return kernel.score(_beta(beta, data.d)[None], w[None])[1][0]
 
 
 def log_partial_likelihood(
@@ -388,7 +373,7 @@ def log_partial_likelihood(
     The Breslow form; with ties='efron' each tied failure's S0 is the
     Efron-adjusted sum. Its gradient is the constant-weight score.
     """
-    return _Kernel.single(data, Constant(), ties).log_likelihood(_beta(beta, data.d))
+    return _Kernel(data, ties).log_likelihood(_beta(beta, data.d))
 
 
 def variance_andersen_gill(
@@ -399,21 +384,23 @@ def variance_andersen_gill(
     With I = n^{-1} sum delta_i V(beta, X_i), returns I^{-1}/n, i.e. the
     variance on the coefficient scale.
     """
-    kernel = _Kernel.single(data, Constant(), ties)
+    kernel = _Kernel(data, ties)
     return kernel.andersen_gill(kernel.moments(_beta(beta, data.d)[None])[2][0])
 
 
 def variance_sandwich(
     data: SurvivalDataset, scheme: WeightScheme, beta
 ) -> np.ndarray:
-    """Robust variance A^{-1} B A^{-1} / n for weighted estimating equations.
+    """Model-based sandwich variance A^{-1} B A^{-1} / n of a weighted score.
 
     A = n^{-1} sum delta_i W V, B = n^{-1} sum delta_i W^2 V, with Breslow
     ties. Invariant to rescaling the weights; equals the Andersen-Gill
-    variance when W = 1.
+    variance when W = 1. B sums the model's risk-set variance, not score
+    residuals, so it is not robust to non-proportional hazards (for the
+    Lin-Wei variance that is, see ROADMAP.md item 8).
     """
-    kernel = _Kernel.single(data, scheme)
-    return kernel.sandwich(kernel.moments(_beta(beta, data.d)[None])[2][0])
+    kernel, (_, _, w) = _alone(data, scheme)
+    return kernel.sandwich(kernel.moments(_beta(beta, data.d)[None])[2][0], w)
 
 
 def solve_score(
@@ -462,11 +449,12 @@ def solve_score(
     """
     if variance not in ("auto", "none"):
         raise ConfigError(f"unknown variance rule {variance!r}")
-    return _solved(_Kernel.single(data, scheme, ties), variance)
+    kernel = _Kernel(data, ties)
+    return _solved(kernel, _scheme_rows(kernel, [scheme]), variance)
 
 
-def _newton(kernel: _Kernel):
-    """Roots of ``kernel``'s B scores by Newton-Raphson, every row from zero.
+def _newton(kernel: _Kernel, w):
+    """Roots of ``kernel``'s scores at the B rows ``w`` of W, each from zero.
 
     The rows are solved together, each with its own steps, step halvings,
     iteration count and stopping point; a row's arithmetic is what it would
@@ -478,7 +466,7 @@ def _newton(kernel: _Kernel):
     None or the ``FitError`` that stopped row b (whose root, |U| and V are
     then NaN and its iterations 0).
     """
-    U, J, v = kernel.score(np.zeros((1, kernel.data.d)))
+    U, J, v = kernel.score(np.zeros((1, kernel.data.d)), w)
     size, d = U.shape
     beta, norm = np.zeros((size, d)), np.abs(U).max(axis=1)
     root, norms = np.full((size, d), np.nan), np.full(size, np.nan)
@@ -514,7 +502,7 @@ def _newton(kernel: _Kernel):
             rows = live[trying]
             b = beta[rows] + 0.5**halvings * step[trying]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                u, j, vb = kernel.score(b, rows)
+                u, j, vb = kernel.score(b, w[rows])
             n = np.abs(u).max(axis=1)
             took = n < norm[rows]
             r = rows[took]
@@ -548,21 +536,22 @@ def _solve_rows(J, U):
     return step, solved
 
 
-def _fit(kernel: _Kernel, variance: str = "auto") -> list:
-    """Fit every scheme of ``kernel`` in one batched Newton from zero.
+def _fit(kernel: _Kernel, rows, variance: str = "auto") -> list:
+    """Fit the ``_scheme_rows`` entries ``rows`` in one batched Newton from zero.
 
-    Returns one entry per scheme: its ``FitResult``, or the ``FitError`` or
+    Returns one entry per row: its ``FitResult``, or the ``FitError`` or
     ``DataError`` that solving it alone raises (its marginal fit's, its
     Newton row's or its variance's). Under ``variance='auto'`` the constant
     scheme takes the Andersen-Gill variance and a weighted one the sandwich
-    with its own weights; ``'none'`` leaves it NaN. Needs a fitted scheme and
-    one score row per row of weights.
+    with its own weights; ``'none'`` leaves it NaN.
     """
-    out = list(kernel.errors)
-    roots, iterations, norms, vs, errors = _newton(kernel)
+    out = list(rows)
+    live = [s for s, r in enumerate(rows) if not isinstance(r, Exception)]
+    w = np.array([rows[s][2] for s in live]).reshape(len(live), kernel.ev.size)
+    roots, iterations, norms, vs, errors = _newton(kernel, w)
     d = kernel.data.d
-    for row, s in enumerate(kernel.live):
-        scheme = kernel.schemes[s]
+    for row, s in enumerate(live):
+        scheme, theta, _ = rows[s]
         if errors[row] is not None:
             out[s] = errors[row]
             continue
@@ -572,7 +561,7 @@ def _fit(kernel: _Kernel, variance: str = "auto") -> list:
             elif isinstance(scheme, Constant):
                 var = kernel.andersen_gill(vs[row])
             else:
-                var = kernel.sandwich(vs[row], row)
+                var = kernel.sandwich(vs[row], w[row])
         except FitError as exc:
             out[s] = exc
             continue
@@ -587,14 +576,14 @@ def _fit(kernel: _Kernel, variance: str = "auto") -> list:
             ties=kernel.ties,
             n=kernel.data.n,
             n_events=kernel.data.n_events,
-            theta=kernel.thetas[s],
+            theta=theta,
         )
     return out
 
 
-def _solved(kernel: _Kernel, variance: str = "auto") -> FitResult:
-    """The fit of a one-scheme ``kernel``; raises the error it ends with."""
-    (fit,) = _fit(kernel, variance)
+def _solved(kernel: _Kernel, rows, variance: str = "auto") -> FitResult:
+    """The fit of the one entry of ``rows``; raises the error it ends with."""
+    (fit,) = _fit(kernel, rows, variance)
     if isinstance(fit, Exception):
         raise fit
     return fit

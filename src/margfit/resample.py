@@ -4,12 +4,12 @@ The random-weight scheme perturbs the estimating equation itself: one unit
 exponential e_i per failure, normalized to e_i / sum e, multiplies that
 failure's score term while the marginal weights W stay fixed at their
 original-data values (tied failures draw independent weights). So the
-beta-free state (the Kaplan-Meier curve or fitted marginal, the weights
-and the risk-set index) is built once per run, from the original data, and
-serves the point fit and every draw; a draw changes only the multipliers.
-``parallel_map`` hands the draws over in blocks, each with its own
-substream: a block's multipliers stack into one (draws x failures) array
-that scales the kernel's weights at the failures, and one batched Newton
+beta-free state (the kernel's risk-set index, and W at the failures from
+the Kaplan-Meier curve or fitted marginal) is built once per run, from the
+original data, and serves the point fit and every draw; a draw changes
+only the multipliers. ``parallel_map`` hands the draws over in blocks,
+each with its own substream: a block's multipliers stack into one (draws x
+failures) array that scales W into the block's rows, and one batched Newton
 solves them together, each draw with the bits it would get alone. The
 nonparametric bootstrap instead resamples subjects and repeats the point
 estimate's own steps on each replicate: a parametric marginal given by
@@ -26,7 +26,7 @@ import numpy as np
 from ._parallel import check_integer, check_jobs, parallel_map
 from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
-from .estimate import FitResult, WeightScheme, _Kernel, _newton, _solved, solve_score
+from .estimate import FitResult, WeightScheme, _alone, _newton, _solved, solve_score
 
 __all__ = [
     "ResampleResult",
@@ -71,15 +71,15 @@ def _event_multipliers(e: np.ndarray, m: int) -> np.ndarray:
     return mult
 
 
-def _random_weight_kernel(data, scheme, ties) -> _Kernel:
-    """``scheme``'s kernel; under Efron, tied failures are a ConfigError: they
-    draw independent multipliers, where Efron needs one per tie group."""
-    kernel = _Kernel.single(data, scheme, ties)
+def _random_weight_kernel(data, scheme, ties):
+    """``_alone``'s (kernel, row); under Efron, tied failures are a ConfigError:
+    they draw independent multipliers, where Efron needs one per tie group."""
+    kernel, row = _alone(data, scheme, ties)
     if kernel.frac is not None and kernel.starts.size < kernel.ev.size:
         raise ConfigError(
             "random weights take ties='efron' only when no failure times are tied"
         )
-    return kernel
+    return kernel, row
 
 
 def random_weight_fit(
@@ -95,24 +95,22 @@ def random_weight_fit(
     failures; marginal weights are not re-estimated. Under ``ties='efron'``
     no failure times may be tied.
     """
-    kernel = _random_weight_kernel(data, scheme, ties)
+    kernel, (_, _, w) = _random_weight_kernel(data, scheme, ties)
     if not hasattr(rng, "exponential"):
         rng = np.random.default_rng(rng)
-    [(beta, error)] = _random_weight_draws(kernel, [rng])
+    [(beta, error)] = _random_weight_draws(kernel, w, [rng])
     if error is not None:
         raise error
     return beta
 
 
-def _random_weight_draws(kernel, rngs) -> list:
-    """Rows (beta, error): ``kernel``'s score solved under one draw per rng.
-
-    The draws' multipliers stack into one batch that ``_newton`` solves
-    together; each row is what a solve of its draw alone gives.
-    """
+def _random_weight_draws(kernel, w, rngs) -> list:
+    """Rows (beta, error): ``kernel``'s score at W ``w`` (m,), solved under
+    one draw per rng. The draws' multipliers scale ``w`` into one batch that
+    ``_newton`` solves together; each row is what its draw alone gives."""
     m = kernel.ev.size
     e = np.array([rng.exponential(size=m) for rng in rngs], dtype=float)
-    beta, _, _, _, errors = _newton(kernel.reweighted(_event_multipliers(e, m)))
+    beta, _, _, _, errors = _newton(kernel, w * _event_multipliers(e, m))
     return list(zip(beta, errors))
 
 
@@ -193,10 +191,10 @@ def resample_distribution(
     ``run_study``.
     """
     _require_draws(n_draws, seed, jobs)
-    kernel = _random_weight_kernel(data, scheme, ties)
+    kernel, row = _random_weight_kernel(data, scheme, ties)
     return _run_draws(
-        partial(_random_weight_draws, kernel),
-        _solved(kernel),
+        partial(_random_weight_draws, kernel, row[2]),
+        _solved(kernel, [row]),
         n_draws,
         seed,
         jobs,

@@ -43,7 +43,7 @@ import numpy as np
 from ._parallel import check_integer, check_jobs, parallel_map
 from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
-from .estimate import FitResult, _fit, _Kernel, _parse_scheme
+from .estimate import FitResult, _fit, _Kernel, _parse_scheme, _scheme_rows
 from .marginal import (
     _FAMILIES,
     Exponential,
@@ -529,22 +529,23 @@ def _default_family(baseline) -> str:
     return f"pwexp:{cuts}" if cuts else params["family"]
 
 
-def _reps(spec: GeneratorSpec, names, n: int, rngs) -> list:
+def _reps(spec: GeneratorSpec, estimators: dict, n: int, rngs) -> list:
     """Rows (estimates, censored fraction, failures), one replication of
-    ``n`` subjects per rng. A replication's estimators, named as scheme
-    strings, are the scheme rows of one kernel, solved by one batched
-    Newton; each gets the estimate or the failure it would get alone."""
+    ``n`` subjects per rng. ``estimators`` maps each estimator's name to its
+    scheme; a replication's schemes are the rows of one kernel, solved by
+    one batched Newton, and each gets the estimate or the failure it would
+    get alone."""
     rows = []
     for rng in rngs:
         data = generate_dataset(spec, n, rng)
         try:
-            schemes = [_parse_scheme(name) for name in names]
-            fits = _fit(_Kernel(data, schemes))
+            kernel = _Kernel(data)
+            fits = _fit(kernel, _scheme_rows(kernel, estimators.values()))
         except (FitError, DataError) as exc:  # no events: every estimator fails
-            fits = [exc] * len(names)
+            fits = [exc] * len(estimators)
         values = {}
         fails = []
-        for name, fit in zip(names, fits):
+        for name, fit in zip(estimators, fits):
             if isinstance(fit, FitResult):
                 values[name] = float(fit.beta[0])
             else:
@@ -582,12 +583,14 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
         spec = replace(spec, censoring=NoCensoring())
 
     names = ["pl", "km"] + [f"par:{fid}" for fid in config.families_to_fit]
+    estimators = {name: _parse_scheme(name) for name in names}
     reps = config.reps
     est = {name: np.full(reps, np.nan) for name in names}
     realized = np.full(reps, np.nan)
     failures = []
 
-    rows = parallel_map(partial(_reps, spec, names, config.n), config.seed, reps, jobs)
+    solve = partial(_reps, spec, estimators, config.n)
+    rows = parallel_map(solve, config.seed, reps, jobs)
     for rep, (values, frac, fails) in enumerate(rows):
         realized[rep] = frac
         for name, v in values.items():

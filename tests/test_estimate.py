@@ -247,8 +247,8 @@ class TestSolver:
         rng = np.random.default_rng(4)
         e = rng.exponential(size=leukemia.n_events)
         mult = e / e.sum()
-        kernel = estimate_module._Kernel.single(leukemia, Constant())
-        beta, _, _, _, errors = estimate_module._newton(kernel.reweighted(mult[None]))
+        kernel = estimate_module._Kernel(leukemia, "breslow")
+        beta, _, _, _, errors = estimate_module._newton(kernel, mult[None])
         ref = solve_score(leukemia, Constant(), variance="none")
         assert errors == [None] and abs(beta[0, 0] - ref.beta[0]) > 1e-4
 
@@ -300,11 +300,12 @@ class TestSchemeRows:
     def assert_rows_alone(self, data, schemes, ties="breslow", variance="auto"):
         # a rule solve_score does not take is checked on the roots of 'none'
         rule = variance if variance in ("auto", "none") else "none"
-        kernel = estimate_module._Kernel(data, schemes, ties)
-        fits = estimate_module._fit(kernel, rule)
+        kernel = estimate_module._Kernel(data, ties)
+        rows = estimate_module._scheme_rows(kernel, schemes)
+        fits = estimate_module._fit(kernel, rows, rule)
         assert len(fits) == len(schemes)
         if rule != variance:
-            self.assert_variances_alone(kernel, fits, variance)
+            self.assert_variances_alone(kernel, rows, fits, variance)
         for scheme, fit in zip(schemes, fits):
             try:
                 alone = solve_score(data, scheme, ties=ties, variance=rule)
@@ -319,10 +320,10 @@ class TestSchemeRows:
         return fits
 
     @staticmethod
-    def assert_variances_alone(kernel, fits, variance):
+    def assert_variances_alone(kernel, rows, fits, variance):
         """Each row's ``variance`` from the shared kernel at its root is the
         standalone function's for its scheme alone, bit for bit."""
-        for row, s in enumerate(kernel.live):
+        for s, row in enumerate(rows):
             if isinstance(fits[s], Exception):
                 continue
             beta = fits[s].beta
@@ -331,8 +332,9 @@ class TestSchemeRows:
                 shared = kernel.andersen_gill(v)
                 alone = variance_andersen_gill(kernel.data, beta)
             else:
-                shared = kernel.sandwich(v, row)
-                alone = variance_sandwich(kernel.data, kernel.schemes[s], beta)
+                scheme, _, w = row
+                shared = kernel.sandwich(v, w)
+                alone = variance_sandwich(kernel.data, scheme, beta)
             assert shared.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("variance", ["auto", "andersen-gill", "sandwich", "none"])
@@ -344,8 +346,9 @@ class TestSchemeRows:
     def test_efron_takes_constant_rows_only(self, leukemia):
         self.assert_rows_alone(leukemia, [Constant(), Constant()], ties="efron")
         # refused before any marginal is fitted (pwexp:1000 cannot be)
+        kernel = estimate_module._Kernel(leukemia, "efron")
         with pytest.raises(ConfigError, match="constant weights"):
-            estimate_module._Kernel(leukemia, self.ROWS[::-1], ties="efron")
+            estimate_module._scheme_rows(kernel, self.ROWS[::-1])
 
     def test_no_events_fail_every_row(self):
         d = make([1, 2], [0, 0], [[0.0], [1.0]])
@@ -385,8 +388,9 @@ def _solve_score_efron_variances(data):
     # the fit's variance and the kernel's sandwich follow the Efron tie rule
     ag = solve_score(data, Constant(), ties="efron")
     assert np.allclose(ag.variance, variance_andersen_gill(data, ag.beta, ties="efron"))
-    kernel = estimate_module._Kernel.single(data, Constant(), "efron")
-    return ag.variance, kernel.sandwich(kernel.moments(ag.beta[None])[2][0])
+    kernel = estimate_module._Kernel(data, "efron")
+    v = kernel.moments(ag.beta[None])[2][0]
+    return ag.variance, kernel.sandwich(v, np.ones(data.n_events))
 
 
 class TestVariances:
@@ -595,8 +599,9 @@ class TestKernelMatchesReference:
                 U = weighted_score(data, scheme, beta, ties=ties)
                 J = score_jacobian(data, scheme, beta, ties=ties)
             else:
-                kernel = estimate_module._Kernel.single(data, scheme, ties)
-                U, J, _ = kernel.reweighted(mult[None]).score(beta[None])
+                kernel = estimate_module._Kernel(data, ties)
+                [(_, _, w)] = estimate_module._scheme_rows(kernel, [scheme])
+                U, J, _ = kernel.score(beta[None], (w * mult)[None])
                 U, J = U[0], J[0]
             assert rel_err(U, U_ref) <= 1e-12
             assert rel_err(J, J_ref) <= 1e-12

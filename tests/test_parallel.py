@@ -41,7 +41,11 @@ SPEC = GeneratorSpec(
     covariate=Uniform01(),
     censoring=UniformCensoring(2.0),
 )
-NAMES = ["pl", "km", "par:exponential"]
+ESTIMATORS = {
+    "pl": Constant(),
+    "km": KaplanMeier(),
+    "par:exponential": Parametric("exponential"),
+}
 
 
 def alone(seed, i):
@@ -62,8 +66,8 @@ class TestEachIndexAlone:
         return 2 * block + 5
 
     def test_study_rows(self, blocks, jobs):
-        rows = parallel_map(partial(_reps, SPEC, NAMES, 30), 3, blocks, jobs)
-        want = [_reps(SPEC, NAMES, 30, [alone(3, i)])[0] for i in range(blocks)]
+        rows = parallel_map(partial(_reps, SPEC, ESTIMATORS, 30), 3, blocks, jobs)
+        want = [_reps(SPEC, ESTIMATORS, 30, [alone(3, i)])[0] for i in range(blocks)]
         assert repr(rows) == repr(want)
 
     def test_bootstrap_draws(self, leukemia, blocks, jobs):

@@ -30,7 +30,7 @@ from margfit import (
     solve_score,
 )
 from margfit._parallel import _BLOCK_DRAWS, parallel_map
-from margfit.estimate import _Kernel, _newton
+from margfit.estimate import _Kernel, _newton, _scheme_rows
 from margfit.resample import _event_multipliers, _random_weight_draws
 
 
@@ -43,6 +43,13 @@ def replicates(data, n_draws, seed):
             status=data.status[idx],
             covariates=data.covariates[idx],
         )
+
+
+def kernel_and_weights(data, scheme):
+    """``data``'s Breslow kernel and ``scheme``'s W at its failures."""
+    kernel = _Kernel(data, "breslow")
+    [(_, _, w)] = _scheme_rows(kernel, [scheme])
+    return kernel, w
 
 
 class EqualWeights:
@@ -352,7 +359,7 @@ class TestSharedKernel:
             covariates=leukemia.covariates * 1e7,
         )
         n_draws = 2 * _BLOCK_DRAWS + 5
-        solve = partial(_random_weight_draws, _Kernel.single(data, Constant()))
+        solve = partial(_random_weight_draws, *kernel_and_weights(data, Constant()))
         failed = 0
         for b, (beta, err) in enumerate(parallel_map(solve, 5, n_draws, None)):
             try:
@@ -371,7 +378,9 @@ class TestSharedKernel:
         # three Newton steps are too few for some draws and enough for others;
         # a draw out of budget fails with the message it gets alone
         monkeypatch.setattr(margfit.estimate, "_MAX_ITER", 3)
-        solve = partial(_random_weight_draws, _Kernel.single(leukemia, KaplanMeier()))
+        solve = partial(
+            _random_weight_draws, *kernel_and_weights(leukemia, KaplanMeier())
+        )
         failed = 0
         for b, (beta, err) in enumerate(parallel_map(solve, 5, 40, None)):
             try:
@@ -482,23 +491,23 @@ class TestNewtonRowExits:
         return _event_multipliers(e, m)
 
     @staticmethod
-    def exits(kernel, mult, monkeypatch):
+    def exits(kernel, w, mult, monkeypatch):
         """Each row's exit, once the block's row is checked against that row
         alone, V's bytes included. A row converged without a halving made one
         score evaluation per step, after the one at zero."""
         calls = []
         score = _Kernel.score
 
-        def counted(self, beta, rows=slice(None)):
+        def counted(self, beta, w):
             calls.append(len(beta))
-            return score(self, beta, rows)
+            return score(self, beta, w)
 
         monkeypatch.setattr(_Kernel, "score", counted)
-        block = _newton(kernel.reweighted(mult))
+        block = _newton(kernel, w * mult)
         exits = []
         for b in range(len(mult)):
             calls.clear()
-            alone = _newton(kernel.reweighted(mult[b : b + 1]))
+            alone = _newton(kernel, w * mult[b : b + 1])
             for got, want in zip(block[:4], alone[:4]):
                 assert got[b].tobytes() == want[0].tobytes()
             err, want = block[4][b], alone[4][0]
@@ -520,10 +529,10 @@ class TestNewtonRowExits:
             status=leukemia.status,
             covariates=leukemia.covariates * 1e7,
         )
-        kernel = _Kernel.single(data, Constant())
+        kernel, w = kernel_and_weights(data, Constant())
         mult = self.block_multipliers(kernel, 16, 5)
         mult[3] = 0.0
-        assert self.exits(kernel, mult, monkeypatch) == {
+        assert self.exits(kernel, w, mult, monkeypatch) == {
             "root at zero",
             "full steps",
             "halved",
@@ -540,19 +549,19 @@ class TestNewtonRowExits:
             status=data.status,
             covariates=data.covariates * np.column_stack([np.ones(data.n), early]),
         )
-        kernel = _Kernel.single(data, Constant())
+        kernel, w = kernel_and_weights(data, Constant())
         mult = self.block_multipliers(kernel, 8, 3)
         mult[2, early[data.status == 1]] = 0.0
-        assert self.exits(kernel, mult, monkeypatch) == {
+        assert self.exits(kernel, w, mult, monkeypatch) == {
             "full steps",
             "singular Jacobian: separation or degenerate covariates",
         }
 
     def test_iteration_budget_row(self, leukemia, monkeypatch):
         monkeypatch.setattr(margfit.estimate, "_MAX_ITER", 3)
-        kernel = _Kernel.single(leukemia, KaplanMeier())
+        kernel, w = kernel_and_weights(leukemia, KaplanMeier())
         assert self.exits(
-            kernel, self.block_multipliers(kernel, 16, 5), monkeypatch
+            kernel, w, self.block_multipliers(kernel, 16, 5), monkeypatch
         ) == {"full steps", "no convergence after 3 iterations"}
 
 

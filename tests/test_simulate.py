@@ -54,6 +54,7 @@ from margfit import (
     write_results_csv,
 )
 from margfit._parallel import parallel_map
+from margfit.estimate import _parse_scheme
 from margfit.marginal import _brentq
 from margfit.simulate import (
     _BLOCK_ROWS,
@@ -896,10 +897,16 @@ def _solved_one_at_a_time(config, spec):
     return rows
 
 
+def _estimators(names):
+    """Each estimator name with its scheme, as the study runner hands them over."""
+    return {name: _parse_scheme(name) for name in names}
+
+
 def _study_rows(spec, names, config):
     """The rows (rep, values, realized censoring, failures) of ``config``'s
     replications, as the study runner solves them under ``spec``."""
-    rows = parallel_map(partial(_reps, spec, names, config.n), config.seed, config.reps, 1)
+    solve = partial(_reps, spec, _estimators(names), config.n)
+    rows = parallel_map(solve, config.seed, config.reps, 1)
     return [(rep, *row) for rep, row in enumerate(rows)]
 
 
@@ -1021,7 +1028,8 @@ class TestBatchedEstimators:
         # fails its estimator, not the study
         spec = _calibrated(TINY_WEIBULL)
         rng = np.random.default_rng([7, 376])
-        [(values, _, fails)] = _reps(spec, ["pl", "km", "par:weibull"], 3, [rng])
+        estimators = _estimators(["pl", "km", "par:weibull"])
+        [(values, _, fails)] = _reps(spec, estimators, 3, [rng])
         assert set(values) == {"pl", "km"}
         [(name, msg)] = fails
         assert name == "par:weibull"
