@@ -10,14 +10,18 @@ import pytest
 import margfit.estimate as estimate_module
 import margfit.resample as resample_module
 from margfit import (
+    BetaFunction,
     ConfigError,
     Constant,
     DataError,
+    Exponential,
     FitError,
+    GeneratorSpec,
     KaplanMeier,
     Parametric,
     StepSurvival,
     SurvivalDataset,
+    UniformCensoring,
     event_weights,
     fit_exponential,
     kaplan_meier,
@@ -30,6 +34,7 @@ from margfit import (
     variance_sandwich,
     weighted_score,
 )
+from margfit.simulate import _reps
 
 SCHEMES = [Constant(), KaplanMeier()]
 
@@ -352,8 +357,21 @@ class TestSchemeRows:
 
     def test_no_events_fail_every_row(self):
         d = make([1, 2], [0, 0], [[0.0], [1.0]])
-        with pytest.raises(DataError, match="no events"):
-            estimate_module._Kernel(d, self.ROWS)
+        with pytest.raises(DataError, match="no events") as refused:
+            estimate_module._Kernel(d)
+        # a study replication censored far below every survival time has no
+        # events: each of its estimators fails with the kernel's message
+        spec = GeneratorSpec(
+            baseline=Exponential(rate=1.0),
+            beta=BetaFunction.constant(0.5),
+            censoring=UniformCensoring(upper=1e-9),
+        )
+        estimators = {f"row{i}": scheme for i, scheme in enumerate(self.ROWS)}
+        [(values, censored, fails)] = _reps(
+            spec, estimators, 30, [np.random.default_rng(1)]
+        )
+        assert values == {} and censored == 1.0
+        assert fails == [(name, str(refused.value)) for name in estimators]
 
 
 class TestIterativeMarginalFit:

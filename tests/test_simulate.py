@@ -62,12 +62,14 @@ from margfit.simulate import (
     _KEYS,
     _REFERENCE_STREAM,
     _config_echo,
-    _draw_survival_times,
+    _datasets,
     _failure_law_nodes,
+    _inversion_tables,
     _log_sum_exp_atoms,
     _reps,
     _segment_tables,
     _sum_atoms,
+    _survival_times,
 )
 
 # the censoring parameter each censored cell of the bundled tables calibrates,
@@ -146,11 +148,10 @@ class TestGeneratorSpecValidation:
             )
 
 
-def _closed_form_hazard_draw(spec, z, rng):
+def _closed_form_hazard_draw(spec, z, V):
     """The hazard-role sampler over the whole draw at once: the reference
-    the block-by-block sampler must reproduce bit for bit."""
+    the chunk-by-chunk sampler must reproduce bit for bit."""
     n = z.size
-    V = rng.exponential(size=n)
     bvals, Lam, *_ = _segment_tables(spec.baseline, spec.beta, spec.covariate, "hazard")
     inc = np.diff(Lam)[None, :] * np.exp(np.outer(z, bvals[:-1]))
     thr = np.concatenate([np.zeros((n, 1)), np.cumsum(inc, axis=1)], axis=1)
@@ -168,7 +169,7 @@ class TestHazardRole:
             baseline=Exponential(rate=1.5), beta=BetaFunction.constant(0.0)
         )
         rng = np.random.default_rng(12)
-        t = _draw_survival_times(spec, np.full(4000, 0.7), rng)
+        t = _survival_times(spec, np.full(4000, 0.7), rng.exponential(size=4000))
         assert stats.kstest(t, "expon", args=(0, 1 / 1.5)).pvalue > 0.01
 
     def test_constant_beta_scales_hazard(self):
@@ -198,7 +199,7 @@ class TestHazardRole:
             beta=BetaFunction(changepoints=(0.5,), values=(1.0, 0.0)),
         )
         rng = np.random.default_rng(14)
-        t = _draw_survival_times(spec, np.full(20_000, 1.0), rng)
+        t = _survival_times(spec, np.full(20_000, 1.0), rng.exponential(size=20_000))
         for u, s_true in [
             (0.3, np.exp(-2 * np.e * 0.3)),
             (1.0, np.exp(-np.e - 1.0)),
@@ -212,7 +213,7 @@ class TestHazardRole:
             baseline=Weibull(shape=2.0, scale=1.0), beta=BetaFunction.constant(0.0)
         )
         rng = np.random.default_rng(15)
-        t = _draw_survival_times(spec, np.full(4000, 0.0), rng)
+        t = _survival_times(spec, np.full(4000, 0.0), rng.exponential(size=4000))
         assert stats.kstest(t, "weibull_min", args=(2.0,)).pvalue > 0.01
 
     @pytest.mark.parametrize(
@@ -235,11 +236,12 @@ class TestHazardRole:
     def test_blocks_match_the_whole_draw_bitwise(self, spec):
         n = 3 * _BLOCK_ROWS + 17
         z = spec.covariate.draw(np.random.default_rng(1), n)
-        got = _draw_survival_times(spec, z, np.random.default_rng(2))
-        want = _closed_form_hazard_draw(spec, z, np.random.default_rng(2))
+        V = np.random.default_rng(2).exponential(size=n)
+        got = _survival_times(spec, z, V)
+        want = _closed_form_hazard_draw(spec, z, V)
         assert np.array_equal(got, want)
         if spec is HAZARD_CHANGEPOINT:
-            # both coefficient segments hold rows, the later one more than a block
+            # both coefficient segments hold rows, the later one more than a chunk
             early = int((want < 0.2).sum())
             assert 0 < early and n - early > _BLOCK_ROWS
 
@@ -332,13 +334,12 @@ def _marginal_segments(spec, z, V):
     return idx, M, (bvals, zq, logwq, H)
 
 
-def _scipy_marginal_draw(spec, z, rng, closed_form=True):
+def _scipy_marginal_draw(spec, z, V, closed_form=True):
     """The marginal-role sampler on SciPy's ``logsumexp``, one whole-array
-    temporary per coefficient segment: the reference the row-block sampler
+    temporary per coefficient segment: the reference the chunked sampler
     must reproduce bit for bit. In a zero-coefficient segment every tilt is
     1, so the log-mixture is c_k - M with c_k the log-sum-exp of the
     segment's offsets; ``closed_form=False`` sums over the atoms there too."""
-    V = rng.exponential(size=z.size)
     idx, M, (bvals, zq, logwq, H) = _marginal_segments(spec, z, V)
     T = np.empty(z.size)
     for k in np.unique(idx):
@@ -359,19 +360,8 @@ CHANGEPOINT_3_0 = replace(
 )
 
 
-class _FixedV:
-    """Stands in for a generator whose Exp(1) draws are ``V``."""
-
-    def __init__(self, V):
-        self.V = np.asarray(V, dtype=float)
-
-    def exponential(self, size):
-        assert size == self.V.size
-        return self.V.copy()
-
-
 class TestMarginalSampler:
-    """Atom-major blocks and the NumPy log-sum-exp keep the SciPy sampler's bits."""
+    """Atom-major chunks and the NumPy log-sum-exp keep the SciPy sampler's bits."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -394,11 +384,12 @@ class TestMarginalSampler:
     def test_draws_match_scipy_reference_bitwise(self, spec):
         n = 3 * _BLOCK_ROWS + 17
         z = spec.covariate.draw(np.random.default_rng(1), n)
-        got = _draw_survival_times(spec, z, np.random.default_rng(2))
-        want = _scipy_marginal_draw(spec, z, np.random.default_rng(2))
+        V = np.random.default_rng(2).exponential(size=n)
+        got = _survival_times(spec, z, V)
+        want = _scipy_marginal_draw(spec, z, V)
         assert np.array_equal(got, want)
         if spec is CHANGEPOINT:
-            # both coefficient segments hold rows, the later one several blocks
+            # both coefficient segments hold rows, the later one several chunks
             early = int((want < 0.2).sum())
             assert 0 < early and n - early > _BLOCK_ROWS
 
@@ -417,8 +408,10 @@ class TestMarginalSampler:
         monkeypatch.setattr(simulate_module, "_log_sum_exp_atoms", counted)
         n = 3 * _BLOCK_ROWS + 17
         z = spec.covariate.draw(np.random.default_rng(1), n)
-        _draw_survival_times(spec, z, np.random.default_rng(2))
         V = np.random.default_rng(2).exponential(size=n)
+        # the design's first draw builds its constants, c_k among them
+        _inversion_tables.cache_clear()
+        _survival_times(spec, z, V)
         idx, _, (bvals, *_) = _marginal_segments(spec, z, V)
         # the first call holds one column per segment, its c_k; the others
         # hold the subjects of the nonzero segments and no one else
@@ -428,6 +421,10 @@ class TestMarginalSampler:
             assert 0 < sum(columns[1:]) == np.count_nonzero(idx == 0) < n / 2
         else:
             assert columns == [1]
+        # a second draw of the design takes its c_k from the cache
+        first, columns[:] = columns[1:], []
+        _survival_times(spec, z, V)
+        assert columns == first
 
     def test_closed_form_is_at_least_as_accurate_as_the_atoms(self):
         # -log g_k(M) = -log sum_q w_q e^{-H[k]_q - M} in 50-digit decimal,
@@ -441,7 +438,7 @@ class TestMarginalSampler:
         assert bvals[1] == 0.0 and zero.size == 400
         M = M[zero]
         # Exponential(2) inverts -log g by halving it, which is exact
-        closed = 2.0 * _draw_survival_times(CHANGEPOINT_3_0, z, _FixedV(V))[zero]
+        closed = 2.0 * _survival_times(CHANGEPOINT_3_0, z, V)[zero]
         atoms = -_log_sum_exp_atoms((logwq - H[1])[:, None] - M[None, :])
         with localcontext() as ctx:
             ctx.prec = 50
@@ -456,10 +453,10 @@ class TestMarginalSampler:
     def test_a_zero_segment_past_underflow_keeps_the_clamp(self):
         # V far in the tail: e^{-M} underflows to 0 from M = 746 on, and past
         # 1e12 the sampler clamps -log g, as it does on the atoms' path
-        V = [50.0, 800.0, 1e6, 2e12, 1e300]
-        z = np.linspace(0.0, 1.0, len(V))
-        got = _draw_survival_times(CHANGEPOINT_3_0, z, _FixedV(V))
-        atoms = _scipy_marginal_draw(CHANGEPOINT_3_0, z, _FixedV(V), closed_form=False)
+        V = np.array([50.0, 800.0, 1e6, 2e12, 1e300])
+        z = np.linspace(0.0, 1.0, V.size)
+        got = _survival_times(CHANGEPOINT_3_0, z, V)
+        atoms = _scipy_marginal_draw(CHANGEPOINT_3_0, z, V, closed_form=False)
         np.testing.assert_allclose(got[:3], atoms[:3], rtol=2e-15)
         assert np.all(got[:3] > 0.2) and np.all(got[:3] < 1e6)
         assert np.array_equal(got[3:], [5e11, 5e11])
@@ -508,7 +505,7 @@ class TestMarginalSampler:
     def test_study_draws_hold_one_block(self):
         # NumPy reports its buffers to tracemalloc. A 200,000-subject draw
         # holds its z, V and T (and the calibration its uniforms) at 1.6 MB
-        # each, plus one block; a segment search over the whole draw at
+        # each, plus one chunk; a segment search over the whole draw at
         # once takes each peak to 24 MB, and a whole-array (200k, 64)
         # temporary alone would be 100 MB
         config = _changepoint_3_0(0.5)
@@ -533,6 +530,29 @@ class TestMarginalSampler:
         finally:
             tracemalloc.stop()
         assert max(peaks) <= 12e6, [f"{p / 1e6:.1f} MB" for p in peaks]
+
+
+@pytest.mark.parametrize("spec", [CHANGEPOINT, HAZARD_CHANGEPOINT], ids=["marginal", "hazard"])
+@pytest.mark.parametrize(
+    "censoring",
+    [NoCensoring(), UniformCensoring(upper=1.0), ExponentialCensoring(rate=1.0)],
+    ids=["none", "uniform", "exponential"],
+)
+def test_a_replication_does_not_depend_on_its_block(spec, censoring):
+    # 16 replications of 300 subjects fill two of the sampler's chunks and
+    # part of a third, and the seventh replication straddles a chunk's end
+    n, k = 300, 16
+    assert _BLOCK_ROWS % n and 2 * _BLOCK_ROWS < k * n < 3 * _BLOCK_ROWS
+    spec = replace(spec, censoring=censoring)
+    rngs = [np.random.default_rng([5, i]) for i in range(k)]
+    for i, data in enumerate(_datasets(spec, n, rngs)):
+        rng = np.random.default_rng([5, i])
+        alone = generate_dataset(spec, n, rng)
+        for field in ("time", "status", "covariates"):
+            assert getattr(data, field).tobytes() == getattr(alone, field).tobytes()
+        # the generator made the same draws in the block as alone
+        assert rngs[i].random() == rng.random()
+    assert 0 < alone.n_events < n or isinstance(censoring, NoCensoring)
 
 
 def _monotone_functions(rng, count):
@@ -686,13 +706,13 @@ class TestCensoring:
 
     def test_calibration_makes_one_draw(self, monkeypatch):
         draws = Counter()
-        draw = simulate_module._draw_survival_times
+        draw = simulate_module._survival_times
 
         def counted(*args):
             draws["calls"] += 1
             return draw(*args)
 
-        monkeypatch.setattr(simulate_module, "_draw_survival_times", counted)
+        monkeypatch.setattr(simulate_module, "_survival_times", counted)
         spec = replace(CHANGEPOINT, censoring=UniformCensoring(upper=1.0))
         calibrate_censoring(spec, 0.5, rng=np.random.default_rng(1))
         assert draws == {"calls": 1}
@@ -1295,7 +1315,7 @@ class TestOracles:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle must not sample or fit")
 
-        samplers = ("_as_rng", "_draw_survival_times", "generate_dataset")
+        samplers = ("_as_rng", "_survival_times", "_datasets", "generate_dataset")
         # the study runner's fit entry: one kernel per replication, one fit
         for name in (*samplers, "_Kernel", "_fit"):
             monkeypatch.setattr(f"margfit.simulate.{name}", forbidden)
