@@ -11,15 +11,15 @@ import numpy as np
 from .errors import ConfigError
 
 # indices handed to a solver at once. Two solvers stack a block. The study
-# solver draws a block's survival times in one inversion pass, which holds
-# the replications' z, V and T (24 bytes per subject and replication, 0.6 MB
-# at n = 1500). The random-weight solver stacks a block's draws into one
-# batched Newton: the block bounds its (draws x subjects) risk-set arrays,
-# so memory does not grow with the draws, and sets how many Python-level
-# Newton passes a run makes. At n = 1500 a warm
-# 1000-draw run faults a few dozen pages at most in blocks of 16, but about 16,000
-# in blocks of 32 (and 20,000 in blocks of 24 once SciPy is loaded): their
-# Newton steps give the heap top back to the system and fault it in again
+# solver draws a block's survival times in one inversion pass, which holds the
+# replications' z and V and writes T over V (16 bytes per subject and
+# replication, 0.4 MB at n = 1500). The random-weight solver stacks a block's
+# draws into one batched Newton: the block bounds its (draws x subjects)
+# risk-set arrays, so memory does not grow with the draws, and sets how many
+# Python-level Newton passes a run makes. At n = 1500 a warm 1000-draw run
+# faults a few dozen pages at most in blocks of 16, but about 16,000 in blocks
+# of 32 (and 20,000 in blocks of 24 once SciPy is loaded): their Newton steps
+# give the heap top back to the system and fault it in again
 _BLOCK_DRAWS = 16
 
 

@@ -24,7 +24,7 @@ from .dataset import _write_table, load_csv
 from .efficiency import are_table
 from .errors import ConfigError, ConvergenceError, DataError, FitError
 from .estimate import FitResult, _parse_scheme, solve_score
-from .marginal import StepSurvival, fit_family, kaplan_meier, save_curve
+from .marginal import StepSurvival, fit_family, kaplan_meier, parse_family, save_curve
 from .resample import bootstrap, resample_distribution
 from .simulate import (
     _estimator_names,
@@ -207,7 +207,7 @@ def cmd_km_export(args) -> int:
         grid = np.linspace(0.0, float(data.time.max()), 200)
         surv = np.asarray(model.survival(grid), dtype=float)
         curve = StepSurvival(jump_times=grid[1:], values=surv[1:])
-        par_path = Path(f"{prefix}_{args.family.split(':')[0]}.csv")
+        par_path = Path(f"{prefix}_{parse_family(args.family)[0]}.csv")
         save_curve(curve, par_path)
         print(f"wrote {par_path}")
     return 0

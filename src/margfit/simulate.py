@@ -16,14 +16,15 @@ the coefficient segment whose cumulative-hazard interval contains V, and
 invert segment-wise (closed form for the hazard role; via the marginal
 mixture g_k(M) = E_Z[exp(-H_k(Z) - M e^{b_k Z})] for the marginal role).
 A study draws its replications a block at a time: each replication's
-generator draws its z and V, one inversion pass turns the whole block's
-(z, V) into T, and then each generator draws its censoring uniforms. The
-pass runs over chunks of a fixed number of subjects, so beyond z, V and T
+generator draws its z and V, one inversion pass writes the whole block's T
+over its V, and then each generator draws its censoring uniforms. The
+pass runs over chunks of a fixed number of subjects, so beyond z and V
 it holds one chunk's temporaries. A subject's T depends on its own (z, V)
 alone, so a replication's data are those it gets drawn alone. Where
 b_k = 0 every tilt e^{b_k z} is 1, so the marginal role takes
 log g_k(M) = c_k - M, with c_k = log E_Z[exp(-H_k(Z))] one number per
-segment, built once per design with the other per-segment constants.
+segment. The c_k, tilts and the other per-segment constants are one cached
+table per design, which the population oracles read too.
 Elsewhere it evaluates log g_k over the covariate law's atoms, which a
 chunk holds on its leading axis: each step of the log-sum-exp is one
 elementwise pass over the chunk's subjects. Its arithmetic (and that of
@@ -39,6 +40,7 @@ tables.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import Union
@@ -249,107 +251,100 @@ class GeneratorSpec:
             raise ConfigError("baseline_role must be 'hazard' or 'marginal'")
 
 
-@lru_cache(maxsize=64)
-def _segment_tables(baseline, beta: BetaFunction, covariate, role: str):
-    """Per-segment tables of the coefficient path, in either baseline role.
+_Tables = namedtuple("_Tables", "bvals Lam dLam zq logwq H offsets tilts c")
 
-    Returns (bvals, Lam, zq, logwq, H): each segment's coefficient and
-    baseline cumulative hazard at its start, the covariate atoms and their
-    log-weights, and H[k], each atom's conditional cumulative hazard at the
-    k-th start; in segment k, S(t|z) = exp(-H[k] - (Lambda0(t) - Lam[k]) e^{b_k z}).
+
+@lru_cache(maxsize=64)
+def _segment_tables(baseline, beta: BetaFunction, covariate, role: str) -> _Tables:
+    """The one cached table of a design's per-segment constants, in either
+    baseline role, read by the sampler and the population oracles alike.
+
+    ``bvals`` holds each segment's coefficient b_k, ``Lam`` the baseline
+    cumulative hazard at its start and ``dLam`` the increments between
+    starts (a column); ``zq`` and ``logwq`` are the covariate atoms and
+    their log-weights, ``H[k]`` each atom's conditional cumulative hazard at
+    the k-th start, ``offsets[k]`` log w_q - H[k], ``tilts[k]`` e^{b_k z_q}
+    and ``c[k]`` log E_Z[exp(-H_k(Z))]; in segment k,
+    S(t|z) = exp(-H[k] - (Lambda0(t) - Lam[k]) e^{b_k z}).
     The marginal role solves segment by segment for the implicit baseline
     increments that make E_Z[S(t|Z)] the model's survival at each changepoint.
     Where that survival underflows to 0, the later segments carry no mass and
-    are left out of the tables.
+    are left out of the tables. Every draw and quadrature of the design
+    shares the arrays, so they are read-only.
     """
     bounds = np.concatenate(([0.0], np.asarray(beta.changepoints, dtype=float)))
     bvals = np.asarray(beta.values, dtype=float)
     K = bvals.size
     zq, wq = covariate.atoms()
     logwq = np.log(wq)
+    tilts = np.exp(np.outer(bvals, zq))
     H = np.zeros((K, zq.size))
     hazard = role == "hazard"
     Lam = np.asarray(baseline.cumulative_hazard(bounds)) if hazard else np.zeros(K)
     for k in range(K - 1):
-        ez = np.exp(bvals[k] * zq)
         if hazard:
             dL = Lam[k + 1] - Lam[k]
         else:
             target = float(baseline.survival(bounds[k + 1]))
             if target == 0.0:
-                bvals, Lam, H = bvals[: k + 1], Lam[: k + 1], H[: k + 1]
+                bvals, Lam, H, tilts = (a[: k + 1] for a in (bvals, Lam, H, tilts))
                 break
 
             def gap(dL):
-                return float(np.exp(logwq - H[k] - dL * ez).sum()) - target
+                return float(np.exp(logwq - H[k] - dL * tilts[k]).sum()) - target
 
             hi = _expand(lambda x: gap(x) < 0.0, 2.0, "the marginal segment increment")
             dL = _brentq(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
             Lam[k + 1] = Lam[k] + dL
-        H[k + 1] = H[k] + dL * ez
-    return bvals, Lam, zq, logwq, H
-
-
-@lru_cache(maxsize=64)
-def _inversion_tables(baseline, beta: BetaFunction, covariate, role: str):
-    """The sampler's per-design constants, built once from ``_segment_tables``.
-
-    Returns (bvals, Lam, dLam, offsets, tilts, c): each segment's
-    coefficient and baseline cumulative hazard at its start, the increments
-    between starts (a column), the log-mixture's offsets log w_q - H[k] and
-    tilts e^{b_k z_q} (each K x atoms x 1), and c_k = log E_Z[exp(-H_k(Z))].
-    Every draw of the design shares these arrays, so none may write them.
-    """
-    bvals, Lam, zq, logwq, H = _segment_tables(baseline, beta, covariate, role)
-    dLam = np.diff(Lam)[:, None]
-    offsets = (logwq - H)[:, :, None]
-    tilts = np.exp(np.outer(bvals, zq))[:, :, None]
-    # where b_k = 0 every tilt is 1, and log g_k(M) = c_k - M
+        H[k + 1] = H[k] + dL * tilts[k]
+    # a fresh transpose: the log-sum-exp overwrites its argument
     c = _log_sum_exp_atoms((logwq - H).T)
-    return bvals, Lam, dLam, offsets, tilts, c
+    dLam = np.diff(Lam)[:, None]
+    tables = _Tables(bvals, Lam, dLam, zq, logwq, H, logwq - H, tilts, c)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def _survival_times(spec: GeneratorSpec, z: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Exact inversion of Exp(1) variates V into survival times T given z.
+    """Exact inversion of Exp(1) variates V into survival times T given z,
+    written over V and returned.
 
-    Each chunk of ``_BLOCK_ROWS`` subjects is located and inverted in turn.
+    Each chunk of ``_BLOCK_ROWS`` subjects is located and inverted in turn;
+    once a chunk's M is computed its V is spent, and its T takes V's place.
     Every step is elementwise per subject, or per column over the atoms, so
     a subject's T depends on its own (z, V) alone, not on its chunk or on
     the other subjects of the call. In the marginal role a subject in a
     zero-coefficient segment k skips the atoms: its log-mixture is c_k - M.
     """
-    n = z.size
-    bvals, Lam, dLam, offsets, tilts, c = _inversion_tables(
-        spec.baseline, spec.beta, spec.covariate, spec.baseline_role
-    )
-    q = offsets.shape[1]
-    T = np.empty(n)
+    tab = _segment_tables(spec.baseline, spec.beta, spec.covariate, spec.baseline_role)
+    bvals, q = tab.bvals, tab.zq.size
     # one chunk's log-mixture terms, atom-major, reused by every chunk
     work = np.empty(q * _BLOCK_ROWS)
-    for start in range(0, n, _BLOCK_ROWS):
+    for start in range(0, z.size, _BLOCK_ROWS):
         chunk = slice(start, start + _BLOCK_ROWS)
         zb, Vb = z[chunk], V[chunk]
         # conditional cumulative hazard at each segment start, segment-major
         thr = np.zeros((bvals.size, zb.size))
-        np.cumsum(dLam * np.exp(np.outer(bvals[:-1], zb)), axis=0, out=thr[1:])
+        np.cumsum(tab.dLam * np.exp(np.outer(bvals[:-1], zb)), axis=0, out=thr[1:])
         idx = (Vb >= thr).sum(axis=0) - 1
         M = (Vb - thr[idx, np.arange(zb.size)]) * np.exp(-bvals[idx] * zb)
         if spec.baseline_role == "hazard":
-            T[chunk] = spec.baseline.inverse_cumulative_hazard(Lam[idx] + M)
+            Vb[:] = spec.baseline.inverse_cumulative_hazard(tab.Lam[idx] + M)
             continue
         for k in range(bvals.size):
             rows = np.flatnonzero(idx == k)
             if bvals[k] == 0.0:
-                logg = c[k] - M[rows]
+                logg = tab.c[k] - M[rows]
             else:
                 expo = work[: q * rows.size].reshape(q, rows.size)
-                np.multiply(tilts[k], M[rows], out=expo)
-                np.subtract(offsets[k], expo, out=expo)
+                np.multiply(tab.tilts[k, :, None], M[rows], out=expo)
+                np.subtract(tab.offsets[k, :, None], expo, out=expo)
                 logg = _log_sum_exp_atoms(expo)
-            T[start + rows] = spec.baseline.inverse_cumulative_hazard(
+            Vb[rows] = spec.baseline.inverse_cumulative_hazard(
                 np.minimum(-logg, 1e12)
             )
-    return T
+    return V
 
 
 def _log_sum_exp_atoms(a: np.ndarray) -> np.ndarray:
@@ -420,15 +415,16 @@ def _datasets(spec: GeneratorSpec, n: int, rngs):
     generator draws its censoring uniforms: the draws, in the order, that
     it makes alone. A subject's T depends on its own (z, V) only, so a
     replication's data do not depend on its block. Beyond one dataset, the
-    block holds its z, V and T: 24 bytes per subject of each replication.
+    block holds its z and V, whose buffer the pass fills with T: 16 bytes
+    per subject of each replication.
     """
     z = np.empty((len(rngs), n))
     V = np.empty((len(rngs), n))
     for i, rng in enumerate(rngs):
         z[i] = spec.covariate.draw(rng, n)
         V[i] = rng.exponential(size=n)
-    T = _survival_times(spec, z.ravel(), V.ravel()).reshape(z.shape)
-    for rng, zi, t in zip(rngs, z, T):
+    _survival_times(spec, z.ravel(), V.ravel())  # T now fills V
+    for rng, zi, t in zip(rngs, z, V):
         if isinstance(spec.censoring, NoCensoring):
             time, status = t, np.ones(n, dtype=int)
         else:
@@ -449,6 +445,12 @@ def generate_dataset(spec: GeneratorSpec, n: int, rng) -> SurvivalDataset:
     if check_integer(n, "n") < 2:
         raise ConfigError("need n >= 2")
     return next(_datasets(spec, n, [_as_rng(rng)]))
+
+
+def _mc_survival_times(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
+    """Survival times of ``_N_MC`` subjects: z, then V, drawn from ``rng``."""
+    z = spec.covariate.draw(rng, _N_MC)
+    return _survival_times(spec, z, rng.exponential(size=_N_MC))
 
 
 def calibrate_censoring(
@@ -475,8 +477,7 @@ def calibrate_censoring(
     if isinstance(spec.censoring, NoCensoring):
         raise ConfigError("spec has no censoring family to calibrate")
     rng = _as_rng(rng)
-    z = spec.covariate.draw(rng, _N_MC)
-    t = _survival_times(spec, z, rng.exponential(size=_N_MC))
+    t = _mc_survival_times(spec, rng)
     u = rng.random(_N_MC)
     # censored fraction decreases in the uniform upper bound and increases
     # in the exponential rate; bracket [lo, hi] with the target in between
@@ -674,10 +675,7 @@ def expected_beta(spec: GeneratorSpec, rng=None) -> float:
 
     The draw is of a fixed 200,000 subjects.
     """
-    rng = _as_rng(rng)
-    z = spec.covariate.draw(rng, _N_MC)
-    t = _survival_times(spec, z, rng.exponential(size=_N_MC))
-    return float(np.mean(spec.beta(t)))
+    return float(np.mean(spec.beta(_mc_survival_times(spec, _as_rng(rng)))))
 
 
 def expected_beta_family(spec: GeneratorSpec) -> float:
@@ -716,11 +714,9 @@ def _failure_law_nodes(spec: GeneratorSpec, law):
     cuts = sorted(cuts)
     values = spec.beta(np.array([0.0, *cuts]))
     beta = BetaFunction(changepoints=tuple(cuts), values=tuple(values))
-    bvals, Lam, zq, logwq, H = _segment_tables(
-        spec.baseline, beta, spec.covariate, spec.baseline_role
-    )
+    tab = _segment_tables(spec.baseline, beta, spec.covariate, spec.baseline_role)
     # 1 - u = E_Z[S(t|Z)] at each segment's start and end
-    top = np.exp(_log_sum_exp_atoms((logwq - H).T))
+    top = np.exp(tab.c)
     bottom = np.append(top[1:], 0.0)
     x, gw = np.polynomial.legendre.leggauss(_PIECE_NODES)
     s = 0.5 * (x + 1.0)
@@ -728,14 +724,14 @@ def _failure_law_nodes(spec: GeneratorSpec, law):
     dphi = 15.0 * gw * (s * (1.0 - s)) ** 2
     hazard = spec.baseline_role == "hazard"
     parts = []
-    for k, bk in enumerate(bvals):
+    for k, bk in enumerate(tab.bvals):
         if top[k] == 0.0:
             break  # the failure law has no mass left past this point
         log_surv = np.log(bottom[k] + (top[k] - bottom[k]) * phi)
-        ez = np.exp(bk * zq)
+        ez = tab.tilts[k]
         M = np.zeros(s.size)
         for _ in range(100):
-            a = logwq - H[k] - np.multiply.outer(M, ez)
+            a = tab.offsets[k] - np.multiply.outer(M, ez)
             amax = a.max(axis=1, keepdims=True)
             q = np.exp(a - amax)
             g = q.sum(axis=1)
@@ -747,13 +743,15 @@ def _failure_law_nodes(spec: GeneratorSpec, law):
             raise FitError("no convergence of the failure-law quadrature")
         # the baseline's cumulative hazard at t: Lam[k] + M, or in the marginal
         # role the marginal's, -log(1 - u)
-        t = spec.baseline.inverse_cumulative_hazard(Lam[k] + M if hazard else -log_surv)
+        t = spec.baseline.inverse_cumulative_hazard(
+            tab.Lam[k] + M if hazard else -log_surv
+        )
         w = (top[k] - bottom[k]) * dphi
         if censored:
             w *= law.survival(t)
         parts.append((w, np.full(s.size, bk), q))
     w, b, q = (np.concatenate(p) for p in zip(*parts))
-    return w, b, q, zq
+    return w, b, q, tab.zq
 
 
 def beta_star_oracle(spec: GeneratorSpec, weighting: str = "failure") -> float:

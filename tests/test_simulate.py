@@ -64,7 +64,6 @@ from margfit.simulate import (
     _config_echo,
     _datasets,
     _failure_law_nodes,
-    _inversion_tables,
     _log_sum_exp_atoms,
     _reps,
     _segment_tables,
@@ -237,7 +236,7 @@ class TestHazardRole:
         n = 3 * _BLOCK_ROWS + 17
         z = spec.covariate.draw(np.random.default_rng(1), n)
         V = np.random.default_rng(2).exponential(size=n)
-        got = _survival_times(spec, z, V)
+        got = _survival_times(spec, z, V.copy())
         want = _closed_form_hazard_draw(spec, z, V)
         assert np.array_equal(got, want)
         if spec is HAZARD_CHANGEPOINT:
@@ -319,9 +318,8 @@ def _marginal_segments(spec, z, V):
     """Each subject's coefficient segment and its M, located as the sampler
     locates them, with the marginal role's segment tables."""
     n = z.size
-    bvals, Lam, zq, logwq, H = _segment_tables(
-        spec.baseline, spec.beta, spec.covariate, "marginal"
-    )
+    tab = _segment_tables(spec.baseline, spec.beta, spec.covariate, "marginal")
+    bvals, Lam = tab.bvals, tab.Lam
     if bvals.size == 1:
         idx = np.zeros(n, dtype=int)
         thr_at = np.zeros(n)
@@ -331,7 +329,7 @@ def _marginal_segments(spec, z, V):
         idx = (V[:, None] >= thr).sum(axis=1) - 1
         thr_at = thr[np.arange(n), idx]
     M = (V - thr_at) * np.exp(-bvals[idx] * z)
-    return idx, M, (bvals, zq, logwq, H)
+    return idx, M, (bvals, tab.zq, tab.logwq, tab.H)
 
 
 def _scipy_marginal_draw(spec, z, V, closed_form=True):
@@ -385,7 +383,7 @@ class TestMarginalSampler:
         n = 3 * _BLOCK_ROWS + 17
         z = spec.covariate.draw(np.random.default_rng(1), n)
         V = np.random.default_rng(2).exponential(size=n)
-        got = _survival_times(spec, z, V)
+        got = _survival_times(spec, z, V.copy())
         want = _scipy_marginal_draw(spec, z, V)
         assert np.array_equal(got, want)
         if spec is CHANGEPOINT:
@@ -410,8 +408,8 @@ class TestMarginalSampler:
         z = spec.covariate.draw(np.random.default_rng(1), n)
         V = np.random.default_rng(2).exponential(size=n)
         # the design's first draw builds its constants, c_k among them
-        _inversion_tables.cache_clear()
-        _survival_times(spec, z, V)
+        _segment_tables.cache_clear()
+        _survival_times(spec, z, V.copy())
         idx, _, (bvals, *_) = _marginal_segments(spec, z, V)
         # the first call holds one column per segment, its c_k; the others
         # hold the subjects of the nonzero segments and no one else
@@ -423,7 +421,7 @@ class TestMarginalSampler:
             assert columns == [1]
         # a second draw of the design takes its c_k from the cache
         first, columns[:] = columns[1:], []
-        _survival_times(spec, z, V)
+        _survival_times(spec, z, V.copy())
         assert columns == first
 
     def test_closed_form_is_at_least_as_accurate_as_the_atoms(self):
@@ -455,7 +453,7 @@ class TestMarginalSampler:
         # 1e12 the sampler clamps -log g, as it does on the atoms' path
         V = np.array([50.0, 800.0, 1e6, 2e12, 1e300])
         z = np.linspace(0.0, 1.0, V.size)
-        got = _survival_times(CHANGEPOINT_3_0, z, V)
+        got = _survival_times(CHANGEPOINT_3_0, z, V.copy())
         atoms = _scipy_marginal_draw(CHANGEPOINT_3_0, z, V, closed_form=False)
         np.testing.assert_allclose(got[:3], atoms[:3], rtol=2e-15)
         assert np.all(got[:3] > 0.2) and np.all(got[:3] < 1e6)
@@ -466,9 +464,9 @@ class TestMarginalSampler:
     def test_log_sum_exp_atoms_matches_scipy_bitwise(self, q):
         rng = np.random.default_rng(q)
         a = rng.normal(size=(q, 300)) * rng.choice([1e-3, 1.0, 30.0], size=300)
-        *_, logwq, _ = _segment_tables(
+        logwq = _segment_tables(
             CHANGEPOINT.baseline, CHANGEPOINT.beta, Uniform01(), "marginal"
-        )
+        ).logwq
         if q == logwq.size:
             # the sampler's symmetric Uniform01 log-weights: tied maxima
             a[:, 7:57] = logwq[:, None] - rng.random(50)
@@ -502,12 +500,31 @@ class TestMarginalSampler:
                 "halving above 128), on which the marginal sampler's SciPy bits rest"
             )
 
+    def test_a_block_writes_its_times_over_v(self):
+        # a block's V is spent once each chunk's M is computed, so the pass
+        # writes T over it: 16 replications at n = 100,000 hold z and V at
+        # 25.6 MB, plus one dataset and one chunk; with T beside them the
+        # block alone would be 38.4 MB. The bound was set before the test
+        # first ran.
+        z = np.random.default_rng(1).random(100)
+        V = np.random.default_rng(2).exponential(size=z.size)
+        assert np.shares_memory(_survival_times(CHANGEPOINT_3_0, z, V), V)
+        rngs = [np.random.default_rng([3, i]) for i in range(16)]
+        tracemalloc.start()
+        try:
+            for _ in _datasets(CHANGEPOINT_3_0, 100_000, rngs):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 38e6, f"{peak / 1e6:.1f} MB"
+
     def test_study_draws_hold_one_block(self):
         # NumPy reports its buffers to tracemalloc. A 200,000-subject draw
-        # holds its z, V and T (and the calibration its uniforms) at 1.6 MB
-        # each, plus one chunk; a segment search over the whole draw at
-        # once takes each peak to 24 MB, and a whole-array (200k, 64)
-        # temporary alone would be 100 MB
+        # holds its z and V, whose buffer T overwrites (and the calibration
+        # its uniforms), at 1.6 MB each, plus one chunk; a segment search
+        # over the whole draw at once takes each peak to 24 MB, and a
+        # whole-array (200k, 64) temporary alone would be 100 MB
         config = _changepoint_3_0(0.5)
         peaks = []
         tracemalloc.start()
@@ -1210,6 +1227,23 @@ MARGINAL_NUMBERS = {
 class TestOracles:
     def test_ph_oracle_returns_true_beta(self):
         assert beta_star_oracle(PH) == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_draw_and_the_oracle_share_the_design_table(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return _log_sum_exp_atoms(a)
+
+        monkeypatch.setattr(simulate_module, "_log_sum_exp_atoms", counted)
+        _segment_tables.cache_clear()
+        generate_dataset(CHANGEPOINT_3_0, 300, 1)
+        # the first call is the design's c_k, one column per segment
+        assert calls[0] == (64, 2)
+        calls[:] = []
+        # beta* on the same uncensored design reads c_k from that table
+        beta_star_oracle(CHANGEPOINT_3_0)
+        assert calls == []
 
     @pytest.mark.parametrize("weighting", ["failure", "risk"])
     @pytest.mark.parametrize(
