@@ -15,6 +15,9 @@ at t. Three weight choices give the three estimators:
   survival model, supplied (a parametric model or a ``StepSurvival`` curve)
   or, given as a family name, fitted to the data the score is solved on.
 
+The three take one path: ``_marginal`` fits a scheme's marginal (none at
+W = 1) and ``_weights`` turns it into W.
+
 Scores, Jacobians, variances and the log partial likelihood evaluate
 through one prepared state, ``_Kernel``, built once per (data, ties): the
 event rows, each failure's risk-set start, the risk-set index of
@@ -30,11 +33,12 @@ at a time sees S_r - (l/d_k) D_r, D_r the tie group's own sums.
 Solving is Newton-Raphson with step halving from zero, in one loop,
 ``_newton``, that iterates B scores together, each row as it would be
 alone; ``_fit`` solves a list of scheme rows in one such call, and
-``solve_score`` is its one-scheme case. A fit's variance is Andersen-Gill
-(information inverse, under the fit's tie rule) for the constant weights
-and the model-based sandwich A^{-1} B A^{-1} (not robust to
-non-proportional hazards) with a scheme's own weights for weighted ones;
-``variance_andersen_gill`` and ``variance_sandwich`` give them at any beta.
+``solve_score`` is its one-scheme case. Every fit's variance is the
+model-based sandwich A^{-1} B A^{-1} with its scheme's own weights, A =
+sum W V and B = sum W^2 V, under the fit's tie rule (not robust to
+non-proportional hazards). At W = 1, A = B is the information and the
+sandwich is the Andersen-Gill information inverse;
+``variance_andersen_gill`` and ``variance_sandwich`` give it at any beta.
 """
 
 from __future__ import annotations
@@ -181,28 +185,34 @@ def event_weights(data: SurvivalDataset, scheme: WeightScheme) -> np.ndarray:
     for step models, so the weight at an event time uses the survival value
     just before that event.
     """
+    _, marginal, _ = _marginal(data, scheme)
     first = np.searchsorted(data.time, data.time, side="left")
-    return _weights(data, _fit_marginal(data, scheme), data.time, data.n - first)
+    return _weights(marginal, data.time, data.n - first)
 
 
-def _weights(data, scheme, times, at_risk) -> np.ndarray:
-    """W at ``times``, whose risk sets hold ``at_risk`` subjects; marginal fitted."""
+def _marginal(data: SurvivalDataset, scheme: WeightScheme):
+    """(scheme as fitted, the marginal its W divides by, theta): the one
+    place a scheme's marginal is fitted. The constant scheme has none (W =
+    1); a family-named marginal is fitted to ``data`` and theta holds its
+    parameters (else None)."""
     if isinstance(scheme, Constant):
-        return np.ones(times.size)
+        return scheme, None, None
     if isinstance(scheme, KaplanMeier):
-        marginal = kaplan_meier(data)
-    elif isinstance(scheme, Parametric):
-        marginal = scheme.model
-    else:
+        return scheme, kaplan_meier(data), None
+    if not isinstance(scheme, Parametric):
         raise ConfigError(f"unknown weight scheme {scheme!r}")
+    if isinstance(scheme.model, str):
+        model = fit_family(data, scheme.model)
+        return Parametric(model), model, model_params(model)
+    return scheme, scheme.model, None
+
+
+def _weights(marginal, times, at_risk) -> np.ndarray:
+    """W at ``times``, whose risk sets hold ``at_risk`` subjects: 1 without a
+    marginal, else the marginal's survival over the at-risk count."""
+    if marginal is None:
+        return np.ones(times.size)
     return np.asarray(marginal.survival(times), dtype=float) / at_risk.astype(float)
-
-
-def _fit_marginal(data: SurvivalDataset, scheme: WeightScheme) -> WeightScheme:
-    """The scheme with a family-named marginal fitted to ``data``; else as is."""
-    if isinstance(scheme, Parametric) and isinstance(scheme.model, str):
-        return Parametric(fit_family(data, scheme.model))
-    return scheme
 
 
 class _Kernel:
@@ -282,45 +292,34 @@ class _Kernel:
         s0 = self.moments(beta[None])[0][0]
         return float((self.z @ beta).sum() - np.log(s0 / self.data.n).sum())
 
-    def andersen_gill(self, v) -> np.ndarray:
-        """Information inverse, (sum_events V)^{-1}, from one row of ``moments``' V."""
-        try:
-            return np.linalg.inv(v.sum(axis=0))
-        except np.linalg.LinAlgError:
-            raise FitError("singular information matrix") from None
-
     def sandwich(self, v, w) -> np.ndarray:
-        """A^{-1} B A^{-1} with one row ``w`` (m,) of W, from V at its beta."""
+        """A^{-1} B A^{-1} with one row ``w`` (m,) of W, from V at its beta:
+        A = sum W V, B = sum W^2 V, so at W = 1 the information inverse."""
         a = (w[:, None, None] * v).sum(axis=0)
         b = ((w**2)[:, None, None] * v).sum(axis=0)
         try:
             a_inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:
-            raise FitError("singular sandwich A matrix") from None
+            raise FitError("singular information matrix") from None
         return a_inv @ b @ a_inv
 
 
 def _scheme_rows(kernel: _Kernel, schemes) -> list:
     """Each scheme's (fitted scheme, theta, W at ``kernel``'s failures), or
-    the ``FitError``/``DataError`` its marginal fit raised. A family-named
-    marginal is fitted once; theta holds its parameters (else None). Every
-    scheme is checked before any fit, whose failure would hide the check."""
-    for scheme in schemes:
-        if kernel.ties == "efron" and not isinstance(scheme, Constant):
-            raise ConfigError("the Efron tie correction applies to constant weights only")
-        if not isinstance(scheme, (Constant, KaplanMeier, Parametric)):
-            raise ConfigError(f"unknown weight scheme {scheme!r}")
+    the ``FitError``/``DataError`` its marginal fit raised. A scheme's
+    marginal is fitted once, by ``_marginal``, after its own checks."""
     data = kernel.data
     times, at_risk = data.time[kernel.ev], data.n - kernel.first
     rows = []
     for scheme in schemes:
+        if kernel.ties == "efron" and not isinstance(scheme, Constant):
+            raise ConfigError("the Efron tie correction applies to constant weights only")
         try:
-            fitted = _fit_marginal(data, scheme)
+            fitted, marginal, theta = _marginal(data, scheme)
         except (FitError, DataError) as exc:
             rows.append(exc)
             continue
-        theta = model_params(fitted.model) if fitted is not scheme else None
-        rows.append((fitted, theta, _weights(data, fitted, times, at_risk)))
+        rows.append((fitted, theta, _weights(marginal, times, at_risk)))
     return rows
 
 
@@ -382,10 +381,10 @@ def variance_andersen_gill(
     """Information-inverse variance of the partial-likelihood estimator.
 
     With I = n^{-1} sum delta_i V(beta, X_i), returns I^{-1}/n, i.e. the
-    variance on the coefficient scale.
+    variance on the coefficient scale, under ``ties``: the W = 1 sandwich.
     """
-    kernel = _Kernel(data, ties)
-    return kernel.andersen_gill(kernel.moments(_beta(beta, data.d)[None])[2][0])
+    kernel, (_, _, w) = _alone(data, Constant(), ties)
+    return kernel.sandwich(kernel.moments(_beta(beta, data.d)[None])[2][0], w)
 
 
 def variance_sandwich(
@@ -419,10 +418,10 @@ def solve_score(
     ties : {'breslow', 'efron'}
         Efron is available for the constant scheme only.
     variance : {'auto', 'none'}
-        'auto' gives constant weights the Andersen-Gill variance under
-        ``ties`` and weighted schemes the sandwich; 'none' skips the
-        variance (NaN). ``variance_andersen_gill`` and ``variance_sandwich``
-        evaluate either at any beta.
+        'auto' gives every scheme the sandwich with its own weights under
+        ``ties``, which at W = 1 is the Andersen-Gill variance; 'none' skips
+        the variance (NaN). ``variance_andersen_gill`` and
+        ``variance_sandwich`` evaluate it at any beta.
 
     Newton stops once the max-norm of the score is below 1e-9; the budget
     is 50 iterations, each allowing up to 20 step halvings. Both are fixed.
@@ -442,8 +441,8 @@ def solve_score(
     Raises
     ------
     FitError
-        Singular Jacobian (collinear or degenerate covariates), or a
-        marginal family that cannot be fitted.
+        Singular Jacobian or information matrix (collinear or degenerate
+        covariates), or a marginal family that cannot be fitted.
     ConvergenceError
         No convergence within 50 iterations.
     """
@@ -469,27 +468,20 @@ def _newton(kernel: _Kernel, w):
     U, J, v = kernel.score(np.zeros((1, kernel.data.d)), w)
     size, d = U.shape
     beta, norm = np.zeros((size, d)), np.abs(U).max(axis=1)
-    root, norms = np.full((size, d), np.nan), np.full(size, np.nan)
     iterations, errors = np.zeros(size, dtype=int), [None] * size
     vs = np.full((size,) + v.shape[1:], np.nan)
-    # a row is recorded when its |U| first falls below _TOL, with the V of
-    # that evaluation: no other V is kept
+    # a row stops moving once its |U| falls below _TOL, so beta and norm
+    # then hold its root; its V is kept from that evaluation, no other is
     done = norm < _TOL
-    root[done], norms[done], vs[done] = beta[done], norm[done], v[0]
+    vs[done] = v[0]
     live = np.flatnonzero(~done)
     for it in range(1, _MAX_ITER + 1):
         if not live.size:
             break
-        try:
-            step = np.linalg.solve(J[live], -U[live, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            # one singular J fails the whole stack; only its own row may fail
-            step, solved = _solve_rows(J[live], U[live])
-            for r in live[~solved]:
-                errors[r] = FitError(
-                    "singular Jacobian: separation or degenerate covariates"
-                )
-            live, step = live[solved], step[solved]
+        step, solved = _solve_rows(J[live], U[live])
+        for r in live[~solved]:
+            errors[r] = FitError("singular Jacobian: separation or degenerate covariates")
+        live, step = live[solved], step[solved]
         # the full step, then up to 20 halvings for the rows whose |U| did not
         # fall, all halved alike, so they share a scale. A trial beta may
         # overflow exp(beta z); its |U| is then inf or NaN, never below the
@@ -509,8 +501,7 @@ def _newton(kernel: _Kernel, w):
             beta[r], U[r], J[r], norm[r] = b[took], u[took], j[took], n[took]
             hit = n < _TOL
             if np.count_nonzero(hit):
-                c = rows[hit]
-                root[c], norms[c], vs[c], iterations[c] = b[hit], n[hit], vb[hit], it
+                vs[rows[hit]], iterations[rows[hit]] = vb[hit], it
             trying = trying[~took]
         for r in live[trying]:
             errors[r] = ConvergenceError("step halving failed to reduce the score")
@@ -521,11 +512,19 @@ def _newton(kernel: _Kernel, w):
         errors[r] = ConvergenceError(
             f"no convergence after {_MAX_ITER} iterations (|U| = {norm[r]:.3g})"
         )
-    return root, iterations, norms, vs, errors
+    failed = [r for r, error in enumerate(errors) if error is not None]
+    beta[failed], norm[failed] = np.nan, np.nan
+    return beta, iterations, norm, vs, errors
 
 
 def _solve_rows(J, U):
-    """(step, solved): Newton steps one row at a time; unsolved where J is singular."""
+    """(step, solved): the Newton steps -J^{-1} U of a stack of rows, and
+    which rows were solved. One singular J fails the stacked solve, so the
+    rows are then solved one at a time and only the singular ones fail."""
+    try:
+        return np.linalg.solve(J, -U[..., None])[..., 0], np.ones(len(U), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
     step = np.full(U.shape, np.nan)
     solved = np.ones(len(U), dtype=bool)
     for r in range(len(U)):
@@ -541,9 +540,9 @@ def _fit(kernel: _Kernel, rows, variance: str = "auto") -> list:
 
     Returns one entry per row: its ``FitResult``, or the ``FitError`` or
     ``DataError`` that solving it alone raises (its marginal fit's, its
-    Newton row's or its variance's). Under ``variance='auto'`` the constant
-    scheme takes the Andersen-Gill variance and a weighted one the sandwich
-    with its own weights; ``'none'`` leaves it NaN.
+    Newton row's or its variance's). Under ``variance='auto'`` every row
+    takes the sandwich with its own weights (Andersen-Gill at W = 1);
+    ``'none'`` leaves it NaN.
     """
     out = list(rows)
     live = [s for s, r in enumerate(rows) if not isinstance(r, Exception)]
@@ -558,8 +557,6 @@ def _fit(kernel: _Kernel, rows, variance: str = "auto") -> list:
         try:
             if variance == "none":
                 var = np.full((d, d), np.nan)
-            elif isinstance(scheme, Constant):
-                var = kernel.andersen_gill(vs[row])
             else:
                 var = kernel.sandwich(vs[row], w[row])
         except FitError as exc:

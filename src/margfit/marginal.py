@@ -313,7 +313,8 @@ def fit_piecewise_exponential(
     """Interval-wise occurrence/exposure MLE of a piecewise-constant hazard.
 
     ``rate_k = events in interval k / person-time at risk in interval k``.
-    With no cuts this is exactly :func:`fit_exponential`.
+    With no cuts this is exactly :func:`fit_exponential`. An interval with
+    no exposure or no failures has no positive rate: a ``FitError``.
     """
     cuts = tuple(float(c) for c in cuts)
     if not cuts:
@@ -330,6 +331,9 @@ def fit_piecewise_exponential(
     if np.any(exposure <= 0):
         k = int(np.argmax(exposure <= 0))
         raise FitError(f"interval {k} has zero exposure")
+    if np.any(deaths == 0):  # its rate's MLE is 0, a survival curve with no fall
+        k = int(np.argmax(deaths == 0))
+        raise FitError(f"interval {k} has exposure but no failures")
     return PiecewiseExponential(cuts=cuts, rates=tuple(deaths / exposure))
 
 

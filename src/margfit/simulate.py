@@ -102,12 +102,6 @@ _PIECE_NODES = 64
 _BLOCK_ROWS = 2048
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass(frozen=True)
 class BetaFunction:
     """Piecewise-constant, right-continuous coefficient path beta(t).
@@ -444,7 +438,7 @@ def generate_dataset(spec: GeneratorSpec, n: int, rng) -> SurvivalDataset:
     """
     if check_integer(n, "n") < 2:
         raise ConfigError("need n >= 2")
-    return next(_datasets(spec, n, [_as_rng(rng)]))
+    return next(_datasets(spec, n, [np.random.default_rng(rng)]))
 
 
 def _mc_survival_times(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
@@ -476,7 +470,7 @@ def calibrate_censoring(
         raise ConfigError("target censoring fraction must be in [0, 1)")
     if isinstance(spec.censoring, NoCensoring):
         raise ConfigError("spec has no censoring family to calibrate")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     t = _mc_survival_times(spec, rng)
     u = rng.random(_N_MC)
     # censored fraction decreases in the uniform upper bound and increases
@@ -675,7 +669,7 @@ def expected_beta(spec: GeneratorSpec, rng=None) -> float:
 
     The draw is of a fixed 200,000 subjects.
     """
-    return float(np.mean(spec.beta(_mc_survival_times(spec, _as_rng(rng)))))
+    return float(np.mean(spec.beta(_mc_survival_times(spec, np.random.default_rng(rng)))))
 
 
 def expected_beta_family(spec: GeneratorSpec) -> float:

@@ -452,6 +452,73 @@ def test_the_jobs_guard_sees_calls_and_tests():
     assert _jobs_defaults(ast.parse(source)) == 4
 
 
+def _callers(tree, names) -> list[str]:
+    """The innermost function around each call in ``tree`` of a function or
+    attribute named in ``names``, a method's as ``Class.method``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "attr", None) or getattr(child.func, "id", None)
+                if callee in names:
+                    found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+_MARGINAL_FITS = {"kaplan_meier", "fit_family"}
+
+
+def test_only_the_marginal_step_fits_a_marginal():
+    """``estimate._marginal`` is the one place a weight scheme's marginal is
+    fitted, so every scheme, W = 1 included, reaches its weights one way."""
+    source = (Path(margfit.__file__).parent / "estimate.py").read_text()
+    assert set(_callers(ast.parse(source), _MARGINAL_FITS)) == {"_marginal"}
+
+
+def test_the_marginal_guard_sees_both_call_forms():
+    source = (
+        "def weights(data, scheme):\n"
+        "    return kaplan_meier(data)\n"
+        "def fitted(data, name):\n"
+        "    return marginal.fit_family(data, name)\n"
+        "def named(name):\n"
+        "    return parse_family(name)\n"
+    )
+    assert _callers(ast.parse(source), _MARGINAL_FITS) == ["weights", "fitted"]
+
+
+def test_only_the_sandwich_inverts_a_matrix():
+    """``_Kernel.sandwich`` is the package's one variance, with the
+    Andersen-Gill variance its W = 1 case, so no other code inverts."""
+    src = Path(margfit.__file__).parent
+    inverters = [
+        f"{path.stem}.{func}"
+        for path in sorted(src.rglob("*.py"))
+        for func in _callers(ast.parse(path.read_text()), {"inv"})
+    ]
+    assert inverters == ["estimate._Kernel.sandwich"]
+
+
+def test_the_inversion_guard_sees_both_call_forms():
+    source = (
+        "class Kernel:\n"
+        "    def sandwich(self, a):\n"
+        "        return np.linalg.inv(a)\n"
+        "def information(v):\n"
+        "    return inv(v.sum(axis=0))\n"
+        "def step(j, u):\n"
+        "    return np.linalg.solve(j, u)\n"
+    )
+    assert _callers(ast.parse(source), {"inv"}) == ["Kernel.sandwich", "information"]
+
+
 def test_importing_the_package_loads_no_scipy(fresh_python):
     """Only the efficiency grid needs SciPy, and it imports it where it runs."""
     code = (

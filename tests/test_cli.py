@@ -137,6 +137,16 @@ class TestExitCodes:
         save_csv(d, p)
         assert main(["fit", str(p)]) == 4
 
+    def test_unfittable_marginal_is_4(self, leukemia_csv, tmp_path, capsys):
+        # pwexp:1's first interval, [0, 1), has exposure but no failures
+        prefix = str(tmp_path / "leuk")
+        for argv in (
+            ["fit", leukemia_csv, "--scheme", "par:pwexp:1"],
+            ["km-export", leukemia_csv, "--family", "pwexp:1", "--out-prefix", prefix],
+        ):
+            assert main(argv) == 4
+            assert "interval 0 has exposure but no failures" in capsys.readouterr().err
+
     def test_malformed_csv_is_3(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,status,z1\noops,1,0\n")

@@ -137,6 +137,10 @@ class TestEventWeights:
     def test_constant_weights_are_one(self, leukemia):
         assert np.array_equal(event_weights(leukemia, Constant()), np.ones(42))
 
+    def test_unknown_scheme_is_refused(self, leukemia):
+        with pytest.raises(ConfigError, match="unknown weight scheme"):
+            event_weights(leukemia, object())
+
     def test_parametric_weights_use_left_limits(self):
         d = make([1.0, 2.0], [1, 1], [[0.0], [1.0]])
         km = kaplan_meier(d)
@@ -214,6 +218,10 @@ class TestSolver:
         d = make([1, 2, 3], [1, 1, 1], [[1.0], [1.0], [1.0]])
         res = solve_score(d, Constant(), variance="none")
         assert res.iterations == 0 and res.beta[0] == 0.0
+        # V = 0, so no scheme's variance exists: each says so alike
+        for scheme in SCHEMES:
+            with pytest.raises(FitError, match="^singular information matrix$"):
+                solve_score(d, scheme)
 
     def test_no_events_rejected(self):
         d = make([1, 2], [0, 0], [[0.0], [1.0]])
@@ -277,6 +285,22 @@ class TestSolver:
         with pytest.raises(ConfigError, match="no failure times are tied"):
             resample_distribution(leukemia, Constant(), n_draws=8, ties="efron")
 
+    def test_unfittable_marginal_raises_before_any_draw(self, leukemia, monkeypatch):
+        # pwexp:1's first interval, [0, 1), has exposure but no failures
+        unfittable = Parametric("pwexp:1")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the marginal fit failed")
+
+        monkeypatch.setattr(resample_module, "_run_draws", no_draw)
+        for call in (
+            lambda: weighted_score(leukemia, unfittable, 0.0),
+            lambda: variance_sandwich(leukemia, unfittable, 0.0),
+            lambda: resample_distribution(leukemia, unfittable, n_draws=8),
+        ):
+            with pytest.raises(FitError, match="interval 0 has exposure but no failures"):
+                call()
+
     def test_result_serialization(self, leukemia):
         res = solve_score(leukemia, Parametric("exponential"))
         d = res.to_dict()
@@ -334,7 +358,7 @@ class TestSchemeRows:
             beta = fits[s].beta
             v = kernel.moments(beta[None])[2][0]
             if variance == "andersen-gill":
-                shared = kernel.andersen_gill(v)
+                shared = kernel.sandwich(v, np.ones(len(v)))
                 alone = variance_andersen_gill(kernel.data, beta)
             else:
                 scheme, _, w = row

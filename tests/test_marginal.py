@@ -321,6 +321,12 @@ class TestPiecewiseFit:
         with pytest.raises(FitError, match="zero exposure"):
             fit_piecewise_exponential(d, cuts=(5.0,))
 
+    def test_interval_without_failures(self):
+        # [1, 2.5) is at risk but its one time is censored: its rate's MLE is 0
+        d = make([0.5, 2.0, 3.0], [1, 0, 1])
+        with pytest.raises(FitError, match="interval 1 has exposure but no failures"):
+            fit_piecewise_exponential(d, cuts=(1.0, 2.5))
+
     def test_bad_cuts(self):
         d = make([1, 2], [1, 1])
         with pytest.raises(DataError):

@@ -1349,7 +1349,7 @@ class TestOracles:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle must not sample or fit")
 
-        samplers = ("_as_rng", "_survival_times", "_datasets", "generate_dataset")
+        samplers = ("_survival_times", "_datasets", "generate_dataset")
         # the study runner's fit entry: one kernel per replication, one fit
         for name in (*samplers, "_Kernel", "_fit"):
             monkeypatch.setattr(f"margfit.simulate.{name}", forbidden)
