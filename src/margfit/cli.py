@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import _write_table, load_csv
 from .efficiency import are_table
-from .errors import ConfigError, ConvergenceError, DataError, FitError
+from .errors import ConfigError, DataError, FitError
 from .estimate import FitResult, _parse_scheme, solve_score
 from .marginal import StepSurvival, fit_family, kaplan_meier, parse_family, save_curve
 from .resample import bootstrap, resample_distribution
@@ -34,15 +34,7 @@ from .simulate import (
     write_results_csv,
 )
 
-__all__ = [
-    "main",
-    "build_parser",
-    "cmd_fit",
-    "cmd_simulate",
-    "cmd_are",
-    "cmd_resample",
-    "cmd_km_export",
-]
+__all__ = ["main"]
 
 _BUNDLED_CONFIGS = ("table1", "table2", "table3")
 
@@ -325,7 +317,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, FitError) as exc:
+    except FitError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
 

@@ -37,8 +37,8 @@ alone; ``_fit`` solves a list of scheme rows in one such call, and
 model-based sandwich A^{-1} B A^{-1} with its scheme's own weights, A =
 sum W V and B = sum W^2 V, under the fit's tie rule (not robust to
 non-proportional hazards). At W = 1, A = B is the information and the
-sandwich is the Andersen-Gill information inverse;
-``variance_andersen_gill`` and ``variance_sandwich`` give it at any beta.
+sandwich is the Andersen-Gill information inverse; ``variance_sandwich``
+gives it at any beta, for any scheme and tie rule.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "score_jacobian",
     "log_partial_likelihood",
     "solve_score",
-    "variance_andersen_gill",
     "variance_sandwich",
 ]
 
@@ -375,30 +374,19 @@ def log_partial_likelihood(
     return _Kernel(data, ties).log_likelihood(_beta(beta, data.d))
 
 
-def variance_andersen_gill(
-    data: SurvivalDataset, beta, *, ties: str = "breslow"
-) -> np.ndarray:
-    """Information-inverse variance of the partial-likelihood estimator.
-
-    With I = n^{-1} sum delta_i V(beta, X_i), returns I^{-1}/n, i.e. the
-    variance on the coefficient scale, under ``ties``: the W = 1 sandwich.
-    """
-    kernel, (_, _, w) = _alone(data, Constant(), ties)
-    return kernel.sandwich(kernel.moments(_beta(beta, data.d)[None])[2][0], w)
-
-
 def variance_sandwich(
-    data: SurvivalDataset, scheme: WeightScheme, beta
+    data: SurvivalDataset, scheme: WeightScheme, beta, *, ties: str = "breslow"
 ) -> np.ndarray:
     """Model-based sandwich variance A^{-1} B A^{-1} / n of a weighted score.
 
-    A = n^{-1} sum delta_i W V, B = n^{-1} sum delta_i W^2 V, with Breslow
-    ties. Invariant to rescaling the weights; equals the Andersen-Gill
-    variance when W = 1. B sums the model's risk-set variance, not score
-    residuals, so it is not robust to non-proportional hazards (for the
-    Lin-Wei variance that is, see ROADMAP.md item 8).
+    A = n^{-1} sum delta_i W V, B = n^{-1} sum delta_i W^2 V, under ``ties``
+    (Efron for the constant scheme only). Invariant to rescaling the
+    weights; at W = 1 it is the Andersen-Gill information inverse. B sums
+    the model's risk-set variance, not score residuals, so it is not robust
+    to non-proportional hazards (for the Lin-Wei variance that is, see
+    ROADMAP.md item 8).
     """
-    kernel, (_, _, w) = _alone(data, scheme)
+    kernel, (_, _, w) = _alone(data, scheme, ties)
     return kernel.sandwich(kernel.moments(_beta(beta, data.d)[None])[2][0], w)
 
 
@@ -420,11 +408,16 @@ def solve_score(
     variance : {'auto', 'none'}
         'auto' gives every scheme the sandwich with its own weights under
         ``ties``, which at W = 1 is the Andersen-Gill variance; 'none' skips
-        the variance (NaN). ``variance_andersen_gill`` and
-        ``variance_sandwich`` evaluate it at any beta.
+        the variance (NaN). ``variance_sandwich`` evaluates it at any beta.
 
     Newton stops once the max-norm of the score is below 1e-9; the budget
     is 50 iterations, each allowing up to 20 step halvings. Both are fixed.
+    A second rule stops a row whose halvings all fail to lower |U| (the
+    score's rounding noise at the root grows with n, so partial likelihood
+    at large n cannot reach 1e-9): it has converged at its current beta if
+    its Jacobian is finite and its Newton step is at the rounding floor,
+    max|step| <= 1e-10 max(1, max|beta|). Such a fit reports a
+    ``final_score_norm`` that may be 1e-9 or more.
     Every check of the arguments runs before any marginal is fitted.
 
     The beta-free state is built once: a Kaplan-Meier curve or a
@@ -444,7 +437,7 @@ def solve_score(
         Singular Jacobian or information matrix (collinear or degenerate
         covariates), or a marginal family that cannot be fitted.
     ConvergenceError
-        No convergence within 50 iterations.
+        No convergence within 50 iterations, or no step halving lowers |U|.
     """
     if variance not in ("auto", "none"):
         raise ConfigError(f"unknown variance rule {variance!r}")
@@ -461,7 +454,8 @@ def _newton(kernel: _Kernel, w):
     ``live`` lists the rows still iterating. Returns (beta (B, d),
     iterations (B,), |U| (B,), V, errors): V (B, m, d, d) holds the
     risk-set variances at each root, kept from the evaluation that
-    converged, which lets the variance skip a pass, and ``errors[b]`` is
+    converged (evaluated again for a row stopped at the rounding floor),
+    which lets the variance skip a pass, and ``errors[b]`` is
     None or the ``FitError`` that stopped row b (whose root, |U| and V are
     then NaN and its iterations 0).
     """
@@ -503,8 +497,21 @@ def _newton(kernel: _Kernel, w):
             if np.count_nonzero(hit):
                 vs[rows[hit]], iterations[rows[hit]] = vb[hit], it
             trying = trying[~took]
-        for r in live[trying]:
-            errors[r] = ConvergenceError("step halving failed to reduce the score")
+        # a row no halving improves has converged if its finite J gives a
+        # step at the rounding floor; its V is evaluated again at its beta.
+        # An overflowed J (inf) gives a zero step far from the root, and fails
+        if trying.size:
+            rows = live[trying]
+            stop = np.isfinite(J[rows]).all(axis=(1, 2)) & (
+                np.abs(step[trying]).max(axis=1)
+                <= 1e-10 * np.maximum(1.0, np.abs(beta[rows]).max(axis=1))
+            )
+            if stop.any():
+                floor = rows[stop]
+                vs[floor] = kernel.score(beta[floor], w[floor])[2]
+                iterations[floor] = it - 1
+            for r in rows[~stop]:
+                errors[r] = ConvergenceError("step halving failed to reduce the score")
         keep = norm[live] >= _TOL
         keep[trying] = False
         live = live[keep]

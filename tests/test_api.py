@@ -519,6 +519,60 @@ def test_the_inversion_guard_sees_both_call_forms():
     assert _callers(ast.parse(source), {"inv"}) == ["Kernel.sandwich", "information"]
 
 
+def _without_ties(functions) -> list[str]:
+    """The names of the functions in ``functions`` that take a ``beta`` but
+    no keyword ``ties`` whose default is Breslow."""
+    missing = []
+    for func in functions:
+        params = inspect.signature(func).parameters
+        ties = params.get("ties")
+        if "beta" in params and (
+            ties is None or ties.kind != ties.KEYWORD_ONLY or ties.default != "breslow"
+        ):
+            missing.append(func.__name__)
+    return missing
+
+
+def test_every_evaluator_at_a_beta_takes_ties():
+    """The public functions that evaluate at a given beta each take the tie
+    rule a fit takes, Breslow by default, so every quantity at a fit's root
+    can be had under its rule."""
+    estimate = _module("estimate")
+    evaluators = [
+        getattr(estimate, attr)
+        for attr in estimate.__all__
+        if inspect.isfunction(getattr(estimate, attr))
+        and "beta" in inspect.signature(getattr(estimate, attr)).parameters
+    ]
+    assert sorted(func.__name__ for func in evaluators) == [
+        "log_partial_likelihood",
+        "score_jacobian",
+        "variance_sandwich",
+        "weighted_score",
+    ]
+    assert _without_ties(evaluators) == []
+
+
+def test_the_ties_guard_sees_a_missing_or_other_rule():
+    def breslow_only(data, scheme, beta):
+        pass
+
+    def efron_default(data, beta, *, ties="efron"):
+        pass
+
+    def positional(data, beta, ties="breslow"):
+        pass
+
+    def evaluator(data, scheme, beta, *, ties="breslow"):
+        pass
+
+    def no_beta(data, scheme):
+        pass
+
+    functions = [breslow_only, efron_default, positional, evaluator, no_beta]
+    assert _without_ties(functions) == ["breslow_only", "efron_default", "positional"]
+
+
 def test_importing_the_package_loads_no_scipy(fresh_python):
     """Only the efficiency grid needs SciPy, and it imports it where it runs."""
     code = (

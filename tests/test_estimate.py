@@ -1,4 +1,4 @@
-"""Score equations, solver, tie handling and the two variance estimators."""
+"""Score equations, solver, tie handling and the sandwich variance."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from margfit import (
     BetaFunction,
     ConfigError,
     Constant,
+    ConvergenceError,
     DataError,
     Exponential,
     FitError,
@@ -30,7 +31,6 @@ from margfit import (
     resample_distribution,
     score_jacobian,
     solve_score,
-    variance_andersen_gill,
     variance_sandwich,
     weighted_score,
 )
@@ -312,6 +312,58 @@ class TestSolver:
         assert json.loads(json.dumps(d)) == d
 
 
+def _shifted(data, shift):
+    return SurvivalDataset(
+        time=data.time, status=data.status, covariates=data.covariates + shift
+    )
+
+
+class TestRoundingFloor:
+    """Newton's second stop: a row no halving improves has converged when
+    its Jacobian is finite and its step is at the rounding floor."""
+
+    def test_partial_likelihood_at_large_n(self):
+        # at W = 1 the score's rounding noise at the root grows with n, here
+        # past the 1e-9 stop; PL is equivariant under z -> 1 - z
+        rng = np.random.default_rng(0)
+        n = 200_000
+        z = rng.binomial(1, 0.5, n).astype(float)
+        t, c = rng.exponential(np.exp(-z)), rng.exponential(1.0, n)
+        time, status = np.minimum(t, c), (t <= c).astype(int)
+        data, reflected = (
+            SurvivalDataset(time=time, status=status, covariates=x[:, None])
+            for x in (z, 1.0 - z)
+        )
+        fit = solve_score(data, Constant())
+        assert abs(fit.beta[0] + solve_score(reflected, Constant()).beta[0]) < 1e-11
+        assert abs(fit.beta[0] - 1.0) < 0.02
+        # the variance is evaluated again at the stopping beta
+        public = variance_sandwich(data, Constant(), fit.beta)
+        assert fit.variance.tobytes() == public.tobytes()
+
+    def test_an_overflowed_jacobian_still_fails(self, leukemia):
+        # shifted by 800, exp(beta z) overflows: J = -inf gives a zero step
+        # far from the root (beta = 1.509), which is no convergence
+        halving = "^step halving failed to reduce the score$"
+        with pytest.raises(ConvergenceError, match=halving):
+            solve_score(_shifted(leukemia, 800.0), Constant())
+
+    def test_shifted_draws_fail_or_equal_the_unshifted(self, leukemia):
+        # PL is invariant to a covariate shift; shifted by 400 some draws
+        # overflow, and fail as they do without the floor rule
+        shifted, failed = _shifted(leukemia, 400.0), 0
+        for b in range(40):
+            want = random_weight_fit(leukemia, Constant(), np.random.default_rng([5, b]))
+            try:
+                got = random_weight_fit(shifted, Constant(), np.random.default_rng([5, b]))
+            except FitError as exc:
+                assert str(exc) == "step halving failed to reduce the score"
+                failed += 1
+            else:
+                assert np.abs(got - want).max() < 1e-11
+        assert 0 < failed < 40
+
+
 class TestSchemeRows:
     """One kernel holds several schemes, fitted as rows of one batched Newton;
     each row ends as its scheme does when solved alone, bit for bit."""
@@ -359,7 +411,7 @@ class TestSchemeRows:
             v = kernel.moments(beta[None])[2][0]
             if variance == "andersen-gill":
                 shared = kernel.sandwich(v, np.ones(len(v)))
-                alone = variance_andersen_gill(kernel.data, beta)
+                alone = variance_sandwich(kernel.data, Constant(), beta)
             else:
                 scheme, _, w = row
                 shared = kernel.sandwich(v, w)
@@ -420,16 +472,14 @@ class TestIterativeMarginalFit:
 
 def _public_variances(data):
     res = solve_score(data, Constant())
-    return (
-        variance_andersen_gill(data, res.beta),
-        variance_sandwich(data, Constant(), res.beta),
-    )
+    return res.variance, variance_sandwich(data, Constant(), res.beta)
 
 
 def _solve_score_efron_variances(data):
     # the fit's variance and the kernel's sandwich follow the Efron tie rule
     ag = solve_score(data, Constant(), ties="efron")
-    assert np.allclose(ag.variance, variance_andersen_gill(data, ag.beta, ties="efron"))
+    public = variance_sandwich(data, Constant(), ag.beta, ties="efron")
+    assert np.allclose(ag.variance, public)
     kernel = estimate_module._Kernel(data, "efron")
     v = kernel.moments(ag.beta[None])[2][0]
     return ag.variance, kernel.sandwich(v, np.ones(data.n_events))
@@ -447,7 +497,9 @@ class TestVariances:
 
     def test_auto_dispatch(self, leukemia):
         res_c = solve_score(leukemia, Constant())
-        assert np.allclose(res_c.variance, variance_andersen_gill(leukemia, res_c.beta))
+        assert np.allclose(
+            res_c.variance, variance_sandwich(leukemia, Constant(), res_c.beta)
+        )
         res_k = solve_score(leukemia, KaplanMeier())
         assert np.allclose(
             res_k.variance, variance_sandwich(leukemia, KaplanMeier(), res_k.beta)
@@ -473,10 +525,7 @@ class TestVariances:
             fit = solve_score(leukemia, scheme, ties=ties, variance=variance)
             passes[variance] = len(calls)
         assert passes["auto"] == passes["none"]
-        if isinstance(scheme, Constant):
-            public = variance_andersen_gill(leukemia, fit.beta, ties=ties)
-        else:
-            public = variance_sandwich(leukemia, scheme, fit.beta)
+        public = variance_sandwich(leukemia, scheme, fit.beta, ties=ties)
         assert np.array_equal(fit.variance, public)
 
     def test_sandwich_invariant_under_weight_scaling(self, censored_sample):
@@ -507,8 +556,8 @@ class TestVariances:
         )
         beta = np.array([0.3])
         assert np.allclose(
-            variance_andersen_gill(d2, beta),
-            variance_andersen_gill(d1, beta) / 2.0,
+            variance_sandwich(d2, Constant(), beta),
+            variance_sandwich(d1, Constant(), beta) / 2.0,
             rtol=1e-10,
         )
         assert np.allclose(
@@ -520,7 +569,7 @@ class TestVariances:
     def test_variances_are_symmetric_psd(self):
         data = random_data(41, n=200, d=3)
         res = solve_score(data, KaplanMeier())
-        for v in (res.variance, variance_andersen_gill(data, res.beta)):
+        for v in (res.variance, variance_sandwich(data, Constant(), res.beta)):
             assert np.allclose(v, v.T)
             assert np.linalg.eigvalsh(v).min() > 0
 

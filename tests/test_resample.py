@@ -350,13 +350,13 @@ class TestSharedKernel:
         assert res.failures == tuple(failures)
         assert np.array_equal(res.draws, np.vstack(want))
 
-    def test_rounding_failures_fall_on_the_same_draws(self, leukemia):
-        # at this covariate scale the score's rounding noise is near the 1e-9
-        # stop: some draws cannot halve |U| below it, the rest converge
+    def test_overflow_failures_fall_on_the_same_draws(self, leukemia):
+        # shifted by 400, exp(beta z) overflows on some draws' Newton steps:
+        # no halving lowers |U| there and J is not finite, the rest converge
         data = SurvivalDataset(
             time=leukemia.time,
             status=leukemia.status,
-            covariates=leukemia.covariates * 1e7,
+            covariates=leukemia.covariates + 400.0,
         )
         n_draws = 2 * _BLOCK_DRAWS + 5
         solve = partial(_random_weight_draws, *kernel_and_weights(data, Constant()))
@@ -395,12 +395,12 @@ class TestSharedKernel:
         assert 0 < failed < 40
 
     def test_more_than_five_percent_failed_draws_abort(self, leukemia):
-        # the rounding failures of test_rounding_failures_fall_on_the_same_draws,
+        # the overflow failures of test_overflow_failures_fall_on_the_same_draws,
         # here on more than 5% of the draws
         data = SurvivalDataset(
             time=leukemia.time,
             status=leukemia.status,
-            covariates=leukemia.covariates * 1e7,
+            covariates=leukemia.covariates + 400.0,
         )
         with pytest.raises(FitError, match=r"/200 resampling draws failed \(> 5%\)"):
             resample_distribution(data, Constant(), n_draws=200, seed=5)
@@ -493,8 +493,9 @@ class TestNewtonRowExits:
     @staticmethod
     def exits(kernel, w, mult, monkeypatch):
         """Each row's exit, once the block's row is checked against that row
-        alone, V's bytes included. A row converged without a halving made one
-        score evaluation per step, after the one at zero."""
+        alone, V's bytes included. A row converged with |U| at or above the
+        stop stopped at the rounding floor; one converged without a halving
+        made one score evaluation per step, after the one at zero."""
         calls = []
         score = _Kernel.score
 
@@ -515,6 +516,8 @@ class TestNewtonRowExits:
             iterations = alone[1][0]
             if err is not None:
                 exits.append(str(err).split(" (")[0])
+            elif alone[2][0] >= margfit.estimate._TOL:
+                exits.append("floor")
             elif iterations == 0:
                 exits.append("root at zero")
             else:
@@ -522,8 +525,9 @@ class TestNewtonRowExits:
         return set(exits)
 
     def test_rounding_scale_block(self, leukemia, monkeypatch):
-        # at this covariate scale some draws halve a step, some fail to
-        # halve |U| below the stop; the zeroed draw's score is 0 at beta = 0
+        # at this covariate scale the score's rounding noise is near the 1e-9
+        # stop: some draws halve a step, some stop at the rounding floor with
+        # |U| above it; the zeroed draw's score is 0 at beta = 0
         data = SurvivalDataset(
             time=leukemia.time,
             status=leukemia.status,
@@ -536,7 +540,7 @@ class TestNewtonRowExits:
             "root at zero",
             "full steps",
             "halved",
-            "step halving failed to reduce the score",
+            "floor",
         }
 
     def test_singular_jacobian_row(self, two_covariate_data, monkeypatch):
