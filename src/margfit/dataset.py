@@ -60,13 +60,16 @@ class SurvivalDataset:
     def __post_init__(self) -> None:
         time = np.asarray(self.time, dtype=float)
         status = np.asarray(self.status)
-        z = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-        if z.shape[0] == 1 and time.size > 1 and z.shape[1] == time.size:
-            z = z.T
+        z = np.asarray(self.covariates, dtype=float)
         if time.ndim != 1 or time.size == 0:
             raise DataError("time must be a nonempty 1-d array")
         if status.shape != time.shape:
             raise DataError("status and time must have the same length")
+        if z.ndim not in (1, 2) or z.shape[-1] == 0:
+            raise DataError(f"covariates must be 1-d or (n, d) with d >= 1, not {z.shape}")
+        z = np.atleast_2d(z)
+        if z.shape[0] == 1 and time.size > 1 and z.shape[1] == time.size:
+            z = z.T
         if z.shape[0] != time.size:
             raise DataError(
                 f"covariate rows ({z.shape[0]}) do not match subject count ({time.size})"

@@ -450,25 +450,22 @@ def _newton(kernel: _Kernel, w):
 
     The rows are solved together, each with its own steps, step halvings,
     iteration count and stopping point; a row's arithmetic is what it would
-    be alone. One state of B rows (beta, U, J, |U|) is updated in place;
-    ``live`` lists the rows still iterating. Returns (beta (B, d),
-    iterations (B,), |U| (B,), V, errors): V (B, m, d, d) holds the
-    risk-set variances at each root, kept from the evaluation that
-    converged (evaluated again for a row stopped at the rounding floor),
-    which lets the variance skip a pass, and ``errors[b]`` is
-    None or the ``FitError`` that stopped row b (whose root, |U| and V are
-    then NaN and its iterations 0).
+    be alone. One record of B rows holds each row's last accepted beta:
+    beta, U, J, |U|, the risk-set V there and the iteration that accepted
+    it (0 at zero); every accepted trial writes all of it, and ``live``
+    lists the rows still iterating. Returns (beta (B, d), iterations (B,),
+    |U| (B,), V, errors): V (B, m, d, d) holds the risk-set variances at
+    each root, from the evaluation that accepted it, which lets the
+    variance skip a pass, and ``errors[b]`` is None or the ``FitError``
+    that stopped row b (whose root, |U| and V are then NaN and its
+    iterations 0).
     """
     U, J, v = kernel.score(np.zeros((1, kernel.data.d)), w)
     size, d = U.shape
     beta, norm = np.zeros((size, d)), np.abs(U).max(axis=1)
     iterations, errors = np.zeros(size, dtype=int), [None] * size
-    vs = np.full((size,) + v.shape[1:], np.nan)
-    # a row stops moving once its |U| falls below _TOL, so beta and norm
-    # then hold its root; its V is kept from that evaluation, no other is
-    done = norm < _TOL
-    vs[done] = v[0]
-    live = np.flatnonzero(~done)
+    vs = np.repeat(v, size, axis=0)
+    live = np.flatnonzero(~(norm < _TOL))  # a NaN |U| stays live, and fails
     for it in range(1, _MAX_ITER + 1):
         if not live.size:
             break
@@ -492,26 +489,19 @@ def _newton(kernel: _Kernel, w):
             n = np.abs(u).max(axis=1)
             took = n < norm[rows]
             r = rows[took]
-            beta[r], U[r], J[r], norm[r] = b[took], u[took], j[took], n[took]
-            hit = n < _TOL
-            if np.count_nonzero(hit):
-                vs[rows[hit]], iterations[rows[hit]] = vb[hit], it
+            beta[r], U[r], J[r], norm[r], vs[r] = b[took], u[took], j[took], n[took], vb[took]
+            iterations[r] = it
             trying = trying[~took]
-        # a row no halving improves has converged if its finite J gives a
-        # step at the rounding floor; its V is evaluated again at its beta.
-        # An overflowed J (inf) gives a zero step far from the root, and fails
-        if trying.size:
-            rows = live[trying]
-            stop = np.isfinite(J[rows]).all(axis=(1, 2)) & (
-                np.abs(step[trying]).max(axis=1)
-                <= 1e-10 * np.maximum(1.0, np.abs(beta[rows]).max(axis=1))
-            )
-            if stop.any():
-                floor = rows[stop]
-                vs[floor] = kernel.score(beta[floor], w[floor])[2]
-                iterations[floor] = it - 1
-            for r in rows[~stop]:
-                errors[r] = ConvergenceError("step halving failed to reduce the score")
+        # a row no halving improves has converged at its recorded beta if
+        # its finite J gives a step at the rounding floor. An overflowed J
+        # (inf) gives a zero step far from the root, and fails
+        rows = live[trying]
+        stop = np.isfinite(J[rows]).all(axis=(1, 2)) & (
+            np.abs(step[trying]).max(axis=1)
+            <= 1e-10 * np.maximum(1.0, np.abs(beta[rows]).max(axis=1))
+        )
+        for r in rows[~stop]:
+            errors[r] = ConvergenceError("step halving failed to reduce the score")
         keep = norm[live] >= _TOL
         keep[trying] = False
         live = live[keep]
@@ -520,7 +510,7 @@ def _newton(kernel: _Kernel, w):
             f"no convergence after {_MAX_ITER} iterations (|U| = {norm[r]:.3g})"
         )
     failed = [r for r, error in enumerate(errors) if error is not None]
-    beta[failed], norm[failed] = np.nan, np.nan
+    beta[failed], norm[failed], vs[failed], iterations[failed] = np.nan, np.nan, np.nan, 0
     return beta, iterations, norm, vs, errors
 
 

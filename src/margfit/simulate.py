@@ -603,16 +603,13 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     """
     check_jobs(jobs)
     spec = config.spec
-    if config.target_censoring > 0.0:
-        param = calibrate_censoring(
-            spec,
-            config.target_censoring,
-            rng=np.random.default_rng([config.seed, _CALIBRATION_STREAM]),
-        )
-        spec = replace(spec, censoring=type(spec.censoring)(param))
-    else:
-        param = None
-        spec = replace(spec, censoring=NoCensoring())
+    param = calibrate_censoring(
+        spec,
+        config.target_censoring,
+        rng=np.random.default_rng([config.seed, _CALIBRATION_STREAM]),
+    )
+    law = NoCensoring() if param is None else type(spec.censoring)(param)
+    spec = replace(spec, censoring=law)
 
     names = ["pl", "km"] + [f"par:{fid}" for fid in config.families_to_fit]
     estimators = {name: _parse_scheme(name) for name in names}

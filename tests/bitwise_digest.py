@@ -1,0 +1,251 @@
+"""Print one sha256 per group of margfit outputs, to check a change keeps bits.
+
+    python tests/bitwise_digest.py [group ...]
+
+Run it on two checkouts and compare the lines: a group whose digest is the
+same at both produced the same bytes. It pins nothing and pytest does not
+collect it. The groups:
+
+* ``fits``: ``solve_score`` on Freireich and on a tied two-covariate set,
+  for every scheme form (pl, km, the three families, a curve file), under
+  both tie rules where allowed: beta, variance, iterations, |U|, theta.
+* ``studies``: ``run_study`` on every bundled table1-3 cell at 20
+  replications and n = 300, serially and at the default ``jobs``.
+* ``oracles``: ``beta_star_oracle`` under both weightings and
+  ``calibrate_censoring`` for every censored cell.
+* ``resamples``: ``resample_distribution``, ``bootstrap`` and
+  ``random_weight_fit`` draws.
+* ``benchmark``: every output ``perfbench/reference.json`` pins, at the
+  benchmark's own seed and sizes.
+* ``floor``: Newton rows that stop at the rounding floor (Freireich with
+  covariates x 1e7, partial likelihood at n = 200,000), V included.
+* ``overflow``: rows whose exp(beta z) overflows (covariates + 400 and
+  + 800), which fail.
+
+It takes about ten seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True
+
+import margfit as mf  # noqa: E402
+from margfit.estimate import _Kernel, _newton, _scheme_rows  # noqa: E402
+from margfit.resample import _event_multipliers  # noqa: E402
+
+TABLES = [ROOT / "src" / "margfit" / "data" / f"table{k}.json" for k in (1, 2, 3)]
+CALIBRATION_STREAM = 1 << 32  # run_study's calibration substream
+
+
+def feed(h, x) -> int:
+    """Hash ``x``'s type, shape and bytes into ``h``; returns the items fed."""
+    if isinstance(x, dict):
+        return sum(feed(h, k) + feed(h, x[k]) for k in sorted(x, key=str))
+    if isinstance(x, (list, tuple)):
+        h.update(b"[%d" % len(x))
+        return sum(feed(h, v) for v in x)
+    if isinstance(x, Exception):
+        return feed(h, (type(x).__name__, str(x)))
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        fields = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+        return feed(h, (type(x).__name__, fields))
+    if x is None or isinstance(x, (str, bool)):
+        h.update(repr(x).encode())
+        return 1
+    a = np.ascontiguousarray(x)
+    if a.dtype == object:
+        raise TypeError(f"cannot hash {type(x).__name__}")
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return max(a.size, 1)
+
+
+def outcome(call, *args, **kwargs):
+    """``call``'s result, or the ``MargfitError`` it raised."""
+    try:
+        return call(*args, **kwargs)
+    except mf.MargfitError as exc:
+        return exc
+
+
+def datasets():
+    """Freireich, and 120 subjects with two covariates and heavily tied times."""
+    rng = np.random.default_rng(3)
+    n = 120
+    z = np.column_stack([rng.binomial(1, 0.5, n), rng.normal(size=n)])
+    t = rng.exponential(np.exp(-(0.7 * z[:, 0] - 0.4 * z[:, 1])))
+    c = rng.exponential(1.5, n)
+    tied = mf.SurvivalDataset(
+        time=np.round(np.minimum(t, c), 1) + 0.1,
+        status=(t <= c).astype(int),
+        covariates=z,
+    )
+    return {"freireich": mf.freireich(), "tied": tied}
+
+
+def scaled(data, scale=1.0, shift=0.0):
+    return mf.SurvivalDataset(
+        time=data.time, status=data.status, covariates=data.covariates * scale + shift
+    )
+
+
+def group_fits():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in datasets().items():
+            curve = Path(tmp) / f"{name}.csv"
+            mf.save_curve(mf.kaplan_meier(data), curve)
+            specs = ["pl", "km", "par:exponential", "par:weibull", "par:pwexp:5,10"]
+            for label, spec in [(s, s) for s in specs] + [("curve", f"curve:{curve}")]:
+                scheme = mf.estimate._parse_scheme(spec)
+                for ties in ("breslow", "efron") if spec == "pl" else ("breslow",):
+                    fit = outcome(mf.solve_score, data, scheme, ties=ties)
+                    out[f"{name}/{label}/{ties}"] = fit
+    return out
+
+
+def cells():
+    for path in TABLES:
+        for cfg in mf.load_study_config(path):
+            yield path.stem, dataclasses.replace(cfg, reps=20, n=300)
+
+
+def group_studies():
+    out = {}
+    for table, cfg in cells():
+        for jobs in (1, None):
+            res = outcome(mf.run_study, cfg, jobs=jobs)
+            if not isinstance(res, Exception):
+                res = dataclasses.replace(res, config=None)
+            out[f"{table}/{cfg.label}@{cfg.target_censoring}/jobs={jobs}"] = res
+    return out
+
+
+def group_oracles():
+    out = {}
+    for table, cfg in cells():
+        key = f"{table}/{cfg.label}@{cfg.target_censoring}"
+        spec = cfg.spec
+        if cfg.target_censoring > 0:
+            rng = np.random.default_rng([cfg.seed, CALIBRATION_STREAM])
+            param = outcome(mf.calibrate_censoring, spec, cfg.target_censoring, rng=rng)
+            out[key + "/calibrate"] = param
+            if not isinstance(param, Exception):
+                spec = dataclasses.replace(spec, censoring=type(spec.censoring)(param))
+        for weighting in ("failure", "risk"):
+            out[f"{key}/{weighting}"] = outcome(mf.beta_star_oracle, spec, weighting)
+    return out
+
+
+def group_resamples():
+    out = {}
+    data = datasets()
+    for name, d in data.items():
+        for spec in ("pl", "km", "par:exponential"):
+            scheme = mf.estimate._parse_scheme(spec)
+            out[f"{name}/{spec}/random"] = outcome(
+                mf.resample_distribution, d, scheme, 200, 1, jobs=1
+            )
+            out[f"{name}/{spec}/bootstrap"] = outcome(mf.bootstrap, d, scheme, 60, 2, jobs=1)
+            out[f"{name}/{spec}/one"] = [
+                outcome(mf.random_weight_fit, d, scheme, np.random.default_rng([7, b]))
+                for b in range(10)
+            ]
+        out[f"{name}/pl/bootstrap/efron"] = outcome(
+            mf.bootstrap, d, mf.Constant(), 60, 3, ties="efron", jobs=1
+        )
+    out["freireich/pl/random/jobs=2"] = outcome(
+        mf.resample_distribution, data["freireich"], mf.Constant(), 200, 1, jobs=2
+    )
+    return out
+
+
+def group_benchmark():
+    import workloads
+
+    return {
+        name: wl.summary(wl.call(wl.setup(workloads.DEFAULT_SEED, workloads.FULL)))
+        for name, wl in workloads.WORKLOADS.items()
+    }
+
+
+def newton_block(data, scheme, n_draws, seed):
+    """``_newton``'s full output on a block of random-weight draws of ``data``."""
+    kernel = _Kernel(data, "breslow")
+    [(_, _, w)] = _scheme_rows(kernel, [scheme])
+    m = kernel.ev.size
+    rngs = [np.random.default_rng([seed, b]) for b in range(n_draws)]
+    e = np.array([rng.exponential(size=m) for rng in rngs])
+    return _newton(kernel, w * _event_multipliers(e, m))
+
+
+def draws(data, n_draws=40, seed=5):
+    return [
+        outcome(mf.random_weight_fit, data, mf.Constant(), np.random.default_rng([seed, b]))
+        for b in range(n_draws)
+    ]
+
+
+def group_floor():
+    leukemia = scaled(mf.freireich(), scale=1e7)
+    rng = np.random.default_rng(0)
+    n = 200_000
+    z = rng.binomial(1, 0.5, n).astype(float)
+    t, c = rng.exponential(np.exp(-z)), rng.exponential(1.0, n)
+    large = mf.SurvivalDataset(
+        time=np.minimum(t, c), status=(t <= c).astype(int), covariates=z
+    )
+    return {
+        "block": newton_block(leukemia, mf.Constant(), 16, 5),
+        "fit": outcome(mf.solve_score, leukemia, mf.Constant()),
+        "draws": draws(leukemia),
+        "pl_200000": outcome(mf.solve_score, large, mf.Constant()),
+    }
+
+
+def group_overflow():
+    leukemia = mf.freireich()
+    return {
+        "block+400": newton_block(scaled(leukemia, shift=400.0), mf.Constant(), 16, 5),
+        "draws+400": draws(scaled(leukemia, shift=400.0)),
+        "fit+800": outcome(mf.solve_score, scaled(leukemia, shift=800.0), mf.Constant()),
+        "fit+400": outcome(mf.solve_score, scaled(leukemia, shift=400.0), mf.Constant()),
+    }
+
+
+GROUPS = {
+    "fits": group_fits,
+    "studies": group_studies,
+    "oracles": group_oracles,
+    "resamples": group_resamples,
+    "benchmark": group_benchmark,
+    "floor": group_floor,
+    "overflow": group_overflow,
+}
+
+
+def main(argv) -> int:
+    names = argv or list(GROUPS)
+    unknown = sorted(set(names) - set(GROUPS))
+    if unknown:
+        print(f"unknown group(s) {unknown}; choose from {sorted(GROUPS)}", file=sys.stderr)
+        return 2
+    for name in names:
+        h = hashlib.sha256()
+        count = feed(h, GROUPS[name]())
+        print(f"{name:<10} {h.hexdigest()}  ({count} items)", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -54,6 +54,8 @@ class TestConstruction:
             ([1, 2], [1, 1], [[0]], "covariate rows"),
             ([1, 2], [1, 1], [[0], [np.nan]], "covariates must be finite"),
             ([0, 2], [1, 1], [[0], [0]], "zero-time events"),
+            ([1, 2], [1, 1], np.empty((2, 0)), "with d >= 1"),
+            ([1, 2], [1, 1], np.zeros((2, 1, 1)), "with d >= 1"),
         ],
     )
     def test_validation_errors(self, time, status, z, msg):

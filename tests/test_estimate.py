@@ -337,7 +337,7 @@ class TestRoundingFloor:
         fit = solve_score(data, Constant())
         assert abs(fit.beta[0] + solve_score(reflected, Constant()).beta[0]) < 1e-11
         assert abs(fit.beta[0] - 1.0) < 0.02
-        # the variance is evaluated again at the stopping beta
+        # the variance comes from the V kept where the row stopped
         public = variance_sandwich(data, Constant(), fit.beta)
         assert fit.variance.tobytes() == public.tobytes()
 

@@ -493,7 +493,8 @@ class TestNewtonRowExits:
     @staticmethod
     def exits(kernel, w, mult, monkeypatch):
         """Each row's exit, once the block's row is checked against that row
-        alone, V's bytes included. A row converged with |U| at or above the
+        alone, V's bytes included. A failed row's root, |U| and V are NaN and
+        its iteration count 0. A row converged with |U| at or above the
         stop stopped at the rounding floor; one converged without a halving
         made one score evaluation per step, after the one at zero."""
         calls = []
@@ -515,6 +516,9 @@ class TestNewtonRowExits:
             assert (type(err), str(err)) == (type(want), str(want))
             iterations = alone[1][0]
             if err is not None:
+                assert iterations == 0
+                for got in (block[0], block[2], block[3]):
+                    assert np.isnan(got[b]).all()
                 exits.append(str(err).split(" (")[0])
             elif alone[2][0] >= margfit.estimate._TOL:
                 exits.append("floor")
@@ -560,6 +564,19 @@ class TestNewtonRowExits:
             "full steps",
             "singular Jacobian: separation or degenerate covariates",
         }
+
+    def test_halving_failure_row(self, leukemia, monkeypatch):
+        # shifted by 400, exp(beta z) overflows on some draws: their Jacobian
+        # is infinite, and no halving lowers |U|
+        data = SurvivalDataset(
+            time=leukemia.time,
+            status=leukemia.status,
+            covariates=leukemia.covariates + 400.0,
+        )
+        kernel, w = kernel_and_weights(data, Constant())
+        assert self.exits(
+            kernel, w, self.block_multipliers(kernel, 16, 5), monkeypatch
+        ) == {"full steps", "step halving failed to reduce the score"}
 
     def test_iteration_budget_row(self, leukemia, monkeypatch):
         monkeypatch.setattr(margfit.estimate, "_MAX_ITER", 3)
