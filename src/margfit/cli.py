@@ -23,8 +23,10 @@ import numpy as np
 from .dataset import _write_table, load_csv
 from .efficiency import are_table
 from .errors import ConfigError, DataError, FitError
-from .estimate import FitResult, _parse_scheme, solve_score
-from .marginal import StepSurvival, fit_family, kaplan_meier, parse_family, save_curve
+from .estimate import _SCHEMES, FitResult, _parse_scheme, solve_score
+from .marginal import (
+    _FAMILY_NAMES, StepSurvival, fit_family, kaplan_meier, parse_family, save_curve
+)
 from .resample import bootstrap, resample_distribution
 from .simulate import (
     _estimator_names,
@@ -215,36 +217,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="fit one dataset with one weighting scheme")
-    p.add_argument("csv", help="dataset CSV with columns time,status,z1[,z2,...]")
-    p.add_argument(
-        "--scheme",
-        default="pl",
-        help="pl | km | par:exponential | par:weibull | "
-        "par:pwexp:cut1,cut2,... | curve:FILE (default pl)",
-    )
-    p.add_argument(
+    # the options two or more subcommands share, each declared once
+    csv = argparse.ArgumentParser(add_help=False)
+    csv.add_argument("csv", help="dataset CSV with columns time,status,z1[,z2,...]")
+    scheme = argparse.ArgumentParser(add_help=False)
+    scheme.add_argument("--scheme", default="pl", help=f"{_SCHEMES} (default pl)")
+    scheme.add_argument(
         "--ties",
         default="breslow",
         choices=("breslow", "efron"),
-        help="tie handling (efron: constant weights only)",
+        help="tie handling (efron: constant weights only, and under random "
+        "weights no tied failure times)",
+    )
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs",
+        type=int,
+        help="parallel workers (default one per available CPU where processes "
+        "fork, else 1; serial below 32 replications or draws)",
+    )
+
+    p = sub.add_parser(
+        "fit", parents=[csv, scheme], help="fit one dataset with one weighting scheme"
     )
     p.add_argument("--out", help="write the fit as JSON to this path")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("simulate", help="run a study config (path or bundled name)")
+    p = sub.add_parser(
+        "simulate", parents=[jobs], help="run a study config (path or bundled name)"
+    )
     p.add_argument(
         "config",
         help=f"config JSON path or bundled name ({', '.join(_BUNDLED_CONFIGS)})",
     )
     p.add_argument("--out-dir", default=".", help="output directory (default .)")
     p.add_argument("--seed", type=int, help="override the config's seed")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        help="parallel workers (default one per available CPU where processes "
-        "fork, else 1; serial below 32 reps)",
-    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("are", help="asymptotic relative efficiency grid")
@@ -263,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_are)
 
     p = sub.add_parser(
-        "resample", help="random-weight or bootstrap resampling distribution"
+        "resample",
+        parents=[csv, scheme, jobs],
+        help="random-weight or bootstrap resampling distribution",
     )
-    p.add_argument("csv", help="dataset CSV")
-    p.add_argument("--scheme", default="pl", help="as in fit (default pl)")
     p.add_argument(
         "--method",
         default="weights",
@@ -277,28 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
         "-B", "--draws", type=int, default=1000, help="number of draws (default 1000)"
     )
     p.add_argument("--seed", type=int, help="RNG seed (generated and printed if absent)")
-    p.add_argument(
-        "--ties", default="breslow", choices=("breslow", "efron"), help="tie handling"
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        help="parallel workers (default one per available CPU where processes "
-        "fork, else 1; serial below 32 draws)",
-    )
     p.add_argument("--out", help="write draws CSV (one column per coefficient)")
     p.set_defaults(func=cmd_resample)
 
-    p = sub.add_parser("km-export", help="export survival curves for plotting")
-    p.add_argument("csv", help="dataset CSV")
-    p.add_argument(
-        "--family",
-        help="also export a fitted parametric curve: exponential | weibull "
-        "| pwexp:cut1,cut2,...",
+    p = sub.add_parser(
+        "km-export", parents=[csv], help="export survival curves for plotting"
     )
     p.add_argument(
-        "--out-prefix", help="output file prefix (default: the CSV's stem)"
+        "--family", help=f"also export a fitted parametric curve: {_FAMILY_NAMES}"
     )
+    p.add_argument("--out-prefix", help="output file prefix (default: the CSV's stem)")
     p.set_defaults(func=cmd_km_export)
     return parser
 

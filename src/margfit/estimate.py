@@ -51,6 +51,7 @@ import numpy as np
 from .dataset import SurvivalDataset, _risk_set_index, _risk_set_sums
 from .errors import ConfigError, ConvergenceError, DataError, FitError
 from .marginal import (
+    _FAMILY_NAMES,
     MarginalModel,
     fit_family,
     kaplan_meier,
@@ -99,9 +100,9 @@ class KaplanMeier:
 class Parametric:
     """Marginal-model weights S_model(t) / (n S0(0, t)).
 
-    ``model`` is either a marginal model, supplied and used as given, or a
-    family name ``exponential | weibull | pwexp[:c1,c2,...]``, fitted to
-    whatever dataset the scheme is solved on (so refit per bootstrap draw).
+    ``model`` is a marginal model (any object with ``survival(t)``), used as
+    given, or a family name as ``parse_family`` reads it, fitted to whatever
+    dataset the scheme is solved on (so refit per bootstrap draw).
     """
 
     model: MarginalModel | str
@@ -109,6 +110,8 @@ class Parametric:
     def __post_init__(self) -> None:
         if isinstance(self.model, str):
             parse_family(self.model)
+        elif not callable(getattr(self.model, "survival", None)):
+            raise ConfigError(f"not a family name or a marginal model: {self.model!r}")
 
     def describe(self) -> str:
         if isinstance(self.model, str):
@@ -119,14 +122,17 @@ class Parametric:
 WeightScheme = Union[Constant, KaplanMeier, Parametric]
 
 
+# the scheme strings _parse_scheme reads, as its error and the CLI's help spell them
+_SCHEMES = f"pl | km | par:FAMILY | curve:FILE, FAMILY one of {_FAMILY_NAMES}"
+
+
 def _parse_scheme(spec: str) -> WeightScheme:
-    """Scheme string ``pl | km | par:<family> | curve:FILE`` -> WeightScheme.
+    """A scheme string, one of ``_SCHEMES`` -> WeightScheme.
 
     The package's one scheme grammar, read by the CLI and by the study
-    runner's estimator names. ``par:<family>`` names a parametric family
-    (exponential, weibull or pwexp[:cut1,cut2,...]) that is fitted to the
-    data the scheme is solved on; ``curve:FILE`` supplies an external
-    survival curve as given.
+    runner's estimator names. ``par:FAMILY`` names a parametric family that
+    is fitted to the data the scheme is solved on; ``curve:FILE`` supplies
+    an external survival curve as given.
     """
     if spec == "pl":
         return Constant()
@@ -136,10 +142,7 @@ def _parse_scheme(spec: str) -> WeightScheme:
         return Parametric(spec[len("par:") :])
     if spec.startswith("curve:"):
         return Parametric(load_external_curve(spec[len("curve:") :]))
-    raise ConfigError(
-        f"unknown scheme {spec!r}; expected pl, km, par:exponential, "
-        "par:weibull, par:pwexp:cut1,cut2,..., or curve:FILE"
-    )
+    raise ConfigError(f"unknown scheme {spec!r}; expected {_SCHEMES}")
 
 
 @dataclass(frozen=True)

@@ -337,8 +337,12 @@ def fit_piecewise_exponential(
     return PiecewiseExponential(cuts=cuts, rates=tuple(deaths / exposure))
 
 
+# the family names parse_family reads, as its error and the CLI's help spell them
+_FAMILY_NAMES = "exponential | weibull | pwexp[:cut1,cut2,...]"
+
+
 def parse_family(name: str) -> tuple[str, tuple[float, ...]]:
-    """'exponential' | 'weibull' | 'pwexp[:c1,c2,...]' -> (family, cuts).
+    """A family name, one of ``_FAMILY_NAMES`` -> (family, cuts).
 
     Bare 'pwexp' has no cuts, i.e. the exponential. Cuts must be finite,
     positive and strictly ascending.
@@ -346,10 +350,7 @@ def parse_family(name: str) -> tuple[str, tuple[float, ...]]:
     if name in _FAMILIES:
         return name, ()
     if not name.startswith("pwexp:"):
-        raise ConfigError(
-            f"unknown parametric family {name!r}; expected exponential, "
-            "weibull, or pwexp[:cut1,cut2,...]"
-        )
+        raise ConfigError(f"unknown parametric family {name!r}; expected {_FAMILY_NAMES}")
     try:
         cuts = tuple(float(x) for x in name[len("pwexp:") :].split(","))
     except ValueError:

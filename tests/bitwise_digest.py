@@ -21,14 +21,23 @@ collect it. The groups:
   covariates x 1e7, partial likelihood at n = 200,000), V included.
 * ``overflow``: rows whose exp(beta z) overflows (covariates + 400 and
   + 800), which fail.
+* ``cli``: ``margfit.cli.main`` run in-process on Freireich: ``fit`` under
+  every scheme form, ``resample`` by both methods, ``km-export``, a one-cell
+  ``are`` grid and ``simulate`` on a small study document; each run's exit
+  code, stdout and written files, with the temporary directory replaced by
+  ``<tmp>``. Three failing runs (a bad scheme, a missing file, KM under
+  Efron ties) give their exit codes alone.
 
 It takes about ten seconds on two cores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True
 
 import margfit as mf  # noqa: E402
+from margfit.cli import main as cli_main  # noqa: E402
 from margfit.estimate import _Kernel, _newton, _scheme_rows  # noqa: E402
 from margfit.resample import _event_multipliers  # noqa: E402
 
@@ -223,6 +233,76 @@ def group_overflow():
     }
 
 
+# a small study document for ``margfit simulate``: one cell at two
+# censoring levels, at a size that runs in a second
+CLI_STUDY = {
+    "label": "cli-digest",
+    "baseline": {"family": "exponential", "rate": 2.0, "role": "marginal"},
+    "beta": {"changepoints": [0.2], "values": [1.0, 0.0]},
+    "covariate": {"kind": "uniform01"},
+    "censoring_family": "uniform",
+    "target_censoring": [0.0, 0.3],
+    "n": 200,
+    "reps": 40,
+    "seed": 11,
+    "families_to_fit": ["exponential", "weibull"],
+}
+
+
+def cli_run(tmp: Path, argv: list) -> tuple:
+    """(exit code, stdout, files written) of one in-process ``margfit`` run,
+    with ``tmp`` written as ``<tmp>``; a failing run gives its code alone."""
+    before = set(tmp.rglob("*"))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main([str(a) for a in argv])
+    if code != 0:
+        return (code,)
+    written = {
+        str(p.relative_to(tmp)): p.read_text(encoding="utf-8").replace(str(tmp), "<tmp>")
+        for p in sorted(set(tmp.rglob("*")) - before)
+        if p.is_file()
+    }
+    return code, stdout.getvalue().replace(str(tmp), "<tmp>"), written
+
+
+def group_cli():
+    out = {}
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        data = tmp / "freireich.csv"
+        mf.save_csv(mf.freireich(), data)
+        curve = tmp / "curve.csv"
+        mf.save_curve(mf.kaplan_meier(mf.freireich()), curve)
+        study = tmp / "study.json"
+        study.write_text(json.dumps(CLI_STUDY), encoding="utf-8")
+        specs = ["pl", "km", "par:exponential", "par:weibull", "par:pwexp:5,10"]
+        for k, spec in enumerate(specs + [f"curve:{curve}"]):
+            argv = ["fit", data, "--scheme", spec, "--out", tmp / f"fit{k}.json"]
+            out[f"fit/{k}"] = cli_run(tmp, argv)
+        out["fit/pl/efron"] = cli_run(
+            tmp, ["fit", data, "--ties", "efron", "--out", tmp / "fit_efron.json"]
+        )
+        for method in ("weights", "bootstrap"):
+            for spec in ("pl", "km"):
+                argv = ["resample", data, "--scheme", spec, "--method", method]
+                argv += ["-B", 100, "--seed", 7, "--out", tmp / f"{method}_{spec}.csv"]
+                out[f"resample/{method}/{spec}"] = cli_run(tmp, argv)
+        out["km-export"] = cli_run(
+            tmp, ["km-export", data, "--family", "weibull", "--out-prefix", tmp / "km"]
+        )
+        argv = ["are", "--beta0", "1", "--tc", "1", "--p", "0.5", "--out", tmp / "are.csv"]
+        out["are"] = cli_run(tmp, argv)
+        argv = ["simulate", study, "--seed", 3, "--out-dir", tmp / "study"]
+        out["simulate"] = cli_run(tmp, argv)
+        out["error/scheme"] = cli_run(tmp, ["fit", data, "--scheme", "mystery"])
+        out["error/missing"] = cli_run(tmp, ["fit", tmp / "missing.csv"])
+        out["error/km-efron"] = cli_run(
+            tmp, ["fit", data, "--scheme", "km", "--ties", "efron"]
+        )
+    return out
+
+
 GROUPS = {
     "fits": group_fits,
     "studies": group_studies,
@@ -231,6 +311,7 @@ GROUPS = {
     "benchmark": group_benchmark,
     "floor": group_floor,
     "overflow": group_overflow,
+    "cli": group_cli,
 }
 
 

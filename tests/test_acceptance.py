@@ -129,7 +129,7 @@ def _risk_sets(b1, change, censoring):
     Before the change, S(t|z) = exp(-L e^{b1 z}) with L solved (by bisection
     on log L) from E_Z[exp(-L e^{b1 Z})] = exp(-2t). After it the hazard no
     longer depends on z, so the risk set keeps the profile it had at the
-    change. Returns (w, at_risk, beta0, tilted), where tilted(beta) gives the
+    change. Returns (t, w, at_risk, beta0, tilted), where tilted(beta) gives the
     beta-tilted mean and variance of Z over the risk set at each node.
     """
     t, w, at_risk = _failure_nodes(censoring, change)
@@ -149,19 +149,31 @@ def _risk_sets(b1, change, censoring):
         e = k @ z / s0
         return e, k @ (z * z) / s0 - e * e
 
-    return w, at_risk, np.where(t < change, b1, 0.0), tilted
+    return t, w, at_risk, np.where(t < change, b1, 0.0), tilted
 
 
-def _score_limit(b1, change, censoring):
-    """Root in beta of  int P(C >= t) {e(beta0(t), t) - e(beta, t)} dF(t) = 0.
+def _score_limit(b1, change, censoring, n=None, weighting="pl"):
+    """Root in beta of  int a(t) c_n(t) {e(beta0(t), t) - e(beta, t)} dF(t) = 0.
 
-    This is the limit of the partial-likelihood estimate under the given
-    censoring (Struthers & Kalbfleisch 1986). With ``censoring=None`` it is
-    the censoring-free equation, the target beta* of the weighted estimators.
+    Under ``weighting="pl"``, a(t) = P(C >= t), and with no ``n`` the root is
+    the limit of the partial-likelihood estimate under the given censoring
+    (Struthers & Kalbfleisch 1986). Under ``weighting="marginal"``, a(t) = 1:
+    the weights of the weighted estimators undo the censoring, and with no
+    ``n`` the root is their censoring-free target beta* (as is the PL limit
+    at ``censoring=None``). Given ``n``, c_n(t) = max(0, 1 - 1/Y(t)) with
+    Y(t) = n P(T >= t) P(C >= t), the expected risk-set size: a failure's
+    risk-set mean includes the failing subject, so it carries (Y - 1)/Y of
+    its population score term, and no failure is seen where less than one
+    subject is expected at risk. The root is then the finite-n prediction
+    of the estimate's mean. With no ``n``, c_n = 1.
     """
-    w, at_risk, beta0, tilted = _risk_sets(b1, change, censoring)
+    t, w, at_risk, beta0, tilted = _risk_sets(b1, change, censoring)
+    a = at_risk if weighting == "pl" else np.ones_like(at_risk)
+    if n is not None:
+        size = n * np.exp(-MARGINAL_RATE * t) * at_risk
+        a = a * (1.0 - 1.0 / np.maximum(size, 1.0))  # max(0, 1 - 1/Y), Y = 0 too
     e0 = tilted(beta0)[0]
-    return brentq(lambda b: float((w * at_risk) @ (e0 - tilted(b)[0])), -10.0, 10.0)
+    return brentq(lambda b: float((w * a) @ (e0 - tilted(b)[0])), -10.0, 10.0)
 
 
 def _helper_faults(b1, censoring):
@@ -189,7 +201,7 @@ def _helper_faults(b1, censoring):
 
 def _pl_sd(beta, n):
     """Asymptotic SD 1/sqrt(n int v(beta, t) dF(t)) of PL, uncensored, beta fixed."""
-    w, _, _, tilted = _risk_sets(beta, np.inf, None)
+    _, w, _, _, tilted = _risk_sets(beta, np.inf, None)
     return 1.0 / np.sqrt(n * float(w @ tilted(beta)[1]))
 
 
@@ -360,6 +372,56 @@ def test_criterion_4_changepoint_exponential_table(table3_run, report):
             "beta* by O(n^-1/2) (see README)"
         )
     report(4, "change-point study, exponential censoring", failures)
+
+
+def _prediction_faults():
+    """Known answers that the finite-n prediction must give, as failures.
+
+    With no ``n`` the marginal weighting ignores the censoring, so it gives
+    beta* as ``censoring=None`` does; and a constant coefficient is its own
+    prediction under either weighting, at any ``n`` and censoring.
+    """
+    faults = []
+    for b1, censoring in ((1.0, ("uniform", 0.8)), (3.0, ("exponential", 2.0))):
+        marginal = _score_limit(b1, 0.2, censoring, weighting="marginal")
+        if abs(marginal - _score_limit(b1, 0.2, None)) > 1e-9:
+            faults.append(f"prediction helper: {censoring} marginal limit is not beta*")
+        for weighting in ("pl", "marginal"):
+            own = _score_limit(b1, np.inf, censoring, n=1500, weighting=weighting)
+            if abs(own - b1) > 1e-6:
+                faults.append(
+                    f"prediction helper: constant beta={b1} {weighting} prediction "
+                    f"{own:.6f} under {censoring}"
+                )
+    return faults
+
+
+def test_study_means_match_their_finite_n_prediction(table1_run, table2_run, table3_run):
+    """Every simulated mean lies within 3.5 standard errors of its finite-n
+    prediction, ``_score_limit`` at the study's n: PL weighted by P(C >= t),
+    the KM- and parametric-weighted estimators by 1."""
+    failures = _prediction_faults()
+    cells = [(1.0, np.inf, "uniform", lvl, res) for lvl, res in table1_run[0].items()]
+    cells += [(1.0, 0.2, "uniform", lvl, res) for lvl, res in table2_run.items()]
+    cells += [(3.0, 0.2, "exponential", 0.5, table3_run)]
+    for b1, change, kind, level, res in cells:
+        if level == 0.0:
+            censoring = None
+        elif kind == "uniform":
+            censoring = ("uniform", _uniform_upper(level))
+        else:  # C ~ Exp(r) censors r / (2 + r) of T ~ Exp(2)
+            censoring = ("exponential", MARGINAL_RATE * level / (1.0 - level))
+        reps = res.config.reps - res.n_failed
+        for name in ("pl", "km", "par:exponential"):
+            weighting = "pl" if name == "pl" else "marginal"
+            pred = _score_limit(b1, change, censoring, res.config.n, weighting)
+            m, se = res.means[name], res.sds[name] / np.sqrt(reps)
+            if abs(m - pred) > 3.5 * se:
+                failures.append(
+                    f"mean({name}) beta={b1}@{level:.0%} {kind} {m:.4f} vs "
+                    f"prediction {pred:.4f}±{3.5 * se:.4f}"
+                )
+    assert not failures, "; ".join(failures)
 
 
 def test_criterion_5_efficiency_grid(report):

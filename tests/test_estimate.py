@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import margfit.estimate as estimate_module
 import margfit.resample as resample_module
@@ -465,9 +467,71 @@ class TestIterativeMarginalFit:
         res = solve_score(leukemia, Parametric("pwexp"))
         assert res.theta["family"] == "exponential"
 
-    def test_unknown_family(self, leukemia):
+    # neither a family name nor a model with survival(t)
+    @pytest.mark.parametrize("model", ["gamma", None, 123])
+    def test_unknown_family(self, leukemia, model):
         with pytest.raises(ConfigError):
-            solve_score(leukemia, Parametric("gamma"))
+            solve_score(leukemia, Parametric(model))
+
+
+# few, fixed examples: each runs whole fits
+_INVARIANCE = settings(max_examples=8, derandomize=True, deadline=None)
+
+
+def _fit_bytes(fit):
+    return fit.beta.tobytes(), fit.variance.tobytes()
+
+
+class TestInvariances:
+    """Invariances that the fit holds exactly, or to rounding."""
+
+    @_INVARIANCE
+    @given(draw=st.data())
+    @pytest.mark.parametrize("sample", ["leukemia", "censored_sample"])
+    def test_increasing_time_map_keeps_pl_and_km_fits(self, request, sample, draw):
+        # PL and KM see the times only through their order and ties
+        data = request.getfixturevalue(sample)
+        distinct, index = np.unique(data.time, return_inverse=True)
+        steps = draw.draw(
+            st.lists(
+                st.floats(1e-3, 1e3), min_size=distinct.size, max_size=distinct.size
+            )
+        )
+        mapped = SurvivalDataset(
+            time=np.cumsum(steps)[index], status=data.status, covariates=data.covariates
+        )
+        for scheme in (Constant(), KaplanMeier()):
+            got = solve_score(mapped, scheme)
+            assert _fit_bytes(got) == _fit_bytes(solve_score(data, scheme))
+
+    @_INVARIANCE
+    @given(order=st.permutations(range(400)))
+    def test_row_order_keeps_every_fit(self, censored_sample, order):
+        data = censored_sample
+        assert np.unique(data.time).size == data.n  # untied: one sorted order
+        rows = np.array(order)
+        permuted = SurvivalDataset(
+            time=data.time[rows], status=data.status[rows], covariates=data.covariates[rows]
+        )
+        for scheme in (
+            Constant(),
+            KaplanMeier(),
+            Parametric("exponential"),
+            Parametric("weibull"),
+            Parametric("pwexp:0.3"),
+            Parametric(fit_exponential(data)),
+        ):
+            got = solve_score(permuted, scheme)
+            assert _fit_bytes(got) == _fit_bytes(solve_score(data, scheme))
+
+    @_INVARIANCE
+    @given(shift=st.floats(-50.0, 50.0))
+    @pytest.mark.parametrize("sample", ["leukemia", "censored_sample"])
+    def test_covariate_shift_keeps_beta(self, request, sample, shift):
+        data = request.getfixturevalue(sample)
+        for scheme in (Constant(), KaplanMeier(), Parametric("exponential")):
+            got = solve_score(_shifted(data, shift), scheme).beta
+            assert np.max(np.abs(got - solve_score(data, scheme).beta)) <= 1e-10
 
 
 def _public_variances(data):
