@@ -296,12 +296,14 @@ class _Kernel:
 
     def sandwich(self, v, w) -> np.ndarray:
         """A^{-1} B A^{-1} with one row ``w`` (m,) of W, from V at its beta:
-        A = sum W V, B = sum W^2 V, so at W = 1 the information inverse."""
+        A = sum W V, B = sum W^2 V, so at W = 1 the information inverse.
+        With one covariate A^{-1} is the division 1/A, equal to LAPACK's 1x1
+        inverse bit for bit; A = 0 is singular either way."""
         a = (w[:, None, None] * v).sum(axis=0)
         b = ((w**2)[:, None, None] * v).sum(axis=0)
         try:
-            a_inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
+            a_inv = np.linalg.inv(a) if len(a) > 1 else np.array([[1.0 / a.item()]])
+        except (np.linalg.LinAlgError, ZeroDivisionError):
             raise FitError("singular information matrix") from None
         return a_inv @ b @ a_inv
 
@@ -420,7 +422,9 @@ def solve_score(
     at large n cannot reach 1e-9): it has converged at its current beta if
     its Jacobian is finite and its Newton step is at the rounding floor,
     max|step| <= 1e-10 max(1, max|beta|). Such a fit reports a
-    ``final_score_norm`` that may be 1e-9 or more.
+    ``final_score_norm`` that may be 1e-9 or more. With one covariate each
+    Newton step -U/J and the variance's inverse 1/A are divisions, equal
+    bit for bit to LAPACK's 1x1 solve and inverse.
     Every check of the arguments runs before any marginal is fitted.
 
     The beta-free state is built once: a Kaplan-Meier curve or a
@@ -451,76 +455,84 @@ def solve_score(
 def _newton(kernel: _Kernel, w):
     """Roots of ``kernel``'s scores at the B rows ``w`` of W, each from zero.
 
-    The rows are solved together, each with its own steps, step halvings,
-    iteration count and stopping point; a row's arithmetic is what it would
-    be alone. One record of B rows holds each row's last accepted beta:
-    beta, U, J, |U|, the risk-set V there and the iteration that accepted
-    it (0 at zero); every accepted trial writes all of it, and ``live``
-    lists the rows still iterating. Returns (beta (B, d), iterations (B,),
-    |U| (B,), V, errors): V (B, m, d, d) holds the risk-set variances at
-    each root, from the evaluation that accepted it, which lets the
-    variance skip a pass, and ``errors[b]`` is None or the ``FitError``
-    that stopped row b (whose root, |U| and V are then NaN and its
-    iterations 0).
+    The rows are solved together, each with its own steps, halvings,
+    iteration count and stopping point, and the arithmetic it has alone.
+    A record of B rows holds each row's last accepted beta, U, J, |U|, the
+    risk-set V there and the iteration that accepted it (0 at zero), all
+    written by each accepted trial; a step's trying rows carry their own
+    step, beta and |U|. A one-covariate step is the division -U/J, equal to
+    LAPACK's 1x1 solve. Returns (beta (B, d), iterations (B,), |U| (B,), V,
+    errors): V (B, m, d, d) holds the risk-set V at each root, from the
+    evaluation that accepted it; ``errors[b]`` is None or the ``FitError``
+    that stopped row b (its root, |U| and V then NaN, its iterations 0).
     """
     U, J, v = kernel.score(np.zeros((1, kernel.data.d)), w)
     size, d = U.shape
     beta, norm = np.zeros((size, d)), np.abs(U).max(axis=1)
     iterations, errors = np.zeros(size, dtype=int), [None] * size
     vs = np.repeat(v, size, axis=0)
-    live = np.flatnonzero(~(norm < _TOL))  # a NaN |U| stays live, and fails
+    live = (~(norm < _TOL)).nonzero()[0]  # a NaN |U| stays live, and fails
     for it in range(1, _MAX_ITER + 1):
         if not live.size:
             break
-        step, solved = _solve_rows(J[live], U[live])
+        step, solved = _solve_rows(J.take(live, axis=0), U.take(live, axis=0))
         for r in live[~solved]:
             errors[r] = FitError("singular Jacobian: separation or degenerate covariates")
-        live, step = live[solved], step[solved]
-        # the full step, then up to 20 halvings for the rows whose |U| did not
-        # fall, all halved alike, so they share a scale. A trial beta may
-        # overflow exp(beta z); its |U| is then inf or NaN, never below the
-        # current |U|, so the trials' floating-point warnings are silenced.
-        # ``trying`` holds the positions in ``live`` not yet accepted
-        trying = np.arange(live.size)
-        for halvings in range(21):
-            if not trying.size:
-                break
-            rows = live[trying]
-            b = beta[rows] + 0.5**halvings * step[trying]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                u, j, vb = kernel.score(b, w[rows])
-            n = np.abs(u).max(axis=1)
-            took = n < norm[rows]
-            r = rows[took]
-            beta[r], U[r], J[r], norm[r], vs[r] = b[took], u[took], j[took], n[took], vb[took]
-            iterations[r] = it
-            trying = trying[~took]
-        # a row no halving improves has converged at its recorded beta if
-        # its finite J gives a step at the rounding floor. An overflowed J
-        # (inf) gives a zero step far from the root, and fails
-        rows = live[trying]
-        stop = np.isfinite(J[rows]).all(axis=(1, 2)) & (
-            np.abs(step[trying]).max(axis=1)
-            <= 1e-10 * np.maximum(1.0, np.abs(beta[rows]).max(axis=1))
-        )
-        for r in rows[~stop]:
-            errors[r] = ConvergenceError("step halving failed to reduce the score")
-        keep = norm[live] >= _TOL
-        keep[trying] = False
-        live = live[keep]
+        rows = live = live[solved]
+        if not rows.size:
+            break
+        step, base, now = step[solved], beta.take(rows, axis=0), norm[rows]
+        # the full step, then up to 20 halvings alike for the rows whose |U| did
+        # not fall. A trial may overflow exp(beta z); its |U| is then inf or NaN,
+        # never below the current |U|, and only the trial scores can warn here
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for halvings in range(21):
+                b = base + 0.5**halvings * step
+                u, j, vb = kernel.score(b, w.take(rows, axis=0))
+                n = np.abs(u).max(axis=1)
+                took = n < now
+                accepted = np.count_nonzero(took)
+                if accepted == rows.size:
+                    if rows.size == size:  # the trial is the whole record
+                        beta, U, J, norm, vs = b, u, j, n, vb
+                    else:
+                        beta[rows], U[rows], J[rows], norm[rows], vs[rows] = b, u, j, n, vb
+                    iterations[rows] = it
+                    break
+                if accepted:  # record the accepted rows; the rest try on
+                    r, b, u, j, n, vb = rows[took], b[took], u[took], j[took], n[took], vb[took]
+                    beta[r], U[r], J[r], norm[r], vs[r], iterations[r] = b, u, j, n, vb, it
+                    rows, base, step, now = rows[~took], base[~took], step[~took], now[~took]
+            else:
+                # a row no halving improves has converged at its recorded beta if its
+                # finite J gives a step at the rounding floor. An overflowed J (inf)
+                # gives a zero step far from the root, and fails
+                floor = 1e-10 * np.maximum(1.0, np.abs(base).max(axis=1))
+                stop = np.isfinite(J[rows]).all(axis=(1, 2)) & (np.abs(step).max(axis=1) <= floor)
+                for r in rows[~stop]:
+                    errors[r] = ConvergenceError("step halving failed to reduce the score")
+        live = ((iterations == it) & (norm >= _TOL)).nonzero()[0]  # accepted, not done
     for r in live:
         errors[r] = ConvergenceError(
             f"no convergence after {_MAX_ITER} iterations (|U| = {norm[r]:.3g})"
         )
-    failed = [r for r, error in enumerate(errors) if error is not None]
-    beta[failed], norm[failed], vs[failed], iterations[failed] = np.nan, np.nan, np.nan, 0
+    if failed := [r for r, error in enumerate(errors) if error is not None]:
+        beta[failed], norm[failed], vs[failed], iterations[failed] = np.nan, np.nan, np.nan, 0
     return beta, iterations, norm, vs, errors
 
 
 def _solve_rows(J, U):
     """(step, solved): the Newton steps -J^{-1} U of a stack of rows, and
-    which rows were solved. One singular J fails the stacked solve, so the
-    rows are then solved one at a time and only the singular ones fail."""
+    which rows were solved; an unsolved row's step is NaN. With one
+    covariate the step is the division -U/J where J != 0: LAPACK's 1x1
+    solve bit for bit, which warns of nothing, leaves J = +-0 unsolved and
+    solves a NaN J to NaN. Otherwise one singular J fails the stacked
+    solve, so the rows are then solved one at a time and only the singular
+    ones fail."""
+    if U.shape[1] == 1:
+        solved = J[:, 0, 0] != 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -U / np.where(solved, J[:, 0, 0], np.nan)[:, None], solved
     try:
         return np.linalg.solve(J, -U[..., None])[..., 0], np.ones(len(U), dtype=bool)
     except np.linalg.LinAlgError:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,104 @@ class TestRoundingFloor:
             else:
                 assert np.abs(got - want).max() < 1e-11
         assert 0 < failed < 40
+
+
+# one-covariate J, U, W and V: magnitudes from 1e-300 to 1e300 of either sign,
+# and the values LAPACK has to treat apart
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, np.inf, -np.inf, np.nan]
+_SCALARS = st.one_of(
+    st.builds(
+        lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-300, 299),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.sampled_from(_SPECIAL),
+)
+_DIVISIONS = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+def _outcome(call):
+    """``call()``'s value, or its exception as (type, message), and the
+    (category, message) of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = call()
+        except Exception as exc:
+            got = (type(exc), str(exc))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def _lapack_sandwich(v, w):
+    """The sandwich as LAPACK gives it at any d: inv(A) @ B @ inv(A)."""
+    a = (w[:, None, None] * v).sum(axis=0)
+    b = ((w**2)[:, None, None] * v).sum(axis=0)
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise FitError("singular information matrix") from None
+    return a_inv @ b @ a_inv
+
+
+class TestOneCovariateDivision:
+    """With one covariate the Newton step and the sandwich's inverse are
+    divisions. They give the bytes, unsolved rows, errors and warnings of
+    the installed LAPACK's 1x1 solve and inverse, and d > 1 still solves
+    through LAPACK."""
+
+    # one subject, one event: its kernel's sandwich takes any (V, W) stack
+    KERNEL = estimate_module._Kernel(make([1.0], [1], [[0.0]]))
+
+    @_DIVISIONS
+    @given(rows=st.lists(st.tuples(_SCALARS, _SCALARS), min_size=1, max_size=6))
+    def test_steps_are_lapack_solves(self, rows):
+        J = np.array([j for j, _ in rows]).reshape(-1, 1, 1)
+        U = np.array([u for _, u in rows]).reshape(-1, 1)
+        (step, solved), caught = _outcome(lambda: estimate_module._solve_rows(J, U))
+        assert caught == []
+        for r in range(len(rows)):
+            want, caught = _outcome(lambda: np.linalg.solve(J[r], -U[r]))
+            assert caught == []
+            if isinstance(want, tuple):
+                assert want[0] is np.linalg.LinAlgError and not solved[r]
+                assert np.isnan(step[r]).all()
+            else:
+                assert solved[r] and step[r].tobytes() == want.tobytes()
+
+    @_DIVISIONS
+    @given(pairs=st.lists(st.tuples(_SCALARS, _SCALARS), min_size=1, max_size=3))
+    def test_sandwich_inverse_is_lapack_inverse(self, pairs):
+        # A = sum W V and B = sum W^2 V over the drawn (W, V) of m failures
+        w = np.array([x for x, _ in pairs])
+        v = np.array([y for _, y in pairs]).reshape(-1, 1, 1)
+        got, got_warnings = _outcome(lambda: self.KERNEL.sandwich(v, w))
+        want, want_warnings = _outcome(lambda: _lapack_sandwich(v, w))
+        assert got_warnings == want_warnings
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_two_covariates_go_through_lapack(self, monkeypatch):
+        calls = []
+        for name in ("solve", "inv"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        estimate_module._solve_rows(np.full((3, 1, 1), 2.0), np.ones((3, 1)))
+        self.KERNEL.sandwich(np.full((4, 1, 1), 0.5), np.ones(4))
+        assert calls == []
+        J, U = np.tile([[2.0, 0.5], [0.5, 1.0]], (3, 1, 1)), np.ones((3, 2))
+        _, solved = estimate_module._solve_rows(J, U)
+        assert solved.all() and calls == ["solve"]
+        var = self.KERNEL.sandwich(np.tile(J[0], (4, 1, 1)), np.ones(4))
+        assert calls == ["solve", "inv"]
+        assert var.tobytes() == _lapack_sandwich(np.tile(J[0], (4, 1, 1)), np.ones(4)).tobytes()
 
 
 class TestSchemeRows:

@@ -423,8 +423,8 @@ class TestSharedKernel:
 
     def test_blocks_do_not_churn_the_heap(self, fresh_python):
         # in a fresh interpreter, after a warm-up run, a block's temporaries
-        # are reused from the heap: blocks of 16 fault a few pages per
-        # 1000-draw run, blocks of 32 about 16,000 (each Newton step gives
+        # are reused from the heap: blocks of 16 fault no pages per
+        # 1000-draw run, blocks of 32 about 17,700 (each Newton step gives
         # the heap top back to the system and faults it in again)
         pytest.importorskip("resource")
         code = (
@@ -564,6 +564,31 @@ class TestNewtonRowExits:
             "full steps",
             "singular Jacobian: separation or degenerate covariates",
         }
+
+    def test_one_covariate_singular_jacobian_row(self, leukemia, monkeypatch):
+        # a one-covariate step is a division, and J = +0 or -0 leaves its row
+        # unsolved. Separated one-covariate data do not reach this exit (PL
+        # "converges" far out, near beta = 23), so the evaluation at zero
+        # has its J zeroed for one draw and set to -0 for another
+        kernel, w = kernel_and_weights(leukemia, Constant())
+        mult = self.block_multipliers(kernel, 8, 3)
+        zeroed = {(w * mult[2]).tobytes(): 0.0, (w * mult[5]).tobytes(): -0.0}
+        score = _Kernel.score
+
+        def singular_at_zero(self, beta, rows):
+            U, J, v = score(self, beta, rows)
+            if not beta.any():
+                for k, row in enumerate(rows):
+                    J[k] = zeroed.get(row.tobytes(), J[k])
+            return U, J, v
+
+        monkeypatch.setattr(_Kernel, "score", singular_at_zero)
+        assert self.exits(kernel, w, mult, monkeypatch) == {
+            "full steps",
+            "singular Jacobian: separation or degenerate covariates",
+        }
+        errors = _newton(kernel, w * mult)[4]
+        assert [b for b, err in enumerate(errors) if err is not None] == [2, 5]
 
     def test_halving_failure_row(self, leukemia, monkeypatch):
         # shifted by 400, exp(beta z) overflows on some draws: their Jacobian
