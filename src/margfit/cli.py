@@ -226,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ties",
         default="breslow",
         choices=("breslow", "efron"),
-        help="tie handling (efron: constant weights only, and under random "
-        "weights no tied failure times)",
+        help="tie handling (efron: under random weights, no tied failure times)",
     )
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument(

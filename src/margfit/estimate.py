@@ -311,13 +311,12 @@ class _Kernel:
 def _scheme_rows(kernel: _Kernel, schemes) -> list:
     """Each scheme's (fitted scheme, theta, W at ``kernel``'s failures), or
     the ``FitError``/``DataError`` its marginal fit raised. A scheme's
-    marginal is fitted once, by ``_marginal``, after its own checks."""
+    marginal is fitted once, by ``_marginal``. Under Efron too, W divides by
+    the tie group's full at-risk count, so that without censoring KM is PL."""
     data = kernel.data
     times, at_risk = data.time[kernel.ev], data.n - kernel.first
     rows = []
     for scheme in schemes:
-        if kernel.ties == "efron" and not isinstance(scheme, Constant):
-            raise ConfigError("the Efron tie correction applies to constant weights only")
         try:
             fitted, marginal, theta = _marginal(data, scheme)
         except (FitError, DataError) as exc:
@@ -327,9 +326,8 @@ def _scheme_rows(kernel: _Kernel, schemes) -> list:
     return rows
 
 
-def _alone(data, scheme, ties="breslow"):
-    """``data``'s kernel and ``scheme``'s ``_scheme_rows`` entry; raises its error."""
-    kernel = _Kernel(data, ties)
+def _alone(kernel, scheme):
+    """``kernel`` and ``scheme``'s ``_scheme_rows`` entry at it; raises its error."""
     (row,) = _scheme_rows(kernel, [scheme])
     if isinstance(row, Exception):
         raise row
@@ -352,7 +350,7 @@ def weighted_score(
     ties: str = "breslow",
 ) -> np.ndarray:
     """The weighted score U_W(beta) = sum delta_i W(X_i){Z_i - E(beta, X_i)}."""
-    kernel, (_, _, w) = _alone(data, scheme, ties)
+    kernel, (_, _, w) = _alone(_Kernel(data, ties), scheme)
     return kernel.score(_beta(beta, data.d)[None], w[None])[0][0]
 
 
@@ -364,7 +362,7 @@ def score_jacobian(
     ties: str = "breslow",
 ) -> np.ndarray:
     """dU_W/dbeta = -sum delta_i W(X_i) V(beta, X_i); negative semidefinite."""
-    kernel, (_, _, w) = _alone(data, scheme, ties)
+    kernel, (_, _, w) = _alone(_Kernel(data, ties), scheme)
     return kernel.score(_beta(beta, data.d)[None], w[None])[1][0]
 
 
@@ -384,14 +382,13 @@ def variance_sandwich(
 ) -> np.ndarray:
     """Model-based sandwich variance A^{-1} B A^{-1} / n of a weighted score.
 
-    A = n^{-1} sum delta_i W V, B = n^{-1} sum delta_i W^2 V, under ``ties``
-    (Efron for the constant scheme only). Invariant to rescaling the
-    weights; at W = 1 it is the Andersen-Gill information inverse. B sums
-    the model's risk-set variance, not score residuals, so it is not robust
-    to non-proportional hazards (for the Lin-Wei variance that is, see
-    ROADMAP.md item 8).
+    A = n^{-1} sum delta_i W V, B = n^{-1} sum delta_i W^2 V, under ``ties``.
+    Invariant to rescaling the weights; at W = 1 it is the Andersen-Gill
+    information inverse. B sums the model's risk-set variance, not score
+    residuals, so it is not robust to non-proportional hazards (for the
+    Lin-Wei variance that is, see ROADMAP.md item 8).
     """
-    kernel, (_, _, w) = _alone(data, scheme, ties)
+    kernel, (_, _, w) = _alone(_Kernel(data, ties), scheme)
     return kernel.sandwich(kernel.moments(_beta(beta, data.d)[None])[2][0], w)
 
 
@@ -409,7 +406,7 @@ def solve_score(
     data : SurvivalDataset
     scheme : WeightScheme
     ties : {'breslow', 'efron'}
-        Efron is available for the constant scheme only.
+        Either tie rule, for every scheme.
     variance : {'auto', 'none'}
         'auto' gives every scheme the sandwich with its own weights under
         ``ties``, which at W = 1 is the Andersen-Gill variance; 'none' skips

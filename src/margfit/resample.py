@@ -26,7 +26,7 @@ import numpy as np
 from ._parallel import check_integer, check_jobs, parallel_map
 from .dataset import SurvivalDataset, _write_table
 from .errors import ConfigError, DataError, FitError
-from .estimate import FitResult, WeightScheme, _alone, _newton, _solved, solve_score
+from .estimate import FitResult, WeightScheme, _alone, _Kernel, _newton, _solved, solve_score
 
 __all__ = [
     "ResampleResult",
@@ -72,14 +72,15 @@ def _event_multipliers(e: np.ndarray, m: int) -> np.ndarray:
 
 
 def _random_weight_kernel(data, scheme, ties):
-    """``_alone``'s (kernel, row); under Efron, tied failures are a ConfigError:
-    they draw independent multipliers, where Efron needs one per tie group."""
-    kernel, row = _alone(data, scheme, ties)
+    """``_alone``'s (kernel, row); under Efron, tied failures are a ConfigError
+    before any marginal fit: they draw independent multipliers, where Efron
+    needs one per tie group."""
+    kernel = _Kernel(data, ties)
     if kernel.frac is not None and kernel.starts.size < kernel.ev.size:
         raise ConfigError(
             "random weights take ties='efron' only when no failure times are tied"
         )
-    return kernel, row
+    return _alone(kernel, scheme)
 
 
 def random_weight_fit(

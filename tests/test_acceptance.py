@@ -60,17 +60,17 @@ def _spec(beta, censoring):
     )
 
 
-def _study(beta, censoring, target):
+def _study(beta, censoring, target, n=1500, reps=500, jobs=None):
     cfg = StudyConfig(
         spec=_spec(beta, censoring),
-        n=1500,
-        reps=500,
+        n=n,
+        reps=reps,
         seed=SEED,
         target_censoring=target,
         families_to_fit=("exponential",),
         label=f"acceptance-{target}",
     )
-    return run_study(cfg)
+    return run_study(cfg, jobs=jobs)
 
 
 # -- design values, computed without margfit ----------------------------------
@@ -277,6 +277,50 @@ def test_criterion_1_clinical_fit(leukemia, report):
     report(1, "clinical-trial fit", failures)
 
 
+def _efron_score(time, status, z, beta, w):
+    """The Efron-tied weighted score at ``beta``, one covariate, by plain sums.
+
+    The k-th distinct failure time, with d tied failures D and risk set R,
+    adds sum over l = 0..d-1 of w_k {z_l - (R1 - (l/d) D1) / (R0 - (l/d) D0)},
+    where R0, R1 (D0, D1) sum e^{beta z} and z e^{beta z} over R (over D).
+    """
+    r = np.exp(beta * z)
+    total = 0.0
+    for k, t in enumerate(np.unique(time[status == 1])):
+        risk, dead = time >= t, (time == t) & (status == 1)
+        d = int(dead.sum())
+        for l, zl in enumerate(z[dead]):
+            f = l / d
+            mean = (r[risk] @ z[risk] - f * (r[dead] @ z[dead])) / (
+                r[risk].sum() - f * r[dead].sum()
+            )
+            total += w[k] * (zl - mean)
+    return total
+
+
+def test_weighted_efron_fits_solve_a_package_free_score(leukemia):
+    """Under Efron ties the KM- and exponential-weighted fits on Freireich,
+    whose failure times are tied, solve the Efron-tied score with weights
+    S(t-)/Y(t), Y(t) the tie group's full at-risk count, to 1e-10."""
+    time, status, z = leukemia.time, leukemia.status, leukemia.covariates[:, 0]
+    fail = np.unique(time[status == 1])
+    at_risk = (time[None, :] >= fail[:, None]).sum(axis=1)
+    deaths = ((time[None, :] == fail[:, None]) & (status == 1)).sum(axis=1)
+    km_left = np.concatenate([[1.0], np.cumprod(1.0 - deaths / at_risk)[:-1]])
+    rate = status.sum() / time.sum()  # the exponential MLE
+    failures = []
+    for scheme, survival in (
+        (KaplanMeier(), km_left),
+        (Parametric("exponential"), np.exp(-rate * fail)),
+    ):
+        w = survival / at_risk
+        root = brentq(lambda b: _efron_score(time, status, z, b, w), -5.0, 5.0, xtol=1e-14)
+        fit = solve_score(leukemia, scheme, ties="efron")
+        if not abs(fit.beta[0] - root) <= 1e-10:
+            failures.append(f"{scheme.describe()}: {fit.beta[0]!r} vs root {root!r}")
+    assert not failures, "; ".join(failures)
+
+
 def test_criterion_2_proportional_hazards_table(table1_run, report):
     studies, elapsed = table1_run
     failures: list[str] = []
@@ -421,6 +465,43 @@ def test_study_means_match_their_finite_n_prediction(table1_run, table2_run, tab
                     f"mean({name}) beta={b1}@{level:.0%} {kind} {m:.4f} vs "
                     f"prediction {pred:.4f}±{3.5 * se:.4f}"
                 )
+    assert not failures, "; ".join(failures)
+
+
+def test_criterion_4_drift_shrinks_at_a_second_n(table3_run):
+    """Criterion 4's design at n = 6000 (200 replications, the bundled seed,
+    serially) against the n = 1500 fixture, with one k = 3.5 throughout.
+
+    Each mean lies within k SE of its finite-n prediction at n = 6000. Each
+    weighted estimator's drift from beta* is smaller than at n = 1500, and
+    drift(1500) / drift(6000) lies within k SE of sqrt(4) = 2, its SE that
+    of drift(1500) - 2 drift(6000) divided by |drift(6000)|.
+    """
+    k = 3.5
+    censoring = ("exponential", 2.0)
+    beta = BetaFunction(changepoints=(0.2,), values=(3.0, 0.0))
+    large = _study(beta, ExponentialCensoring(1.0), 0.5, n=6000, reps=200, jobs=1)
+    beta_star = _score_limit(3.0, 0.2, None)
+    failures = []
+    for name in ("pl", "km", "par:exponential"):
+        weighting = "pl" if name == "pl" else "marginal"
+        pred = _score_limit(3.0, 0.2, censoring, n=6000, weighting=weighting)
+        m = large.means[name]
+        se = large.sds[name] / np.sqrt(large.config.reps - large.n_failed)
+        if abs(m - pred) > k * se:
+            failures.append(f"mean({name})@n=6000 {m:.4f} vs prediction {pred:.4f}±{k * se:.4f}")
+        if name == "pl":
+            continue
+        se_small = table3_run.sds[name] / np.sqrt(table3_run.config.reps - table3_run.n_failed)
+        drift, drift_small = m - beta_star, table3_run.means[name] - beta_star
+        if not abs(drift) < abs(drift_small):
+            failures.append(f"drift({name}) {drift:.4f} at n=6000 not below {drift_small:.4f}")
+            continue
+        band = k * np.hypot(se_small, 2.0 * se) / abs(drift)
+        if abs(drift_small / drift - 2.0) > band:
+            failures.append(
+                f"drift({name}) ratio {drift_small / drift:.3f} vs 2±{band:.3f}"
+            )
     assert not failures, "; ".join(failures)
 
 

@@ -12,6 +12,8 @@ import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -602,3 +604,34 @@ def test_importing_the_package_loads_no_process_pool(fresh_python):
         "assert 'concurrent.futures' in sys.modules\n"
     )
     fresh_python(code)
+
+
+# one failing derandomized property test, then a passing plain test
+FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
+    """Under the repository's pytest settings a failing hypothesis test prints
+    its falsifying example, and the tests after it still run: no warning
+    that the report itself raises may end the session."""
+    settings_file = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    case = tmp_path / "test_property.py"
+    case.write_text(FAILING_PROPERTY)
+    argv = [sys.executable, "-m", "pytest", "-c", str(settings_file)]
+    argv += ["-p", "no:cacheprovider", str(case)]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "1 failed, 1 passed" in out and "Falsifying example" in out, out

@@ -51,6 +51,11 @@ class TestFit:
         assert main(["fit", leukemia_csv, "--ties", "efron"]) == 0
         assert "1.5721 (0.4124)" in capsys.readouterr().out
 
+    def test_weighted_efron(self, leukemia_csv, capsys):
+        assert main(["fit", leukemia_csv, "--scheme", "km", "--ties", "efron"]) == 0
+        out = capsys.readouterr().out
+        assert "1.5936 (0.4205)" in out and "ties: efron" in out
+
     def test_parametric_scheme_reports_marginal(self, leukemia_csv, capsys):
         assert main(["fit", leukemia_csv, "--scheme", "par:exponential"]) == 0
         out = capsys.readouterr().out
@@ -92,12 +97,6 @@ class TestExitCodes:
 
     def test_bad_scheme_is_2(self, leukemia_csv, capsys):
         assert main(["fit", leukemia_csv, "--scheme", "mystery"]) == 2
-
-    def test_weighted_efron_is_2(self, leukemia_csv):
-        assert main(["fit", leukemia_csv, "--scheme", "km", "--ties", "efron"]) == 2
-        # the option check runs before a marginal fit that would fail (exit 4)
-        argv = ["fit", leukemia_csv, "--scheme", "par:pwexp:1000", "--ties", "efron"]
-        assert main(argv) == 2
 
     def test_nan_curve_is_3(self, leukemia_csv, tmp_path):
         curve = tmp_path / "curve.csv"

@@ -114,22 +114,22 @@ class TestScore:
                 ) / (2 * eps)
             assert np.allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
-    def test_efron_equals_breslow_without_ties(self):
-        data = random_data(23)  # continuous times: no ties
-        beta = np.array([0.3, 0.1])
-        ub = weighted_score(data, Constant(), beta, ties="breslow")
-        ue = weighted_score(data, Constant(), beta, ties="efron")
-        assert np.allclose(ub, ue, atol=1e-14)
+    @pytest.mark.parametrize("spec", ["pl", "km", "par:exponential", "par:weibull"])
+    def test_efron_equals_breslow_without_ties(self, spec):
+        # continuous times: each failure's l/d_k is 0, so Efron is Breslow
+        data = random_data(23)
+        scheme = estimate_module._parse_scheme(spec)
+        breslow = solve_score(data, scheme, ties="breslow")
+        efron = solve_score(data, scheme, ties="efron")
+        assert {**breslow.to_dict(), "ties": "efron"} == efron.to_dict()
+        for a, b in zip((breslow.beta, breslow.variance), (efron.beta, efron.variance)):
+            assert a.tobytes() == b.tobytes()
 
     def test_efron_differs_with_ties(self, leukemia):
         beta = np.array([0.5])
         ub = weighted_score(leukemia, Constant(), beta, ties="breslow")
         ue = weighted_score(leukemia, Constant(), beta, ties="efron")
         assert abs(ub[0] - ue[0]) > 1e-3
-
-    def test_efron_needs_constant_scheme(self, leukemia):
-        with pytest.raises(ConfigError, match="constant"):
-            weighted_score(leukemia, KaplanMeier(), np.zeros(1), ties="efron")
 
 
 class TestEventWeights:
@@ -172,11 +172,14 @@ class TestEventWeights:
 class TestSolver:
     # Pinned point estimates for the bundled trial. The unit-weight values
     # match published analyses of these data (1.509 Breslow, 1.572 Efron);
-    # the weighted ones are frozen from an independent prototype.
+    # the weighted ones are frozen from an independent prototype, and the
+    # acceptance gate's package-free Efron score reproduces the Efron ones.
     CASES = [
         ("breslow", Constant(), 1.5091914, 0.4095644),
         ("efron", Constant(), 1.5721251, 0.4123967),
         ("breslow", KaplanMeier(), 1.5202837, 0.4168764),
+        ("efron", KaplanMeier(), 1.5936412, 0.4205209),
+        ("efron", Parametric("exponential"), 1.5996339, 0.4229019),
     ]
 
     @pytest.mark.parametrize("ties,scheme,beta,se", CASES)
@@ -199,6 +202,16 @@ class TestSolver:
         pl = solve_score(uncensored_sample, Constant())
         km = solve_score(uncensored_sample, KaplanMeier())
         assert abs(pl.beta[0] - km.beta[0]) < 1e-9
+        # on a 0.1 grid nearly every failure is tied; W keeps each tie group's
+        # full at-risk count under Efron, so KM is still PL
+        tied = SurvivalDataset(
+            time=np.ceil(10 * uncensored_sample.time) / 10,
+            status=uncensored_sample.status,
+            covariates=uncensored_sample.covariates,
+        )
+        pl = solve_score(tied, Constant(), ties="efron")
+        km = solve_score(tied, KaplanMeier(), ties="efron")
+        assert abs(pl.beta[0] - km.beta[0]) < 1e-12
 
     def test_multidimensional(self):
         data = random_data(31, n=300, d=3)
@@ -240,8 +253,6 @@ class TestSolver:
         for rule in ("bogus", "andersen-gill", "sandwich"):
             with pytest.raises(ConfigError, match="variance"):
                 solve_score(leukemia, Constant(), variance=rule)
-        with pytest.raises(ConfigError):
-            solve_score(leukemia, KaplanMeier(), ties="efron")
         with pytest.raises(DataError, match="length 1"):
             log_partial_likelihood(leukemia, np.zeros(3))
         with pytest.raises(ConfigError, match="unknown weight scheme"):
@@ -250,8 +261,6 @@ class TestSolver:
         unfittable = Parametric("pwexp:1000")
         with pytest.raises(ConfigError, match="ties"):
             solve_score(leukemia, unfittable, ties="bogus")
-        with pytest.raises(ConfigError, match="constant weights"):
-            solve_score(leukemia, unfittable, ties="efron")
         with pytest.raises(ConfigError, match="variance"):
             solve_score(leukemia, unfittable, variance="bogus")
 
@@ -512,11 +521,11 @@ class TestSchemeRows:
             v = kernel.moments(beta[None])[2][0]
             if variance == "andersen-gill":
                 shared = kernel.sandwich(v, np.ones(len(v)))
-                alone = variance_sandwich(kernel.data, Constant(), beta)
+                alone = variance_sandwich(kernel.data, Constant(), beta, ties=kernel.ties)
             else:
                 scheme, _, w = row
                 shared = kernel.sandwich(v, w)
-                alone = variance_sandwich(kernel.data, scheme, beta)
+                alone = variance_sandwich(kernel.data, scheme, beta, ties=kernel.ties)
             assert shared.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("variance", ["auto", "andersen-gill", "sandwich", "none"])
@@ -525,12 +534,9 @@ class TestSchemeRows:
         assert isinstance(fits[4], FitError) and "zero exposure" in str(fits[4])
         self.assert_rows_alone(random_data(8, d=2), self.ROWS, variance=variance)
 
-    def test_efron_takes_constant_rows_only(self, leukemia):
-        self.assert_rows_alone(leukemia, [Constant(), Constant()], ties="efron")
-        # refused before any marginal is fitted (pwexp:1000 cannot be)
-        kernel = estimate_module._Kernel(leukemia, "efron")
-        with pytest.raises(ConfigError, match="constant weights"):
-            estimate_module._scheme_rows(kernel, self.ROWS[::-1])
+    @pytest.mark.parametrize("variance", ["auto", "andersen-gill", "sandwich", "none"])
+    def test_efron_rows_are_their_schemes_alone(self, leukemia, variance):
+        self.assert_rows_alone(leukemia, self.ROWS, ties="efron", variance=variance)
 
     def test_no_events_fail_every_row(self):
         d = make([1, 2], [0, 0], [[0.0], [1.0]])

@@ -100,9 +100,11 @@ class TestRandomWeightFit:
         assert abs(draw[0] - point.beta[0]) > 1e-4
 
     def test_efron_rejected(self, leukemia):
-        # tied failures draw independent weights, incompatible with Efron
-        with pytest.raises(ConfigError):
-            random_weight_fit(leukemia, Constant(), 1, ties="efron")
+        # tied failures draw independent weights, incompatible with Efron, under
+        # every scheme, and before a marginal fit that would fail (pwexp:1000)
+        for scheme in (Constant(), KaplanMeier(), Parametric("pwexp:1000")):
+            with pytest.raises(ConfigError, match="no failure times are tied"):
+                random_weight_fit(leukemia, scheme, 1, ties="efron")
 
 
 @pytest.mark.parametrize(
@@ -471,12 +473,13 @@ class TestSharedKernel:
         # leukemia's tied failures draw independent multipliers
         with pytest.raises(ConfigError, match="no failure times are tied"):
             resample_distribution(leukemia, Constant(), n_draws=5, ties="efron")
-        res = resample_distribution(
-            censored_sample, Constant(), n_draws=8, seed=6, ties="efron"
-        )
-        want = one_draw_at_a_time(censored_sample, Constant(), 8, 6, ties="efron")
-        assert np.array_equal(res.draws, want)
-        assert res.point.ties == "efron"
+        for scheme in (Constant(), KaplanMeier()):
+            res = resample_distribution(
+                censored_sample, scheme, n_draws=8, seed=6, ties="efron"
+            )
+            want = one_draw_at_a_time(censored_sample, scheme, 8, 6, ties="efron")
+            assert np.array_equal(res.draws, want)
+            assert res.point.ties == "efron"
 
 
 class TestNewtonRowExits:
