@@ -244,16 +244,24 @@ def _dataset_header(width: int) -> list[str]:
 def load_csv(path) -> SurvivalDataset:
     """Read a dataset from CSV with header ``time,status,z1,...,zd``.
 
-    Errors name the file and the offending line. Decimal point is ``.``;
-    no thousands separators.
+    Errors name the file and the first faulty line: a negative or
+    non-finite time, a status outside {0,1}, a non-finite covariate or an
+    event at time zero. Decimal point is ``.``; no thousands separators.
     """
     lines, rows = _read_table(path, _dataset_header)
-    for lineno, (t, s) in zip(lines, rows[:, :2].tolist()):
-        if t < 0:
-            raise DataError(f"{path}: negative time at line {lineno}")
-        if s not in (0.0, 1.0):
-            raise DataError(f"{path}: status outside {{0,1}} at line {lineno}")
-    return SurvivalDataset(rows[:, 0], rows[:, 1], rows[:, 2:])
+    t, s, z = rows[:, 0], rows[:, 1], rows[:, 2:]
+    faults = {
+        "negative time": t < 0,
+        "non-finite time": ~np.isfinite(t),
+        "status outside {0,1}": (s != 0) & (s != 1),
+        "non-finite covariate": ~np.isfinite(z).all(axis=1),
+        "zero-time event": (t == 0) & (s == 1),
+    }
+    bad = np.column_stack(list(faults.values()))
+    if bad.any():
+        row, k = divmod(int(np.argmax(bad)), bad.shape[1])
+        raise DataError(f"{path}: {list(faults)[k]} at line {lines[row]}")
+    return SurvivalDataset(t, s, z)
 
 
 def save_csv(data: SurvivalDataset, path) -> None:

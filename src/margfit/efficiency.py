@@ -6,8 +6,7 @@ marginal-weighted estimator relative to partial likelihood is
 
     R = Sigma_1^2 / (Sigma_0 Sigma_2),
 
-with Sigma_0 = int A(b0, t) P(C >= t) dt, Sigma_1 = int A(b0, t) dt,
-Sigma_2 = int A(b0, t) / P(C >= t) dt, and
+with Sigma_j = int A(b0, t) P(C >= t)^(1-j) dt for j = 0, 1, 2, and
 
     A(b, t) = (1-p) e^{-t} p e^b exp(-t e^b)
               / [ (1-p) e^{-t} + p e^b exp(-t e^b) ].
@@ -41,8 +40,8 @@ __all__ = [
 
 # integrand values this far below their peak are treated as numerically zero
 _TAIL_RATIO = 1e-14
-# relative tolerance of every quadrature
-_QUAD_TOL = 1e-10
+# options of every quadrature: relative tolerance 1e-10, none absolute
+_QUAD = {"epsabs": 0.0, "epsrel": 1e-10, "limit": 200}
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,18 @@ def _log_censor_sf(t: np.ndarray, sigma: float) -> np.ndarray:
     return log_ndtr(-x)
 
 
+def _log_integrand(config: AREConfig, j: int):
+    """The function t -> log of Sigma_j's integrand, A(b0, t) P(C >= t)^(1-j).
+
+    At j = 1 the censoring term has weight 0 and is skipped. The weights 1
+    and -1 change no bit: in IEEE arithmetic a + 1 l is a + l, a + (-1) l is a - l.
+    """
+    b0, p, sigma = config.beta0, config.p, config.sigma
+    if j == 1:
+        return lambda t: _log_a(b0, p, t)
+    return lambda t: _log_a(b0, p, t) + (1 - j) * _log_censor_sf(t, sigma)
+
+
 def _upper_limit(config: AREConfig) -> float:
     """Truncation point past which the slowest-decaying integrand is negligible.
 
@@ -109,17 +120,11 @@ def _upper_limit(config: AREConfig) -> float:
     that peak where the integrand is below _TAIL_RATIO of it. The tail always
     falls: log A falls like -t, log P(C >= t) only like -(log t)^2.
     """
-    sigma = config.sigma
-
-    def log_integrand2(t):
-        return _log_a(config.beta0, config.p, t) - _log_censor_sf(t, sigma)
-
+    log_f = _log_integrand(config, 2)
     grid = np.concatenate(([1e-8], np.geomspace(1e-4, 50.0, 200)))
-    values = log_integrand2(grid)
+    values = log_f(grid)
     peak_t, cut = grid[np.argmax(values)], values.max() + np.log(_TAIL_RATIO)
-    return _expand(
-        lambda t: t >= peak_t and log_integrand2(t) < cut, 2.0, "the efficiency tail"
-    )
+    return _expand(lambda t: t >= peak_t and log_f(t) < cut, 2.0, "the efficiency tail")
 
 
 def sigma_integrals(config: AREConfig) -> tuple[float, float, float]:
@@ -132,23 +137,12 @@ def sigma_integrals(config: AREConfig) -> tuple[float, float, float]:
     """
     from scipy.integrate import quad
 
-    sigma = config.sigma
     upper = _upper_limit(config)
-    b0, p = config.beta0, config.p
-
-    def f0(t):
-        return np.exp(_log_a(b0, p, t) + _log_censor_sf(t, sigma))
-
-    def f1(t):
-        return np.exp(_log_a(b0, p, t))
-
-    def f2(t):
-        return np.exp(_log_a(b0, p, t) - _log_censor_sf(t, sigma))
-
     vals = []
-    for f in (f0, f1, f2):
+    for j in (0, 1, 2):
+        log_f = _log_integrand(config, j)
         with np.errstate(over="ignore"):
-            v, err = quad(f, 0.0, upper, epsabs=0.0, epsrel=_QUAD_TOL, limit=200)
+            v, _ = quad(lambda t: np.exp(log_f(t)), 0.0, upper, **_QUAD)
         if not np.isfinite(v) or v <= 0.0:
             raise FitError("efficiency integral is not a positive finite number")
         vals.append(float(v))
@@ -172,7 +166,7 @@ def censoring_fraction(config: AREConfig) -> float:
         def f(t, rate=rate):
             return rate * np.exp(-rate * t) * (1.0 - np.exp(_log_censor_sf(t, sigma)))
 
-        v, _ = quad(f, 0.0, upper, epsabs=0.0, epsrel=_QUAD_TOL, limit=200)
+        v, _ = quad(f, 0.0, upper, **_QUAD)
         total += pz * float(v)
     return total
 

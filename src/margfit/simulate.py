@@ -180,8 +180,10 @@ class UniformCensoring:
     upper: float
 
     def __post_init__(self):
-        if not self.upper > 0:
-            raise ConfigError("uniform censoring upper bound must be positive")
+        if not 0 < self.upper < np.inf:
+            raise ConfigError(
+                "uniform censoring upper bound must be positive and finite"
+            )
 
     def quantile(self, u):
         return u * self.upper
@@ -198,8 +200,8 @@ class ExponentialCensoring:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ConfigError("exponential censoring rate must be positive")
+        if not 0 < self.rate < np.inf:
+            raise ConfigError("exponential censoring rate must be positive and finite")
 
     def quantile(self, u):
         return -np.log1p(-u) / self.rate
@@ -614,28 +616,24 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
     names = ["pl", "km"] + [f"par:{fid}" for fid in config.families_to_fit]
     estimators = {name: _parse_scheme(name) for name in names}
     reps = config.reps
-    est = {name: np.full(reps, np.nan) for name in names}
-    realized = np.full(reps, np.nan)
-    failures = []
-
     solve = partial(_reps, spec, estimators, config.n)
     rows = parallel_map(solve, config.seed, reps, jobs)
-    for rep, (values, frac, fails) in enumerate(rows):
-        realized[rep] = frac
-        for name, v in values.items():
-            est[name][rep] = v
-        failures += [(rep, name, msg) for name, msg in fails]
-
-    failed_reps = sorted({rep for rep, _, _ in failures})
-    n_failed = len(failed_reps)
+    est = {
+        name: np.array([values.get(name, np.nan) for values, _, _ in rows])
+        for name in names
+    }
+    realized = np.array([frac for _, frac, _ in rows])
+    failures = [
+        (rep, name, msg) for rep, (_, _, fails) in enumerate(rows) for name, msg in fails
+    ]
+    ok = np.array([not fails for _, _, fails in rows])
+    n_failed = reps - int(ok.sum())
     if n_failed > 0.01 * reps:
         first = failures[0]
         raise FitError(
             f"{n_failed}/{reps} replications failed (> 1%): "
             f"rep {first[0]} [{first[1]}]: {first[2]}"
         )
-    ok = np.ones(reps, dtype=bool)
-    ok[failed_reps] = False
 
     means = {name: float(np.mean(est[name][ok])) for name in names}
     sds = {
@@ -647,7 +645,7 @@ def run_study(config: StudyConfig, jobs: int | None = None) -> SimStudyResult:
         spec, rng=np.random.default_rng([config.seed, _REFERENCE_STREAM])
     )
     return SimStudyResult(
-        estimates={name: est[name] for name in names},
+        estimates=est,
         means=means,
         sds=sds,
         reference_family=ref_family,

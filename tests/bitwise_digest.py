@@ -52,9 +52,9 @@ import margfit as mf  # noqa: E402
 from margfit.cli import main as cli_main  # noqa: E402
 from margfit.estimate import _Kernel, _newton, _scheme_rows  # noqa: E402
 from margfit.resample import _event_multipliers  # noqa: E402
+from margfit.simulate import _CALIBRATION_STREAM  # noqa: E402
 
 TABLES = [ROOT / "src" / "margfit" / "data" / f"table{k}.json" for k in (1, 2, 3)]
-CALIBRATION_STREAM = 1 << 32  # run_study's calibration substream
 
 
 def feed(h, x) -> int:
@@ -147,7 +147,7 @@ def group_oracles():
         key = f"{table}/{cfg.label}@{cfg.target_censoring}"
         spec = cfg.spec
         if cfg.target_censoring > 0:
-            rng = np.random.default_rng([cfg.seed, CALIBRATION_STREAM])
+            rng = np.random.default_rng([cfg.seed, _CALIBRATION_STREAM])
             param = outcome(mf.calibrate_censoring, spec, cfg.target_censoring, rng=rng)
             out[key + "/calibrate"] = param
             if not isinstance(param, Exception):

@@ -173,6 +173,11 @@ class TestCsv:
             ("1,1,0\n-2,0,1\n", "negative time at line 3"),
             # the blank line is skipped but still counted
             ("1,1,0\n\n3,2,1\n", r"status outside \{0,1\} at line 4"),
+            ("1.0,1,0.5\nnan,1,0.2\n", "non-finite time at line 3"),
+            ("1,1,0\n2,0,inf\n", "non-finite covariate at line 3"),
+            ("1,1,0\n0,1,0.5\n", "zero-time event at line 3"),
+            # the first faulty line is named, whatever its fault
+            ("0,1,0\n-1,0,0\n", "zero-time event at line 2"),
         ],
     )
     def test_bad_value_names_its_line(self, tmp_path, body, match):

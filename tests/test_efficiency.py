@@ -15,7 +15,7 @@ from margfit import (
     relative_efficiency,
     sigma_integrals,
 )
-from margfit.efficiency import _log_a, _log_censor_sf
+from margfit.efficiency import _log_a, _log_censor_sf, _upper_limit
 
 # Published efficiency grid, row-major in (t_c, beta0, p) with
 # beta0 in {0.5, 1, 2} and p in {0.25, 0.5, 0.75}. Every ratio is
@@ -131,6 +131,29 @@ class TestSigmaIntegrals:
         got = [res.sigma0, res.sigma1, res.sigma2]
         assert got == pytest.approx(want, rel=1e-3, abs=0.0)
         assert res.ratio == pytest.approx(want[1] ** 2 / (want[0] * want[2]), rel=1e-3)
+
+    @pytest.mark.parametrize("sigma_role", ["log_sd", "log_var"])
+    def test_grid_matches_the_three_integrands_written_out(self, sigma_role):
+        # Sigma_0, Sigma_1 and Sigma_2 are one integrand at three powers of
+        # P(C >= t); each equals, byte for byte, its own integrand's quad
+        from scipy.integrate import quad
+
+        for t_c in (1.0, 0.5):
+            for b0 in (0.5, 1.0, 2.0):
+                for p in (0.25, 0.5, 0.75):
+                    cfg = AREConfig(beta0=b0, p=p, t_c=t_c, sigma_role=sigma_role)
+                    sigma, upper = cfg.sigma, _upper_limit(cfg)
+                    integrands = [
+                        lambda t: np.exp(_log_a(b0, p, t) + _log_censor_sf(t, sigma)),
+                        lambda t: np.exp(_log_a(b0, p, t)),
+                        lambda t: np.exp(_log_a(b0, p, t) - _log_censor_sf(t, sigma)),
+                    ]
+                    want = [
+                        quad(f, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+                        for f in integrands
+                    ]
+                    got = sigma_integrals(cfg)
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), cfg
 
     def test_sigma2_past_the_float_range_is_refused(self):
         with pytest.raises(FitError, match="not a positive finite number"):

@@ -994,11 +994,22 @@ class TestBatchedEstimators:
             (rep, name, msg) for rep, _, _, fails in rows for name, msg in fails
         )
         assert res.failures == failures
-        for name, est in res.estimates.items():
-            alone = np.array([values.get(name, np.nan) for _, values, _, _ in rows])
-            assert est.tobytes() == alone.tobytes(), name
+        names = list(res.estimates)
+        alone = {
+            name: np.array([values.get(name, np.nan) for _, values, _, _ in rows])
+            for name in names
+        }
+        for name in names:
+            assert res.estimates[name].tobytes() == alone[name].tobytes(), name
+        # the moments, aggregated over the replications without a failure
         ok = np.ones(config.reps, dtype=bool)
         ok[[rep for rep, _, _ in failures]] = False
+        means = [np.mean(alone[name][ok]) for name in names]
+        sds = [np.std(alone[name][ok], ddof=1) if ok.sum() > 1 else 0.0 for name in names]
+        assert list(res.means) == list(res.sds) == names
+        assert np.array(list(res.means.values())).tobytes() == np.array(means).tobytes()
+        assert np.array(list(res.sds.values())).tobytes() == np.array(sds).tobytes()
+        assert type(res.n_failed) is int and res.n_failed == config.reps - ok.sum()
         realized = np.array([frac for _, _, frac, _ in rows])
         assert res.realized_censoring == float(np.mean(realized[ok]))
         return rows
@@ -1643,6 +1654,16 @@ def _study_file(tmp_path, text):
             lambda tmp_path: ExponentialCensoring(-1.0),
             "rate must be positive",
             id="exponential-rate",
+        ),
+        pytest.param(
+            lambda tmp_path: UniformCensoring(np.inf),
+            "upper bound must be positive and finite",
+            id="uniform-upper-inf",
+        ),
+        pytest.param(
+            lambda tmp_path: ExponentialCensoring(np.inf),
+            "rate must be positive and finite",
+            id="exponential-rate-inf",
         ),
         pytest.param(
             lambda tmp_path: replace(PH, beta=1.0),
